@@ -6,16 +6,15 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["RunConfig", "ReportBundle", "run", "emit", "main"]
+from .phase_space import ResourceCapError
 
-DEFAULT_CAP = 8192
+__all__ = ["RunConfig", "ReportBundle", "run", "emit", "main"]
 
 
 @dataclass
@@ -32,8 +31,6 @@ class RunConfig:
     protocol: str = "qubit6"
     emit_mode: str = "json"
     check: bool = False
-    cap: int = DEFAULT_CAP
-    tolerance: float | None = None
 
 
 @dataclass
@@ -69,10 +66,6 @@ class ReportBundle:
         }
 
 
-def _subspace_json(T) -> dict:
-    return {"d": T.d, "ambient": T.ambient, "basis": T.basis.tolist()}
-
-
 def _new_bundle(cfg: RunConfig) -> ReportBundle:
     cfgdict = {k: v for k, v in vars(cfg).items()}
     return ReportBundle(config=cfgdict, versions={"numpy": np.__version__})
@@ -87,7 +80,7 @@ def _cmd_enumerate_sigma(cfg: RunConfig, rep: ReportBundle) -> None:
             "pass" if len(sigma) == want else "fail",
             measured=len(sigma), bound=want)
     if cfg.emit_mode == "json":
-        rep.config["sigma"] = [_subspace_json(T) for T in sigma]
+        rep.config["sigma"] = [T.to_json() for T in sigma]
 
 
 def _cmd_enumerate_o(cfg: RunConfig, rep: ReportBundle) -> None:
@@ -136,7 +129,6 @@ def _cmd_moments(cfg: RunConfig, rep: ReportBundle) -> None:
 
 def _cmd_design(cfg: RunConfig, rep: ReportBundle) -> None:
     from .moments import (
-        design_gap,
         find_design_weights,
         mixture_design_gap,
         qutrit_fiducial_angle,
@@ -166,6 +158,8 @@ def _cmd_test(cfg: RunConfig, rep: ReportBundle) -> None:
 
     if cfg.seed is None:
         raise SystemExit("--seed is required for sampling commands")
+    if cfg.protocol in ("qubit6", "mc") and cfg.d != 2:
+        raise SystemExit(f"protocol {cfg.protocol!r} is a qubit test and needs --d 2")
     rng = np.random.default_rng(cfg.seed)
     dim = cfg.d**cfg.n
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -264,12 +258,6 @@ def _verify_all_checks(profile: str):
         )
         return gap < 1e-10, gap, 1e-10
 
-    def design_check(d, t):
-        from .moments import design_gap, haar_moment_coefficients
-
-        gap = design_gap(t, 1, d)
-        return True, gap, None
-
     def completeness_check(n, d):
         from . import protocols as pr
         from .stabilizer import all_stabilizer_states
@@ -316,8 +304,6 @@ def _verify_all_checks(profile: str):
 
 
 def _cmd_verify_all(cfg: RunConfig, rep: ReportBundle) -> None:
-    from .phase_space import ResourceCapError
-
     for name, check_id, fn in _verify_all_checks(cfg.profile):
         try:
             ok, measured, bound = fn()
@@ -343,13 +329,13 @@ _COMMANDS = {
 
 
 def run(cfg: RunConfig) -> ReportBundle:
-    from . import phase_space
-
-    cap = int(os.environ.get("STABKIT_DIM_CAP", cfg.cap))
-    phase_space.DEFAULT_DIM_CAP = cap
+    """Run one command; a dimension-cap hit becomes a single failed record."""
     rep = _new_bundle(cfg)
     start = time.time()
-    _COMMANDS[cfg.command](cfg, rep)
+    try:
+        _COMMANDS[cfg.command](cfg, rep)
+    except ResourceCapError as exc:
+        rep.add(cfg.command, "resource-cap", "fail", measured=str(exc))
     rep.wall_clock = time.time() - start
     return rep
 

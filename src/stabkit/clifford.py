@@ -13,14 +13,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import gram_symplectic
-from .phase_space import check_dim, omega, phase_points, weyl, weyl_all
+from .gf import all_vectors, flat_index, gram_symplectic, orbits
+from .phase_space import check_dim, freeze, omega, phase_points, weyl, weyl_all
 
 __all__ = [
     "fourier_gate",
     "phase_gate",
     "cadd_gate",
-    "cz_gate",
     "embed_single",
     "embed_pair",
     "gate_matrix",
@@ -58,12 +57,6 @@ def cadd_gate(d: int) -> np.ndarray:
     return g
 
 
-def cz_gate(d: int) -> np.ndarray:
-    """diag(omega^{ab}) on two qudits."""
-    a = np.arange(d)
-    return np.diag(omega(d) ** np.outer(a, a).ravel().astype(float))
-
-
 def embed_single(g: np.ndarray, pos: int, n: int, d: int) -> np.ndarray:
     out = np.array([[1.0 + 0j]])
     for i in range(n):
@@ -76,17 +69,13 @@ def embed_pair(g: np.ndarray, i: int, j: int, n: int, d: int) -> np.ndarray:
     dim = d**n
     U = np.zeros((dim, dim), dtype=complex)
     g = np.asarray(g, dtype=complex)
-    for col in range(dim):
-        digits = [(col // d ** (n - 1 - k)) % d for k in range(n)]
-        sub_in = digits[i] * d + digits[j]
-        col_out = g[:, sub_in]
-        for sub_out in np.nonzero(np.abs(col_out) > 1e-14)[0]:
-            new = digits.copy()
-            new[i], new[j] = sub_out // d, sub_out % d
-            row = 0
-            for v in new:
-                row = row * d + int(v)
-            U[row, col] += col_out[sub_out]
+    digits = all_vectors(n, d)
+    sub_in = digits[:, i] * d + digits[:, j]
+    # each (row, col) pair is hit by exactly one sub_out
+    for sub_out in range(d * d):
+        new = digits.copy()
+        new[:, i], new[:, j] = divmod(sub_out, d)
+        U[flat_index(new, d), np.arange(dim)] = g[sub_out, sub_in]
     return U
 
 
@@ -149,7 +138,7 @@ def clifford_generators(n: int, d: int) -> tuple[np.ndarray, ...]:
         for j in range(n):
             if i != j:
                 gens.append(embed_pair(cadd_gate(d), i, j, n, d))
-    return tuple(gens)
+    return tuple(freeze(g) for g in gens)
 
 
 def _random_letter(n: int, d: int, rng: np.random.Generator):
@@ -243,28 +232,11 @@ def sp_orbit_count(d: int, t: int, cap: int = 10**7) -> int:
     npoints = d ** (2 * k)
     if npoints > cap:
         raise ValueError("orbit enumeration exceeds cap")
-    group = enumerate_sp(d)
-    weights = d ** np.arange(2 * k - 1, -1, -1, dtype=np.int64)
+    group_T = np.array(enumerate_sp(d)).transpose(0, 2, 1)
+    pts = all_vectors(2 * k, d).reshape(-1, k, 2)
 
-    def index(tup):
-        return int(tup @ weights)
+    def neighbours(j):
+        images = (pts[j] @ group_T) % d  # (|G|, k, 2)
+        return flat_index(images.reshape(len(group_T), -1), d).tolist()
 
-    pts = np.indices((d,) * (2 * k)).reshape(2 * k, -1).T.astype(np.int64)
-    seen = np.zeros(npoints, dtype=bool)
-    orbits = 0
-    for i in range(npoints):
-        if seen[i]:
-            continue
-        orbits += 1
-        frontier = [i]
-        seen[i] = True
-        while frontier:
-            j = frontier.pop()
-            vecs = pts[j].reshape(k, 2)
-            for g in group:
-                img = (vecs @ g.T) % d
-                m = index(img.reshape(-1))
-                if not seen[m]:
-                    seen[m] = True
-                    frontier.append(m)
-    return orbits
+    return len(orbits(range(npoints), neighbours))

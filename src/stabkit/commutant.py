@@ -14,7 +14,6 @@ set Sigma_{t,t}(d) of such T is enumerated constructively: a T is a triple
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,13 +22,20 @@ import scipy.sparse as sp
 
 from .gf import (
     Subspace,
+    all_vectors,
     coset_reps,
     dot,
+    flat_index,
     form_modulus,
     gram_dot,
+    is_q_isotropic,
+    nullspace,
+    orbits,
     quadratic_q,
+    quotient_basis,
+    solve,
 )
-from .phase_space import check_dim
+from .phase_space import check_dim, freeze, kron_power_vec
 
 __all__ = [
     "defect_subspaces",
@@ -38,7 +44,6 @@ __all__ = [
     "orthogonal_stochastic_group",
     "subspace_from_matrix",
     "permutation_matrix",
-    "anti_permutation_matrix",
     "anti_identity_matrix",
     "css_subspace",
     "diagonal_subspace",
@@ -68,18 +73,6 @@ __all__ = [
 # enumeration of defect subspaces and Sigma_{t,t}(d)
 # ---------------------------------------------------------------------------
 
-def _is_q_isotropic(basis: np.ndarray, d: int) -> bool:
-    """All vectors v in the span have v.v = 0 mod D (D = 2d for d = 2)."""
-    D = form_modulus(d)
-    if len(basis) == 0:
-        return True
-    if any(quadratic_q(b, d) % D for b in basis):
-        return False
-    g = (basis @ basis.T) % d
-    g[np.diag_indices_from(g)] = 0
-    return not g.any()
-
-
 @lru_cache(maxsize=None)
 def defect_subspaces(t: int, d: int, k: int) -> tuple[Subspace, ...]:
     """Dimension-k subspaces N of Z_d^t with N q-isotropic and N <= 1^perp."""
@@ -95,12 +88,9 @@ def defect_subspaces(t: int, d: int, k: int) -> tuple[Subspace, ...]:
                     continue
                 if dot(v, ones, d) or quadratic_q(v, d) % form_modulus(d):
                     continue
-                cand = np.vstack([s.basis, v]) if s.dim else v[None, :]
-                if not _is_q_isotropic(cand, d):
-                    continue
-                grown = Subspace(cand, d)
-                if grown.dim == s.dim + 1:
-                    nxt.add(grown)
+                cand = np.vstack([s.basis, v])
+                if is_q_isotropic(cand, d):
+                    nxt.add(Subspace(cand, d, t))
         level = nxt
     return tuple(sorted(level, key=lambda s: s._key))
 
@@ -122,17 +112,12 @@ def _quotient_isometries(t: int, d: int, N: Subspace, M: Subspace):
 
     # source complement basis; put the class of the all-ones vector first
     # when it is nonzero so its image can be forced to be [1] up front
-    src = []
-    if not M.contains(ones):
-        src.append(ones)
-    for v in Mperp.basis:
-        span = M + Subspace(np.array(src + [v]), d) if src else M + Subspace(v[None, :], d)
-        if span.dim == M.dim + len(src) + 1:
-            src.append(v % d)
-        if len(src) == m:
-            break
-    src = np.array(src, dtype=np.int64).reshape(m, t)
-    forced = 0 if M.contains(ones) else 1
+    forced = not M.contains(ones)
+    if forced:
+        M_ones = Subspace(np.vstack([M.basis, ones]), d, t)
+        src = np.vstack([ones, quotient_basis(Mperp, M_ones)])
+    else:
+        src = quotient_basis(Mperp, M)
 
     # drop the zero class; images must be independent in the quotient
     reps = [r for r in coset_reps(Nperp, N) if r.any()]
@@ -171,17 +156,15 @@ def _quotient_isometries(t: int, d: int, N: Subspace, M: Subspace):
         yield from rec(0, [])
 
 
-def _assemble(t, d, N, M, src, images) -> Subspace:
-    rows = []
-    for img, c in zip(images, src):
-        rows.append(np.concatenate([img, c]))
-    for v in M.basis:
-        rows.append(np.concatenate([np.zeros(t, dtype=np.int64), v]))
-    for v in N.basis:
-        rows.append(np.concatenate([v, np.zeros(t, dtype=np.int64)]))
-    T = Subspace(np.array(rows, dtype=np.int64), d)
-    assert T.dim == t
-    return T
+def _from_defects(N: Subspace, M: Subspace, images, src) -> Subspace:
+    """span({(x_i, c_i)} U {(n, 0) : n in N} U {(0, m) : m in M}) in Z_d^{2t}."""
+    t = N.ambient
+    rows = [
+        np.hstack([np.reshape(images, (-1, t)), np.reshape(src, (-1, t))]),
+        np.hstack([N.basis, np.zeros_like(N.basis)]),
+        np.hstack([np.zeros_like(M.basis), M.basis]),
+    ]
+    return Subspace(np.vstack(rows), N.d, 2 * t)
 
 
 @lru_cache(maxsize=None)
@@ -196,9 +179,10 @@ def stochastic_lagrangians(t: int, d: int) -> tuple[Subspace, ...]:
                 if N.contains(ones) != M.contains(ones):
                     continue
                 for src, images in _quotient_isometries(t, d, N, M):
-                    out.append(_assemble(t, d, N, M, src, images))
+                    out.append(_from_defects(N, M, images, src))
     out = sorted(set(out), key=lambda s: s._key)
     assert len(out) == sigma_count_formula(t, d)
+    assert all(T.dim == t for T in out)
     return tuple(out)
 
 
@@ -221,10 +205,9 @@ def orthogonal_stochastic_group(t: int, d: int) -> tuple[np.ndarray, ...]:
     """
     D = form_modulus(d)
     ones = np.ones(t, dtype=np.int64)
-    all_vecs = np.indices((d,) * t).reshape(t, -1).T.astype(np.int64)
     cand = [
         v
-        for v in all_vecs
+        for v in all_vectors(t, d)
         if dot(v, v, d) == 1 % d
         and quadratic_q(v, d) % D == 1 % D
         and dot(v, ones, d) == 1 % d
@@ -233,7 +216,7 @@ def orthogonal_stochastic_group(t: int, d: int) -> tuple[np.ndarray, ...]:
 
     def rec(cols):
         if len(cols) == t:
-            out.append(np.array(cols, dtype=np.int64).T)
+            out.append(freeze(np.array(cols, dtype=np.int64).T))
             return
         for c in cand:
             if any(dot(c, prev, d) for prev in cols):
@@ -272,29 +255,11 @@ def anti_identity_matrix(t: int) -> np.ndarray:
     return (np.ones((t, t), dtype=np.int64) - np.eye(t, dtype=np.int64)) % 2
 
 
-def anti_permutation_matrix(perm) -> np.ndarray:
-    """Entry-wise complement of a permutation matrix (d = 2, t = 2 mod 4)."""
-    P = permutation_matrix(perm)
-    if P.shape[0] % 4 != 2:
-        raise ValueError("anti-permutations need t = 2 mod 4")
-    return (1 - P) % 2
-
-
 def css_subspace(N: Subspace) -> Subspace:
     """T with both defects N and identity quotient map: {(x, y) : x - y in N, x in N^perp}."""
-    t, d = N.ambient, N.d
-    comp = N.complement(gram_dot(t, d))
-    # complement basis of N inside N^perp
-    cbasis = []
-    for v in comp.basis:
-        stack = np.vstack([N.basis, *[c[None, :] for c in cbasis], v[None, :]]) if N.dim or cbasis else v[None, :]
-        if Subspace(stack, d).dim == N.dim + len(cbasis) + 1:
-            cbasis.append(v)
-    rows = [np.concatenate([c, c]) for c in cbasis]
-    rows += [np.concatenate([v, np.zeros(t, dtype=np.int64)]) for v in N.basis]
-    rows += [np.concatenate([np.zeros(t, dtype=np.int64), v]) for v in N.basis]
-    T = Subspace(np.array(rows, dtype=np.int64), d)
-    assert T.dim == t
+    cbasis = quotient_basis(N.complement(gram_dot(N.ambient, N.d)), N)
+    T = _from_defects(N, N, cbasis, cbasis)
+    assert T.dim == N.ambient
     return T
 
 
@@ -303,46 +268,35 @@ def diagonal_subspace(t: int, d: int) -> Subspace:
     return Subspace(np.hstack([eye, eye]), d)
 
 
+def _defect(T: Subspace, side: int) -> Subspace:
+    """{x : (x, 0) in T} for side 0, {y : (0, y) in T} for side 1."""
+    t = T.ambient // 2
+    axis = np.zeros((t, 2 * t), dtype=np.int64)
+    axis[:, side * t:(side + 1) * t] = np.eye(t, dtype=np.int64)
+    inter = T.intersect(Subspace(axis, T.d))
+    return Subspace(inter.basis[:, side * t:(side + 1) * t], T.d, t)
+
+
 def left_defect(T: Subspace) -> Subspace:
     """{x : (x, 0) in T}."""
-    t = T.ambient // 2
-    zero_right = Subspace(
-        np.hstack([np.eye(t, dtype=np.int64), np.zeros((t, t), dtype=np.int64)]), T.d
-    )
-    inter = T.intersect(zero_right)
-    if inter.dim == 0:
-        return Subspace.zero(t, T.d)
-    return Subspace(inter.basis[:, :t], T.d)
+    return _defect(T, 0)
 
 
 def right_defect(T: Subspace) -> Subspace:
-    t = T.ambient // 2
-    zero_left = Subspace(
-        np.hstack([np.zeros((t, t), dtype=np.int64), np.eye(t, dtype=np.int64)]), T.d
-    )
-    inter = T.intersect(zero_left)
-    if inter.dim == 0:
-        return Subspace.zero(t, T.d)
-    return Subspace(inter.basis[:, t:], T.d)
+    """{y : (0, y) in T}."""
+    return _defect(T, 1)
 
 
 # ---------------------------------------------------------------------------
 # the operators r(T) and R(T)
 # ---------------------------------------------------------------------------
 
-def _digits_to_index(digits: np.ndarray, base: int) -> np.ndarray:
-    """Row-major integer index of each row of a digit matrix."""
-    k = digits.shape[-1]
-    weights = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    return digits @ weights
-
-
 def r_matrix(T: Subspace, dense: bool = False):
     """r(T) = sum_{(x,y) in T} |x><y| on (C^d)^{x t}, sparse by default."""
     t, d = T.ambient // 2, T.d
-    elems = np.array(list(T.vectors()), dtype=np.int64)
-    rows = _digits_to_index(elems[:, :t], d)
-    cols = _digits_to_index(elems[:, t:], d)
+    elems = T.vectors()
+    rows = flat_index(elems[:, :t], d)
+    cols = flat_index(elems[:, t:], d)
     dim = d**t
     mat = sp.coo_matrix(
         (np.ones(len(rows)), (rows, cols)), shape=(dim, dim), dtype=float
@@ -359,18 +313,12 @@ def R_matrix(T: Subspace, n: int, dense: bool = False):
     """
     t, d = T.ambient // 2, T.d
     check_dim(d ** (t * n))
-    elems = np.array(list(T.vectors()), dtype=np.int64)
-    m = len(elems)
-    combos = np.indices((m,) * n).reshape(n, -1).T  # (m^n, n)
-    # x_digits[k, j, i] = digit i of the x part of element chosen for qudit j
-    x_dig = elems[combos][:, :, :t]  # (m^n, n, t)
-    y_dig = elems[combos][:, :, t:]
-    # copy-major index: digit for copy i is the base-d number (x^{(0)}_i ... x^{(n-1)}_i)
-    w_q = d ** np.arange(n - 1, -1, -1, dtype=np.int64)  # over qudits
-    x_copy = np.einsum("kji,j->ki", x_dig, w_q)  # (m^n, t), values < d^n
-    y_copy = np.einsum("kji,j->ki", y_dig, w_q)
-    rows = _digits_to_index(x_copy, d**n)
-    cols = _digits_to_index(y_copy, d**n)
+    elems = T.vectors()
+    # digits[k, i, j] = coordinate i of the element chosen for qudit j
+    digits = elems[all_vectors(n, len(elems))].transpose(0, 2, 1)
+    # copy-major: copy i contributes the base-d digits (x^{(0)}_i ... x^{(n-1)}_i)
+    rows = flat_index(digits[:, :t].reshape(-1, t * n), d)
+    cols = flat_index(digits[:, t:].reshape(-1, t * n), d)
     dim = d ** (t * n)
     mat = sp.coo_matrix(
         (np.ones(len(rows)), (rows, cols)), shape=(dim, dim), dtype=float
@@ -398,8 +346,6 @@ def R_gram(Ts, n: int) -> np.ndarray:
 def expectation_R(T: Subspace, psi: np.ndarray, n: int) -> complex:
     """<psi^{x t}| R(T) |psi^{x t}> for a state psi on n qudits."""
     t = T.ambient // 2
-    from .phase_space import kron_power_vec
-
     v = kron_power_vec(np.asarray(psi, dtype=complex), t)
     return complex(v.conj() @ (R_matrix(T, n) @ v))
 
@@ -415,8 +361,6 @@ def compose(T1: Subspace, T2: Subspace) -> tuple[Subspace, int]:
     k = dim of the overlap of T1's right defect with T2's left defect.
     """
     t, d = T1.ambient // 2, T1.d
-    from .gf import nullspace
-
     A1 = nullspace(T1.basis, d)  # (x, y) in T1  iff  A1 (x, y) = 0
     A2 = nullspace(T2.basis, d)
     # constraints on (x, y, z) in Z_d^{3t}
@@ -454,13 +398,9 @@ class DefectData:
 def defect_decompose(T: Subspace) -> DefectData:
     t, d = T.ambient // 2, T.d
     N, M = left_defect(T), right_defect(T)
-    Mperp = M.complement(gram_dot(t, d))
-    comp = [c for c in Mperp.basis if not M.contains(c)]
     pairs = []
-    for c in comp:
+    for c in quotient_basis(M.complement(gram_dot(t, d)), M):
         # find (x, c) in T: solve B^T a = (*, c) on the right half
-        from .gf import solve
-
         a = solve(T.basis[:, t:].T, c, d)
         if a is None:
             raise AssertionError("right projection of T is not M^perp")
@@ -470,18 +410,9 @@ def defect_decompose(T: Subspace) -> DefectData:
 
 
 def reconstruct(data: DefectData) -> Subspace:
-    N, M = data.left, data.right
-    t, d = N.ambient, N.d
-    rows = []
-    for x, c in data.pairs:
-        rows.append(np.concatenate([np.array(x), np.array(c)]))
-    for n_vec in N.basis:
-        rows.append(np.concatenate([n_vec, np.zeros(t, dtype=np.int64)]))
-    for m_vec in M.basis:
-        rows.append(np.concatenate([np.zeros(t, dtype=np.int64), m_vec]))
-    if not rows:
-        return Subspace.zero(2 * t, d)
-    return Subspace(np.array(rows, dtype=np.int64), d, 2 * t)
+    images = [x for x, _ in data.pairs]
+    src = [c for _, c in data.pairs]
+    return _from_defects(data.left, data.right, images, src)
 
 
 def css_projector(N: Subspace, t: int, d: int) -> np.ndarray:
@@ -493,24 +424,21 @@ def css_projector(N: Subspace, t: int, d: int) -> np.ndarray:
     """
     if N.ambient != t or N.d != d:
         raise ValueError("N must live in Z_d^t")
-    if not _is_q_isotropic(N.basis, d):
+    if not is_q_isotropic(N.basis, d):
         raise ValueError("N is not totally q-isotropic")
     ones = np.ones(t, dtype=np.int64)
     if any(dot(v, ones, d) for v in N.basis):
         raise ValueError("N is not co-stochastic")
     check_dim(d**t)
     dim = d**t
-    pts = np.array(
-        list(itertools.product(range(d), repeat=t)), dtype=np.int64
-    )
-    idx = _digits_to_index(pts, d)
+    pts = all_vectors(t, d)
+    idx = np.arange(dim)
     w = np.exp(2j * np.pi / d)
     P = np.zeros((dim, dim), dtype=complex)
     for p_vec in N.vectors():
         phases = w ** (pts @ p_vec % d)
         for q_vec in N.vectors():
-            shifted = _digits_to_index((pts + q_vec) % d, d)
-            P[shifted, idx] += phases
+            P[flat_index((pts + q_vec) % d, d), idx] += phases
     return P / N.size**2
 
 
@@ -528,29 +456,24 @@ def double_cosets(t: int, d: int) -> tuple[dict, ...]:
     Computed by orbit closure under the left and right actions; each entry
     records the members plus two invariants that are constant per coset.
     """
-    sigma = stochastic_lagrangians(t, d)
     group = orthogonal_stochastic_group(t, d)
     ident = np.eye(t, dtype=np.int64)
     ones = np.ones(2 * t, dtype=np.int64)
-    remaining = set(sigma)
+
+    def neighbours(T):
+        for O in group:
+            yield left_right_act(O, T, ident)
+            yield left_right_act(ident, T, O)
+
+    by_bytes = lambda s: s.basis.tobytes()
     cosets = []
-    while remaining:
-        rep = min(remaining, key=lambda s: s.basis.tobytes())
-        orbit = {rep}
-        frontier = [rep]
-        while frontier:
-            cur = frontier.pop()
-            for O in group:
-                for nxt in (left_right_act(O, cur, ident),
-                            left_right_act(ident, cur, O)):
-                    if nxt not in orbit:
-                        orbit.add(nxt)
-                        frontier.append(nxt)
-        remaining -= orbit
+    for orbit in orbits(sorted(stochastic_lagrangians(t, d), key=by_bytes), neighbours):
+        members = tuple(sorted(orbit, key=by_bytes))
+        rep = members[0]
         cosets.append(
             {
                 "representative": rep,
-                "members": tuple(sorted(orbit, key=lambda s: s.basis.tobytes())),
+                "members": members,
                 "size": len(orbit),
                 "defect_dim": left_defect(rep).dim,
                 "contains_ones": rep.contains(ones),
@@ -587,7 +510,9 @@ def anti_permutation(perm, t: int, d: int, balanced: bool = False) -> np.ndarray
             raise ValueError("permutation does not preserve the parity vector")
         out = (pi + sign * sinv * np.outer(par, par)) % d
     elif d == 2:
-        out = anti_permutation_matrix(np.argmax(pi, axis=0))
+        if t % 4 != 2:
+            raise ValueError("anti-permutations need t = 2 mod 4")
+        out = (1 - pi) % 2
     elif t % d != 0:
         tinv = pow(t, -1, d)
         out = (2 * tinv * np.ones((t, t), dtype=np.int64) - pi) % d

@@ -13,14 +13,14 @@ small-t cross-check.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
 
-from .phase_space import check_dim, kron_power_vec
+from .gf import all_vectors
+from .phase_space import check_dim, kron_power_rows, linear_index_map
 from .stabilizer import all_stabilizer_states
 
 __all__ = [
@@ -79,8 +79,7 @@ def gram(n: int, d: int, t: int, with_Q: bool = False) -> GramData:
     eps = float(d) ** (((n + 2) ** 2 - t) / 2.0)
     Q = None
     if with_Q:
-        check_dim(d ** (t * n))
-        vecs = np.array([kron_power_vec(s, t) for s in states])
+        vecs = kron_power_rows(states, t)
         Q = vecs.T @ vecs.conj()
     return GramData(n=n, d=d, t=t, states=np.asarray(states), G=G, eps=eps, Q=Q)
 
@@ -104,28 +103,13 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * np.abs(vals).sum())
 
 
-def _digit_matrix(t: int, d: int) -> np.ndarray:
-    """All d^t indices as base-d digit rows, most significant digit first."""
-    idx = np.arange(d**t)
-    weights = d ** np.arange(t - 1, -1, -1)
-    return (idx[:, None] // weights) % d
-
-
-def _linear_index_map(O: np.ndarray, t: int, n: int, d: int) -> np.ndarray:
-    """perm with |x> -> |O x> per base-d layer, for x in (Z_d^n)^t."""
-    X = _digit_matrix(t * n, d).reshape(-1, t, n)
-    Y = np.einsum("kj,xjl->xkl", O % d, X) % d
-    weights = d ** np.arange(t * n - 1, -1, -1)
-    return Y.reshape(-1, t * n) @ weights
-
-
 def _pair_labels(t: int, q: int) -> np.ndarray:
     """S_t-orbit label of every index pair over the alphabet Z_q.
 
     Two pairs of length-t strings are in the same diagonal S_t orbit iff
     the counts of their per-position symbol pairs agree.
     """
-    X = _digit_matrix(t, q)
+    X = all_vectors(t, q)
     m = len(X)
     label = np.zeros((m, m), dtype=np.int64)
     for a in range(q):
@@ -159,7 +143,7 @@ def _embedded_anti(t: int) -> np.ndarray:
 
 def _string_labels(t: int, q: int) -> np.ndarray:
     """S_t-orbit label of every length-t string over Z_q (symbol counts)."""
-    X = _digit_matrix(t, q)
+    X = all_vectors(t, q)
     label = np.zeros(len(X), dtype=np.int64)
     for a in range(q - 1):
         label = label * (t + 1) + (X == a).sum(axis=1)
@@ -194,7 +178,7 @@ def make_invariant_state(
         from .commutant import orthogonal_stochastic_group
 
         group = orthogonal_stochastic_group(t, d)
-        perms = [_linear_index_map(O, t, n, d) for O in group]
+        perms = [linear_index_map(O, t, n, d) for O in group]
         gens_idx = perms[:4]
     elif symmetry in ("perm", "perm+anti"):
         from .commutant import permutation_matrix
@@ -203,14 +187,14 @@ def make_invariant_state(
         swap[[0, 1]] = [1, 0]
         cycle = np.roll(np.arange(t), 1)
         gens_idx = [
-            _linear_index_map(permutation_matrix(p), t, n, d)
+            linear_index_map(permutation_matrix(p), t, n, d)
             for p in (swap, cycle)
         ]
         aperm = None
         if symmetry == "perm+anti":
             if d != 2 or t % 6:
                 raise ValueError("perm+anti needs d = 2 and t a multiple of 6")
-            aperm = _linear_index_map(_embedded_anti(t), t, n, d)
+            aperm = linear_index_map(_embedded_anti(t), t, n, d)
             gens_idx.append(aperm)
     else:
         raise ValueError(f"unknown symmetry {symmetry!r}")
@@ -274,7 +258,7 @@ def stab_power_decompose(psi: np.ndarray, data: GramData) -> tuple[np.ndarray, f
     injective when eps < 1/2; outside that regime a least-squares solution
     is returned and the residual is the caller's responsibility.
     """
-    vecs = np.array([kron_power_vec(s, data.t) for s in data.states])
+    vecs = kron_power_rows(data.states, data.t)
     rhs = vecs.conj() @ psi
     alpha = np.linalg.lstsq(data.G, rhs, rcond=None)[0]
     residual = float(np.linalg.norm(psi - vecs.T @ alpha))
@@ -294,23 +278,14 @@ def reduced_from_coefficients(alpha: np.ndarray, s: int, data: GramData) -> np.n
     """rho_{1..s} of sum_S alpha_S |S>^{x t} via the Gram expansion."""
     overlaps = data.states.conj() @ data.states.T  # overlaps[a, b] = <S_a|S_b>
     weights = np.outer(alpha, alpha.conj()) * overlaps.T ** (data.t - s)
-    dim = data.d**data.n
-    rho = np.zeros((dim**s, dim**s), dtype=complex)
-    for i in range(data.num_states):
-        vi = kron_power_vec(data.states[i], s)
-        for j in range(data.num_states):
-            vj = kron_power_vec(data.states[j], s)
-            rho += weights[i, j] * np.outer(vi, vj.conj())
-    return rho
+    V = kron_power_rows(data.states, s)
+    return V.T @ weights @ V.conj()
 
 
 def _stab_mixture(p: np.ndarray, s: int, data: GramData) -> np.ndarray:
-    dim = (data.d**data.n) ** s
-    sigma = np.zeros((dim, dim), dtype=complex)
-    for w, state in zip(p, data.states):
-        v = kron_power_vec(state, s)
-        sigma += w * np.outer(v, v.conj())
-    return sigma
+    """sum_S p_S (|S><S|)^{x s}."""
+    V = kron_power_rows(data.states, s)
+    return (V.T * p) @ V.conj()
 
 
 def _trace_ancillas(block: np.ndarray, s: int, dim: int) -> np.ndarray:
@@ -436,12 +411,8 @@ def anti_definetti_check(source: SymmetricInput, s: int) -> dict:
         rho = np.trace(rho, axis1=rho.ndim // 2 - 1, axis2=rho.ndim - 1)
     rho = rho.reshape(dims, dims)
     data = gram(n, d, t)
-    basis = np.array(
-        [
-            np.outer(kron_power_vec(st, s), kron_power_vec(st, s).conj()).reshape(-1)
-            for st in data.states
-        ]
-    )
+    V = kron_power_rows(data.states, s)
+    basis = (V[:, :, None] * V.conj()[:, None, :]).reshape(len(V), -1)
     A = np.vstack([basis.real.T, basis.imag.T])
     b = np.concatenate([rho.reshape(-1).real, rho.reshape(-1).imag])
     p, _ = nnls(A, b)

@@ -3,14 +3,13 @@
 Vectors are numpy integer arrays with entries reduced into [0, d).  Quadratic
 values live mod D, where D = d for odd d and D = 2d for d = 2; they are always
 computed from the canonical integer lifts in [0, d).
+
+This module owns the flat-index convention used throughout stabkit: a digit
+row over an alphabet of size `base` has flat index int(digits, base), most
+significant digit first (`all_vectors`, `flat_index`).
 """
 
 from __future__ import annotations
-
-import itertools
-import json
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,21 +23,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Modulus:
-    """The pair (d, D): arithmetic modulus d and quadratic-form modulus D."""
-
-    d: int
-
-    def __post_init__(self):
-        if not is_prime(self.d):
-            raise ValueError(f"d={self.d} is not prime")
-
-    @property
-    def D(self) -> int:
-        return self.d if self.d % 2 == 1 else 2 * self.d
-
-
 def form_modulus(d: int) -> int:
     """D = d for odd d, 2d for even d."""
     return d if d % 2 == 1 else 2 * d
@@ -46,6 +30,25 @@ def form_modulus(d: int) -> int:
 
 def asvec(x, d: int) -> np.ndarray:
     return np.asarray(x, dtype=np.int64) % d
+
+
+def _place_values(k: int, base: int) -> np.ndarray:
+    return base ** np.arange(k - 1, -1, -1, dtype=np.int64)
+
+
+def all_vectors(k: int, base: int) -> np.ndarray:
+    """All base^k digit rows of length k, in flat index order.
+
+    `base` need not be prime: it is only the size of the alphabet.
+    """
+    idx = np.arange(base**k, dtype=np.int64)
+    return (idx[:, None] // _place_values(k, base)) % base
+
+
+def flat_index(digits, base: int) -> np.ndarray:
+    """Flat index of each digit row (last axis); inverse of `all_vectors`."""
+    digits = np.asarray(digits, dtype=np.int64)
+    return digits @ _place_values(digits.shape[-1], base)
 
 
 def rref(matrix, d: int) -> tuple[np.ndarray, list[int]]:
@@ -163,10 +166,7 @@ class Subspace:
 
     def vectors(self) -> np.ndarray:
         """All d^dim member vectors, ordered by coefficient tuple."""
-        if self.dim == 0:
-            return np.zeros((1, self.ambient), dtype=np.int64)
-        coeffs = np.array(list(itertools.product(range(self.d), repeat=self.dim)), dtype=np.int64)
-        return (coeffs @ self.basis) % self.d
+        return (all_vectors(self.dim, self.d) @ self.basis) % self.d
 
     def contains(self, v) -> bool:
         w = asvec(v, self.d).copy()
@@ -208,12 +208,6 @@ class Subspace:
     def to_json(self) -> dict:
         return {"d": self.d, "ambient": self.ambient, "basis": self.basis.tolist()}
 
-    @classmethod
-    def from_json(cls, obj) -> "Subspace":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return cls(np.asarray(obj["basis"], dtype=np.int64), int(obj["d"]), int(obj["ambient"]))
-
 
 # --- bilinear forms ------------------------------------------------------
 
@@ -232,16 +226,6 @@ def gram_symplectic(two_n: int, d: int) -> np.ndarray:
     return j % d
 
 
-def gram_hyperbolic(two_t: int, d: int) -> np.ndarray:
-    """Gram matrix of b((x,y),(x',y')) = x.x' - y.y' on Z_d^{2t}."""
-    if two_t % 2:
-        raise ValueError("hyperbolic form needs even dimension")
-    t = two_t // 2
-    g = np.eye(two_t, dtype=np.int64)
-    g[t:, t:] = -np.eye(t, dtype=np.int64)
-    return g % d
-
-
 def dot(x, y, d: int) -> int:
     return int(asvec(x, d) @ asvec(y, d)) % d
 
@@ -253,20 +237,6 @@ def symplectic_form(x, y, d: int) -> int:
     return int(u[:n] @ v[n:] - u[n:] @ v[:n]) % d
 
 
-def symplectic_form_int(x, y) -> int:
-    """[x, y] over the integers, from the canonical lifts (for phase exponents)."""
-    u = np.asarray(x, dtype=np.int64)
-    v = np.asarray(y, dtype=np.int64)
-    n = len(u) // 2
-    return int(u[:n] @ v[n:] - u[n:] @ v[:n])
-
-
-def hyperbolic_form(x, y, d: int) -> int:
-    u, v = asvec(x, d), asvec(y, d)
-    t = len(u) // 2
-    return int(u[:t] @ v[:t] - u[t:] @ v[t:]) % d
-
-
 # --- quadratic forms -----------------------------------------------------
 
 def quadratic_q(x, d: int) -> int:
@@ -275,72 +245,39 @@ def quadratic_q(x, d: int) -> int:
     return int(v @ v) % form_modulus(d)
 
 
-def quadratic_Q(x, y, d: int) -> int:
-    """Q(x, y) = x.x - y.y mod D (the hyperbolic quadratic form)."""
-    return (quadratic_q(x, d) - quadratic_q(y, d)) % form_modulus(d)
-
-
 def quadratic_Q_vec(v, d: int) -> int:
+    """Q(x, y) = x.x - y.y mod D for v = (x, y), from the integer lifts."""
     w = asvec(v, d)
     t = len(w) // 2
-    return quadratic_Q(w[:t], w[t:], d)
+    return int(w[:t] @ w[:t] - w[t:] @ w[t:]) % form_modulus(d)
 
 
-def is_totally_isotropic(s: Subspace, form: str) -> bool:
-    """True iff the quadratic form vanishes mod D on every vector of s.
+def is_q_isotropic(basis, d: int) -> bool:
+    """True iff q(v) = v.v vanishes mod D on the row span of `basis`.
 
-    form = "q" uses q(x) = x.x on Z_d^t, form = "Q" uses Q(x,y) = x.x - y.y
-    on Z_d^{2t}.  By polarization it suffices to check the form on a basis
-    and the associated bilinear form on basis pairs (for d = 2 this is the
-    standard criterion with values mod 4 and mod 2 respectively).
+    By polarization it suffices that q vanishes on each row and that the
+    dot product vanishes mod d on each pair of distinct rows.
     """
-    d = s.d
-    D = form_modulus(d)
-    if form == "q":
-        quad = lambda v: quadratic_q(v, d)
-        bil = lambda u, v: dot(u, v, d)
-    elif form == "Q":
-        quad = lambda v: quadratic_Q_vec(v, d)
-        bil = lambda u, v: hyperbolic_form(u, v, d)
-    else:
-        raise ValueError("form must be 'q' or 'Q'")
-    b = s.basis
-    for i in range(len(b)):
-        if quad(b[i]) % D != 0:
-            return False
-        for j in range(i + 1, len(b)):
-            if bil(b[i], b[j]) % d != 0:
-                return False
-    return True
+    b = np.asarray(basis, dtype=np.int64) % d
+    g = b @ b.T
+    if (np.diagonal(g) % form_modulus(d)).any():
+        return False
+    g %= d
+    np.fill_diagonal(g, 0)
+    return not g.any()
 
 
-# --- counting ------------------------------------------------------------
+# --- cosets and orbits ---------------------------------------------------
 
-def gaussian_binomial(n: int, k: int, d: int) -> int:
-    """Number of k-dimensional subspaces of Z_d^n, as an exact integer."""
-    if not 0 <= k <= n:
-        return 0
-    val = Fraction(1)
-    for i in range(k):
-        val *= Fraction(d ** (n - i) - 1, d ** (i + 1) - 1)
-    assert val.denominator == 1
-    return int(val)
+def quotient_basis(sup: Subspace, sub: Subspace) -> np.ndarray:
+    """Rows of sup.basis whose classes form a basis of sup / sub.
 
-
-def gaussian_pascal_check(n: int, k: int, d: int) -> bool:
-    """Pascal-type recurrence binom(n,k) = binom(n-1,k-1) + d^k binom(n-1,k)."""
-    lhs = gaussian_binomial(n, k, d)
-    rhs = gaussian_binomial(n - 1, k - 1, d) + d**k * gaussian_binomial(n - 1, k, d)
-    return lhs == rhs
-
-
-def gaussian_binomial_formula_check(n: int, d: int, t: int) -> bool:
-    """Binomial-type identity: sum_k d^(k(k-1)/2) binom(n,k) t^k = prod_j (d^j t + 1)."""
-    lhs = sum(d ** (k * (k - 1) // 2) * gaussian_binomial(n, k, d) * t**k for k in range(n + 1))
-    rhs = 1
-    for j in range(n):
-        rhs *= d**j * t + 1
-    return lhs == rhs
+    The rows are chosen greedily in order; sub must be contained in sup.
+    """
+    stack = np.vstack([sub.basis, sup.basis])
+    # pivot columns of the transpose = first maximal independent set of rows
+    _, pivots = rref(stack.T, sup.d)
+    return sup.basis[[p - sub.dim for p in pivots[sub.dim:]]]
 
 
 def coset_reps(sup: Subspace, sub: Subspace) -> np.ndarray:
@@ -362,25 +299,25 @@ def coset_reps(sup: Subspace, sub: Subspace) -> np.ndarray:
     return np.array(reps, dtype=np.int64)
 
 
-def exact_rank(matrix) -> int:
-    """Rank of an integer matrix over the rationals (exact arithmetic)."""
-    rows = [[Fraction(int(x)) for x in row] for row in np.asarray(matrix).tolist()]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            col += 1
+def orbits(items, neighbours) -> list[set]:
+    """Orbits of a group action on `items`, by closure under `neighbours`.
+
+    neighbours(x) yields the images of x under a generating set.  Each orbit
+    is grown from the first item, in the order of `items`, that no earlier
+    orbit contains, so the orbits come out in the order of their first items.
+    """
+    seen: set = set()
+    out = []
+    for item in items:
+        if item in seen:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        inv = 1 / pr[col]
-        rows[rank] = [x * inv for x in pr]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+        orbit = {item}
+        frontier = [item]
+        while frontier:
+            for nb in neighbours(frontier.pop()):
+                if nb not in orbit:
+                    orbit.add(nb)
+                    frontier.append(nb)
+        seen |= orbit
+        out.append(orbit)
+    return out

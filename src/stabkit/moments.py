@@ -13,7 +13,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import Subspace
+from .definetti import gram
+from .gf import Subspace, orbits
+from .phase_space import kron_power_rows, linear_index_map
+from .stabilizer import all_stabilizer_states
 from .commutant import (
     R_gram,
     R_matrix,
@@ -96,16 +99,8 @@ def stab_moment_operator(t: int, n: int, d: int, dense: bool = True):
 
 def empirical_stab_moment(t: int, n: int, d: int) -> np.ndarray:
     """Average of (|S><S|)^{x t} over all stabilizer states, densely."""
-    from .phase_space import kron_power_vec
-    from .stabilizer import all_stabilizer_states
-
-    states = all_stabilizer_states(n, d)
-    dim = d ** (n * t)
-    acc = np.zeros((dim, dim), dtype=complex)
-    for s in states:
-        v = kron_power_vec(s, t)
-        acc += np.outer(v, v.conj())
-    return acc / len(states)
+    V = kron_power_rows(all_stabilizer_states(n, d), t)
+    return V.T @ V.conj() / len(V)
 
 
 def frobenius_distance(gamma1: np.ndarray, gamma2: np.ndarray, G: np.ndarray) -> float:
@@ -156,26 +151,14 @@ def sigma_classes(t: int, d: int) -> tuple[tuple[int, ...], ...]:
         g[k], g[k + 1] = g[k + 1], g[k]
         gens.append(tuple(g))
 
-    unseen = set(range(len(Ts)))
-    classes = []
-    while unseen:
-        seed = min(unseen)
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            i = frontier.pop()
-            T = Ts[i]
-            neighbors = [_transpose(T)]
-            for g in gens[1:]:
-                neighbors.append(_left_permute(T, g))
-                neighbors.append(_right_permute(T, g))
-            for nb in neighbors:
-                j = index[nb]
-                if j not in orbit:
-                    orbit.add(j)
-                    frontier.append(j)
-        unseen -= orbit
-        classes.append(tuple(sorted(orbit)))
+    def neighbours(i):
+        T = Ts[i]
+        yield index[_transpose(T)]
+        for g in gens[1:]:
+            yield index[_left_permute(T, g)]
+            yield index[_right_permute(T, g)]
+
+    classes = [tuple(sorted(orbit)) for orbit in orbits(range(len(Ts)), neighbours)]
 
     perms = permutation_subspaces(t, d)
     first = [c for c in classes if index[next(iter(perms))] in c]
@@ -315,12 +298,7 @@ def minimal_projector(t: int, n: int, d: int) -> np.ndarray:
 
 def stab_tensor_rank(t: int, n: int, d: int) -> int:
     """Rank of span{|S>^{x t} : S stabilizer state} via the Gram matrix."""
-    from .stabilizer import all_stabilizer_states
-
-    states = all_stabilizer_states(n, d)
-    overlaps = states.conj() @ states.T
-    gram = overlaps**t
-    eig = np.linalg.eigvalsh(gram)
+    eig = np.linalg.eigvalsh(gram(n, d, t).G)
     return int((eig > 1e-8 * eig.max()).sum())
 
 
@@ -328,9 +306,9 @@ def permutation_operator(perm, subdim: int) -> np.ndarray:
     """Operator permuting the tensor factors of (C^subdim)^{x len(perm)}."""
     t = len(perm)
     dim = subdim**t
-    v = np.eye(dim).reshape((subdim,) * t + (dim,))
-    v = v.transpose(list(perm) + [t])
-    return v.reshape(dim, dim).T
+    P = np.zeros((dim, dim))
+    P[linear_index_map(permutation_matrix(perm), t, 1, subdim), np.arange(dim)] = 1.0
+    return P
 
 
 def symmetrizer(t: int, subdim: int) -> np.ndarray:

@@ -1,16 +1,18 @@
 """Dense realization of Weyl operators, characteristic and Wigner functions.
 
-Phase points x = (p, q) live in Z_d^{2n}.  Flat indexing of phase-space
-functions is row-major over the digits of (p, q) with p varying slowest,
+Phase points x = (p, q) live in Z_d^{2n}.  Phase-space functions are
+indexed by the flat index of the digit row (p, q) (see `gf.flat_index`),
 i.e. index = int(p, base d) * d^n + int(q, base d).
 """
 
 from __future__ import annotations
 
-import math
+import os
 from functools import lru_cache
 
 import numpy as np
+
+from .gf import all_vectors, flat_index
 
 DEFAULT_DIM_CAP = 2**13
 
@@ -19,7 +21,18 @@ class ResourceCapError(RuntimeError):
     pass
 
 
-def check_dim(dim: int, cap: int = DEFAULT_DIM_CAP):
+def freeze(a: np.ndarray) -> np.ndarray:
+    """Make `a` read-only, so a cached result cannot be edited in place."""
+    a.setflags(write=False)
+    return a
+
+
+def check_dim(dim: int):
+    """Raise ResourceCapError if dim exceeds the cap.
+
+    The cap is STABKIT_DIM_CAP, read on every call, or DEFAULT_DIM_CAP.
+    """
+    cap = int(os.environ.get("STABKIT_DIM_CAP", DEFAULT_DIM_CAP))
     if dim > cap:
         raise ResourceCapError(f"requested operator dimension {dim} exceeds cap {cap}")
 
@@ -35,16 +48,30 @@ def tau(d: int) -> complex:
 
 def phase_points(n: int, d: int) -> np.ndarray:
     """All d^{2n} points (p, q), in flat index order."""
-    pts = np.indices((d,) * (2 * n)).reshape(2 * n, -1).T
-    return np.ascontiguousarray(pts.astype(np.int64))
+    return all_vectors(2 * n, d)
 
 
 def point_index(x, n: int, d: int) -> int:
-    x = np.asarray(x, dtype=np.int64) % d
-    idx = 0
-    for digit in x:
-        idx = idx * d + int(digit)
-    return idx
+    return int(flat_index(np.asarray(x, dtype=np.int64) % d, d))
+
+
+def symplectic_products(n: int, d: int) -> np.ndarray:
+    """Integer matrix [x, y] = p.q' - q.p' over all phase-point pairs, not reduced."""
+    pts = phase_points(n, d)
+    p, q = pts[:, :n], pts[:, n:]
+    return p @ q.T - q @ p.T
+
+
+def linear_index_map(O: np.ndarray, t: int, n: int, d: int) -> np.ndarray:
+    """perm with |x> -> |O x> per base-d layer, for x in (Z_d^n)^t.
+
+    perm[i] is the flat index of O x for the x of flat index i; O acts on the
+    t blocks of n digits.  d is the alphabet size and need not be prime when
+    O is a permutation matrix.
+    """
+    X = all_vectors(t * n, d).reshape(-1, t, n)
+    Y = np.einsum("kj,xjl->xkl", np.asarray(O) % d, X) % d
+    return flat_index(Y.reshape(-1, t * n), d)
 
 
 @lru_cache(maxsize=None)
@@ -54,7 +81,7 @@ def _single_qudit_zx(d: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.zeros((d, d), dtype=complex)
     for a in range(d):
         x[(a + 1) % d, a] = 1.0  # X|a> = |a+1>
-    return z, x
+    return freeze(z), freeze(x)
 
 
 def weyl(x, n: int, d: int) -> np.ndarray:
@@ -74,16 +101,13 @@ def weyl_all(n: int, d: int) -> np.ndarray:
     """Stack of all Weyl operators, shape (d^{2n}, d^n, d^n), in flat index order."""
     check_dim(d**n)
     pts = phase_points(n, d)
-    return np.array([weyl(x, n, d) for x in pts])
+    return freeze(np.array([weyl(x, n, d) for x in pts]))
 
 
 @lru_cache(maxsize=32)
 def _fourier_kernel(n: int, d: int) -> np.ndarray:
     """Matrix F[x, y] = omega^{-[x, y]} over all phase-point pairs."""
-    pts = phase_points(n, d)
-    p, q = pts[:, :n], pts[:, n:]
-    sym = p @ q.T - q @ p.T
-    return omega(d) ** (-sym)
+    return freeze(omega(d) ** (-symplectic_products(n, d)))
 
 
 def characteristic_function(B: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -102,30 +126,16 @@ def char_distribution(psi: np.ndarray, n: int, d: int) -> np.ndarray:
     return np.abs(expect) ** 2 / d**n
 
 
-def symplectic_fourier(f: np.ndarray, n: int, d: int) -> np.ndarray:
-    """f_hat(x) = d^{-n} sum_y omega^{-[x,y]} f(y)."""
-    return _fourier_kernel(n, d) @ np.asarray(f) / d**n
-
-
 def point_operator(x, n: int, d: int) -> np.ndarray:
     """A_x = d^{-n} sum_y omega^{-[x,y]} W_y^dag."""
-    ws = weyl_all(n, d)
-    kern = _fourier_kernel(n, d)[point_index(x, n, d)]
-    return np.einsum("y,yji->ij", kern, ws.conj()) / d**n
+    return point_operators(n, d)[point_index(x, n, d)]
 
 
 @lru_cache(maxsize=16)
 def point_operators(n: int, d: int) -> np.ndarray:
     ws = weyl_all(n, d)
     kern = _fourier_kernel(n, d)
-    return np.einsum("xy,yji->xij", kern, ws.conj()) / d**n
-
-
-def wigner(B: np.ndarray, n: int, d: int) -> np.ndarray:
-    """w_B(x) = d^{-n} tr[A_x B]; returned real part (exact for Hermitian B)."""
-    aops = point_operators(n, d)
-    vals = np.einsum("xji,ij->x", aops, B) / d**n
-    return vals.real if np.allclose(B, B.conj().T, atol=1e-10) else vals
+    return freeze(np.einsum("xy,yji->xij", kern, ws.conj()) / d**n)
 
 
 def wigner_state(psi: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -134,21 +144,20 @@ def wigner_state(psi: np.ndarray, n: int, d: int) -> np.ndarray:
     return np.einsum("i,xij,j->x", psi.conj(), aops, psi).real / d**n
 
 
-def kron_power(B: np.ndarray, k: int, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    """B^{(x) k} with a hard cap on the resulting dimension."""
-    check_dim(B.shape[0] ** k, cap)
-    out = np.array([[1.0 + 0j]])
+def kron_power_rows(vs: np.ndarray, k: int) -> np.ndarray:
+    """Row i is vs[i]^{(x) k}, with a hard cap on the row dimension."""
+    vs = np.atleast_2d(vs)
+    m, dim = vs.shape
+    check_dim(dim**k)
+    out = np.ones((m, 1), dtype=complex)
     for _ in range(k):
-        out = np.kron(out, B)
+        out = (out[:, :, None] * vs[:, None, :]).reshape(m, -1)
     return out
 
 
-def kron_power_vec(v: np.ndarray, k: int, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    check_dim(len(v) ** k, cap)
-    out = np.array([1.0 + 0j])
-    for _ in range(k):
-        out = np.kron(out, v)
-    return out
+def kron_power_vec(v: np.ndarray, k: int) -> np.ndarray:
+    """v^{(x) k}, with a hard cap on the dimension."""
+    return kron_power_rows(v, k)[0]
 
 
 def apply_tensor_power(U: np.ndarray, v: np.ndarray, t: int) -> np.ndarray:
@@ -162,17 +171,3 @@ def apply_tensor_power(U: np.ndarray, v: np.ndarray, t: int) -> np.ndarray:
     for axis in range(t):
         w = np.moveaxis(np.tensordot(U, w, axes=([1], [axis])), 0, axis)
     return w.reshape(-1)
-
-
-def tensor_permute(B: np.ndarray, ordering, subdim: int) -> np.ndarray:
-    """Permute the k tensor factors of an operator on (C^subdim)^{(x) k}.
-
-    ordering[i] = j means factor i of the output is factor j of the input.
-    """
-    ordering = list(ordering)
-    k = len(ordering)
-    if B.shape[0] != subdim**k:
-        raise ValueError("operator dimension does not match subdim^k")
-    t = B.reshape((subdim,) * (2 * k))
-    axes = ordering + [k + j for j in ordering]
-    return t.transpose(axes).reshape(B.shape)

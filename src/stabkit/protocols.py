@@ -10,15 +10,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
+from .commutant import permutation_matrix
 from .phase_space import (
     char_distribution,
     check_dim,
     kron_power_vec,
+    linear_index_map,
     phase_points,
+    point_index,
     point_operators,
+    symplectic_products,
     weyl,
     weyl_all,
     wigner_state,
@@ -99,7 +104,6 @@ def bell_difference_distribution(psi: np.ndarray, check: bool = True) -> np.ndar
     p = char_distribution(psi, n, d)
     m = len(p)
     conv = np.empty(m)
-    pts = phase_points(n, d)
     # index arithmetic of x + a over Z_2^{2n} is XOR on bit patterns
     for ia in range(m):
         shifted = np.bitwise_xor(np.arange(m), ia)
@@ -108,9 +112,7 @@ def bell_difference_distribution(psi: np.ndarray, check: bool = True) -> np.ndar
         ws = weyl_all(n, d)
         expect = np.einsum("i,xij,j->x", psi.conj(), ws, psi)
         fourth = (expect**4).real
-        signs = np.array(
-            [[(-1) ** symplectic_form(a, x, d) for x in pts] for a in pts]
-        )
+        signs = 1 - 2 * (symplectic_products(n, d) % 2)
         operator_route = signs @ fourth / 2 ** (2 * n)
         if np.abs(conv - operator_route).max() > 1e-10:
             raise AssertionError("Bell difference routes disagree")
@@ -121,9 +123,7 @@ def bell_difference_distribution(psi: np.ndarray, check: bool = True) -> np.ndar
 
 def qubit_accept_probability(psi: np.ndarray) -> float:
     """p_accept of the six-copy qubit test: (1 + 2^{2n} sum_x p^3) / 2."""
-    n = _infer_n(psi, 2)
-    p = char_distribution(psi, n, 2)
-    return float(0.5 * (1.0 + 2 ** (2 * n) * (p**3).sum()))
+    return qudit_accept_probability(psi, 3, 2)
 
 
 def anti_identity_operator(n: int) -> np.ndarray:
@@ -135,17 +135,13 @@ def anti_identity_operator(n: int) -> np.ndarray:
     paulis = [np.eye(2), np.array([[0, 1], [1, 0]])]
     paulis.append(np.array([[0, -1j], [1j, 0]]))
     paulis.append(np.diag([1.0, -1.0]))
-    v = sum(kron_power_vec(P.reshape(-1), 6).reshape((2,) * 12).transpose(
-        [2 * i for i in range(6)] + [2 * i + 1 for i in range(6)]
-    ).reshape(64, 64) for P in paulis) / 2
-    out = np.array([[1.0 + 0j]])
-    for _ in range(n):
-        out = np.kron(out, v)
-    from .phase_space import tensor_permute
-
-    # out acts qudit-major ((copy factors of qubit 1), ...); reorder to copy-major
+    v = sum(reduce(np.kron, [P] * 6) for P in paulis) / 2
+    out = reduce(np.kron, [v] * n, np.array([[1.0 + 0j]]))
+    # out acts qudit-major ((copy factors of qubit 1), ...); factor i * n + j
+    # of the copy-major order is factor j * 6 + i of the qudit-major one
     ordering = [j * 6 + i for i in range(6) for j in range(n)]
-    return tensor_permute(out, ordering, 2)
+    perm = linear_index_map(permutation_matrix(ordering), 6 * n, 1, 2)
+    return out[np.ix_(perm, perm)]
 
 
 def qubit_accept_operator_route(psi: np.ndarray) -> float:
@@ -239,24 +235,7 @@ def v_s_permutation_action(s: int, n: int, d: int) -> np.ndarray:
     par = np.array([(-1) ** (k + 1) for k in range(2 * s)], dtype=np.int64) % d
     O = (np.eye(2 * s, dtype=np.int64) - sinv * np.outer(par, par)) % d
     dim = d ** (2 * s * n)
-    perm = np.zeros(dim, dtype=np.int64)
-    weights_block = (d**n) ** np.arange(2 * s - 1, -1, -1, dtype=np.int64)
-    digits_n = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for col in range(dim):
-        rem = col
-        blocks = []
-        for k in range(2 * s):
-            blocks.append(rem // int(weights_block[k]))
-            rem %= int(weights_block[k])
-        vecs = np.array(
-            [[(b // int(digits_n[j])) % d for j in range(n)] for b in blocks],
-            dtype=np.int64,
-        )
-        out_vecs = (O @ vecs) % d
-        row = 0
-        for k in range(2 * s):
-            row = row * d**n + int(out_vecs[k] @ digits_n)
-        perm[col] = row
+    perm = linear_index_map(O, 2 * s, n, d)
     M = np.zeros((dim, dim))
     M[perm, np.arange(dim)] = 1.0
     return M
@@ -306,8 +285,6 @@ def uncertainty_points(psi: np.ndarray, x, y, z, n: int, d: int) -> dict:
     if d % 2 == 0:
         raise ValueError("point-operator uncertainty needs odd d")
     aops = point_operators(n, d)
-    from .phase_space import point_index
-
     thresh = math.sqrt(1.0 - 1.0 / (2 * d * d))
     vals = [
         float((psi.conj() @ aops[point_index(v, n, d)] @ psi).real)

@@ -13,8 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import Subspace, gram_symplectic, symplectic_form
-from .phase_space import check_dim, weyl
+from .gf import Subspace, coset_reps, gram_symplectic, symplectic_form
+from .phase_space import freeze, check_dim, weyl
 
 __all__ = [
     "lagrangians",
@@ -27,16 +27,6 @@ __all__ = [
     "max_stabilizer_overlap",
     "sample_stabilizer",
 ]
-
-
-def _symplectic_isotropic(s: Subspace) -> bool:
-    b = s.basis
-    if len(b) == 0:
-        return True
-    sym = np.array(
-        [[symplectic_form(x, y, s.d) for y in b] for x in b], dtype=np.int64
-    )
-    return not sym.any()
 
 
 @lru_cache(maxsize=None)
@@ -56,12 +46,10 @@ def isotropic_subspaces(n: int, d: int, dim: int) -> tuple[Subspace, ...]:
             for v in comp.vectors():
                 if not v.any() or s.contains(v):
                     continue
-                grown = s + Subspace(np.vstack([s.basis, v]) if s.dim else v[None, :], d)
-                if grown.dim == s.dim + 1:
-                    nxt.add(grown)
+                nxt.add(Subspace(np.vstack([s.basis, v]), d, ambient))
         level = nxt
     out = tuple(sorted(level, key=lambda s: s._key))
-    assert all(_symplectic_isotropic(s) for s in out)
+    assert not any(((s.basis @ gram @ s.basis.T) % d).any() for s in out)
     return out
 
 
@@ -125,8 +113,6 @@ def all_stabilizer_states(n: int, d: int) -> np.ndarray:
     Weyl operators over coset representatives of Z_d^{2n} / M.
     """
     check_dim(d**n)
-    from .gf import coset_reps
-
     full = Subspace.full(2 * n, d)
     states = []
     for M in lagrangians(n, d):
@@ -137,7 +123,7 @@ def all_stabilizer_states(n: int, d: int) -> np.ndarray:
             states.append(v * (abs(v[k]) / v[k]))
     out = np.array(states)
     assert len(out) == num_stabilizer_states(n, d)
-    return out
+    return freeze(out)
 
 
 def measurement_channel(M: Subspace, rho: np.ndarray, n: int, d: int) -> np.ndarray:

@@ -84,3 +84,44 @@ def test_design_command_qutrit(capsys):
     payload = json.loads(out)
     gaps = [r for r in payload["records"] if r["name"] == "design"]
     assert gaps and float(gaps[0]["measured"]) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--t", "3", "--n", "2"],
+        ["verify-commutant", "--t", "3", "--d", "3"],
+        ["design", "--t", "3", "--n", "2"],
+        ["test", "--protocol", "qudit", "--d", "11", "--seed", "1"],
+        ["hudson", "--d", "11", "--seed", "1"],
+        ["definetti", "--t", "4"],
+    ],
+)
+def test_cap_hit_is_one_failed_record(capsys, monkeypatch, argv):
+    # sizes no other test caches, so each command reaches a cap check
+    monkeypatch.setenv("STABKIT_DIM_CAP", "1")
+    code, out = _capture(capsys, argv)
+    assert code == 1
+    records = json.loads(out)["records"]
+    assert [r["status"] for r in records] == ["fail"]
+    assert records[0]["check_id"] == "resource-cap"
+    assert "exceeds cap 1" in records[0]["measured"]
+
+
+def test_verify_all_skips_cap_hits(monkeypatch):
+    monkeypatch.setenv("STABKIT_DIM_CAP", "1")
+    rep = run(RunConfig(command="verify-all", profile="quick"))
+    assert "skip" in {r["status"] for r in rep.records}
+    assert rep.ok
+
+
+@pytest.mark.parametrize("protocol", ["qubit6", "mc"])
+def test_qubit_protocols_reject_qudits(protocol):
+    with pytest.raises(SystemExit, match="--d 2"):
+        run(RunConfig(command="test", protocol=protocol, d=3, seed=1))
+
+
+def test_config_has_only_command_line_fields(capsys):
+    code, out = _capture(capsys, ["enumerate-o", "--t", "3", "--d", "3"])
+    assert code == 0
+    assert not {"cap", "tolerance"} & set(json.loads(out)["config"])

@@ -97,6 +97,15 @@ def test_defect_round_trip(t, d):
         assert reconstruct(defect_decompose(T)) == T
 
 
+@pytest.mark.parametrize("t,d", [(3, 3), (4, 2)])
+def test_defect_pairs_span_quotient(t, d):
+    """One pair per basis vector of M^perp / M, M the right defect."""
+    for T in stochastic_lagrangians(t, d):
+        data = defect_decompose(T)
+        Mperp = data.right.complement(np.eye(t, dtype=np.int64))
+        assert len(data.pairs) == Mperp.dim - data.right.dim
+
+
 def test_r_trace_counts_diagonal_pairs():
     for t, d in [(3, 3), (4, 2)]:
         delta = diagonal_subspace(t, d)

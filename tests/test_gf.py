@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from stabkit.gf import (
     Subspace,
+    all_vectors,
     coset_reps,
     dot,
+    flat_index,
     form_modulus,
     gram_dot,
     nullspace,
@@ -148,3 +150,11 @@ def test_zero_subspace_operations():
     assert z.contains(np.zeros(4, dtype=np.int64))
     full = Subspace(np.eye(4, dtype=np.int64), 3)
     assert full.intersect(z) == z
+
+
+@given(st.integers(0, 6), st.integers(1, 7))
+@settings(max_examples=100, deadline=None)
+def test_flat_index_inverts_all_vectors(k, base):
+    vecs = all_vectors(k, base)
+    assert vecs.shape == (base**k, k)
+    assert np.array_equal(flat_index(vecs, base), np.arange(base**k))

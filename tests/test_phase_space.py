@@ -124,3 +124,12 @@ def test_kron_power_vec():
 def test_dimension_cap():
     with pytest.raises(ResourceCapError):
         check_dim(DEFAULT_DIM_CAP * 2)
+
+
+def test_dimension_cap_read_at_call_time(monkeypatch):
+    monkeypatch.setenv("STABKIT_DIM_CAP", "16")
+    with pytest.raises(ResourceCapError, match="exceeds cap 16"):
+        check_dim(32)
+    monkeypatch.setenv("STABKIT_DIM_CAP", "20000")
+    psi = np.array([1.0, 0.0])
+    assert kron_power_vec(psi, 14).shape == (2**14,)
