@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gf import all_vectors, flat_index, gram_symplectic, orbits
-from .phase_space import check_dim, freeze, omega, phase_points, weyl, weyl_all
+from .phase_space import characteristic_function, check_dim, freeze, omega, phase_points, weyl
 
 __all__ = [
     "fourier_gate",
@@ -179,21 +179,16 @@ def conjugate_weyl_check(U: np.ndarray, n: int, d: int, atol: float = 1e-8):
     every phase point x (i its flat index), Gamma symplectic over Z_d.
     Raises ValueError with the failing point if U is not Clifford.
     """
-    ws = weyl_all(n, d)
-    flat = ws.reshape(len(ws), -1)
     pts = phase_points(n, d)
 
     images = np.zeros((2 * n, 2 * n), dtype=np.int64)
     for k in range(2 * n):
         x = np.zeros(2 * n, dtype=np.int64)
         x[k] = 1
-        conj = (U @ weyl(x, n, d) @ U.conj().T).ravel()
-        coeffs = flat.conj() @ conj / d**n
-        mods = np.abs(coeffs)
+        conj = U @ weyl(x, n, d) @ U.conj().T
+        mods = np.abs(characteristic_function(conj, n, d)) * d ** (-n / 2)
         top = int(np.argmax(mods))
-        rest = mods.copy()
-        rest[top] = 0.0
-        if abs(mods[top] - 1.0) > atol or rest.max() > atol:
+        if abs(mods[top] - 1.0) > atol or np.delete(mods, top).max() > atol:
             raise ValueError(f"not Clifford: no unique Weyl image for basis point {k}")
         images[:, k] = pts[top]
     Gamma = images % d

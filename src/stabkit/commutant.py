@@ -28,6 +28,7 @@ from .gf import (
     flat_index,
     form_modulus,
     gram_dot,
+    grow_subspaces,
     is_q_isotropic,
     nullspace,
     orbits,
@@ -76,23 +77,9 @@ __all__ = [
 @lru_cache(maxsize=None)
 def defect_subspaces(t: int, d: int, k: int) -> tuple[Subspace, ...]:
     """Dimension-k subspaces N of Z_d^t with N q-isotropic and N <= 1^perp."""
-    ones = np.ones(t, dtype=np.int64)
-    level = {Subspace.zero(t, d)}
-    gram = gram_dot(t, d)
-    for _ in range(k):
-        nxt = set()
-        for s in level:
-            comp = s.complement(gram)
-            for v in comp.vectors():
-                if not v.any() or s.contains(v):
-                    continue
-                if dot(v, ones, d) or quadratic_q(v, d) % form_modulus(d):
-                    continue
-                cand = np.vstack([s.basis, v])
-                if is_q_isotropic(cand, d):
-                    nxt.add(Subspace(cand, d, t))
-        level = nxt
-    return tuple(sorted(level, key=lambda s: s._key))
+    return grow_subspaces(
+        gram_dot(t, d), d, k, lambda cand: not cand[-1].sum() % d and is_q_isotropic(cand, d)
+    )
 
 
 def _quotient_isometries(t: int, d: int, N: Subspace, M: Subspace):

@@ -51,6 +51,14 @@ def flat_index(digits, base: int) -> np.ndarray:
     return digits @ _place_values(digits.shape[-1], base)
 
 
+def sum_index(k: int, base: int) -> np.ndarray:
+    """table[i, j] = flat index of (digit row i + digit row j) mod base."""
+    table = np.zeros((base**k, base**k), dtype=np.int64)
+    for col, place in zip(all_vectors(k, base).T, _place_values(k, base)):
+        table += (col[:, None] + col[None, :]) % base * place
+    return table
+
+
 def rref(matrix, d: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over Z_d.
 
@@ -265,6 +273,30 @@ def is_q_isotropic(basis, d: int) -> bool:
     g %= d
     np.fill_diagonal(g, 0)
     return not g.any()
+
+
+def grow_subspaces(gram: np.ndarray, d: int, k: int, admissible) -> tuple[Subspace, ...]:
+    """All k-dim subspaces grown from 0 by adding one vector at a time.
+
+    Breadth-first on dimension: each subspace s is extended by every vector
+    v of its complement w.r.t. `gram` outside s, and the candidate basis
+    rows cand = (s.basis, v) are kept when admissible(cand) holds.
+    Duplicates merge through the canonical RREF key; the result is sorted
+    by that key.
+    """
+    ambient = gram.shape[0]
+    level = {Subspace.zero(ambient, d)}
+    for _ in range(k):
+        nxt = set()
+        for s in level:
+            for v in s.complement(gram).vectors():
+                if not v.any() or s.contains(v):
+                    continue
+                cand = np.vstack([s.basis, v])
+                if admissible(cand):
+                    nxt.add(Subspace(cand, d, ambient))
+        level = nxt
+    return tuple(sorted(level, key=lambda s: s._key))
 
 
 # --- cosets and orbits ---------------------------------------------------

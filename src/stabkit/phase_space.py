@@ -1,8 +1,13 @@
-"""Dense realization of Weyl operators, characteristic and Wigner functions.
+"""Weyl operators, characteristic and Wigner functions.
 
 Phase points x = (p, q) live in Z_d^{2n}.  Phase-space functions are
 indexed by the flat index of the digit row (p, q) (see `gf.flat_index`),
 i.e. index = int(p, base d) * d^n + int(q, base d).
+
+Every Weyl expansion comes from `characteristic_function` (tr[W_x^dag B]
+at all x: one DFT over the shifted diagonals of B) and `symplectic_fourier`
+(one DFT over the 2n digits), each O(n d^{2n} log d) time and d^{2n}
+memory.  Only `point_operators` stacks operators, for dense operator routes.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import all_vectors, flat_index
+from .gf import all_vectors, flat_index, sum_index
 
 DEFAULT_DIM_CAP = 2**13
 
@@ -55,13 +60,6 @@ def point_index(x, n: int, d: int) -> int:
     return int(flat_index(np.asarray(x, dtype=np.int64) % d, d))
 
 
-def symplectic_products(n: int, d: int) -> np.ndarray:
-    """Integer matrix [x, y] = p.q' - q.p' over all phase-point pairs, not reduced."""
-    pts = phase_points(n, d)
-    p, q = pts[:, :n], pts[:, n:]
-    return p @ q.T - q @ p.T
-
-
 def linear_index_map(O: np.ndarray, t: int, n: int, d: int) -> np.ndarray:
     """perm with |x> -> |O x> per base-d layer, for x in (Z_d^n)^t.
 
@@ -96,34 +94,49 @@ def weyl(x, n: int, d: int) -> np.ndarray:
     return op
 
 
-@lru_cache(maxsize=32)
-def weyl_all(n: int, d: int) -> np.ndarray:
-    """Stack of all Weyl operators, shape (d^{2n}, d^n, d^n), in flat index order."""
-    check_dim(d**n)
-    pts = phase_points(n, d)
-    return freeze(np.array([weyl(x, n, d) for x in pts]))
-
-
-@lru_cache(maxsize=32)
-def _fourier_kernel(n: int, d: int) -> np.ndarray:
-    """Matrix F[x, y] = omega^{-[x, y]} over all phase-point pairs."""
-    return freeze(omega(d) ** (-symplectic_products(n, d)))
-
-
 def characteristic_function(B: np.ndarray, n: int, d: int) -> np.ndarray:
-    """c_B(x) = d^{-n/2} tr[W_x^dag B], as a complex flat array."""
-    ws = weyl_all(n, d)
-    return np.einsum("xji,ij->x", ws.conj(), B) * d ** (-n / 2)
+    """c_B(x) = d^{-n/2} tr[W_x^dag B], as a complex flat array.
+
+    With W_x|b> = tau^{-p.q} omega^{p.(b+q)} |b+q> and tau^2 = omega,
+    c_B(p, q) = d^{-n/2} tau^{-p.q} sum_b omega^{-p.b} B[b+q, b]: gather the
+    q-shifted diagonals of B and take one DFT over the n digits of b.
+    """
+    check_dim(d**n)
+    # diags[q, b] = B[b + q, b]
+    diags = np.asarray(B, dtype=complex)[sum_index(n, d), np.arange(d**n)]
+    spectrum = np.fft.fftn(diags.reshape((d**n,) + (d,) * n), axes=range(1, n + 1))
+    # tau^{-p.q}, with the exponent reduced mod 2d (tau^{2d} = 1) for accuracy
+    digits = all_vectors(n, d)
+    phase = np.exp(-1j * np.pi * ((d * d + 1) * (digits @ digits.T) % (2 * d)) / d)
+    return (spectrum.reshape(d**n, d**n).T * phase).reshape(-1) * d ** (-n / 2)
+
+
+def symplectic_fourier(f: np.ndarray, n: int, d: int) -> np.ndarray:
+    """(Ff)(x) = sum_y omega^{-[x, y]} f(y), along axis 0 of f.
+
+    One DFT over the 2n digits of y gives g(k) = sum_y omega^{-k.y} f(y);
+    since [x, y] = p.q' - q.p', (Ff)(p, q) = g(-q, p).
+    """
+    f = np.asarray(f)
+    g = np.fft.fftn(f.reshape((d,) * (2 * n) + f.shape[1:]), axes=range(2 * n))
+    g = g.reshape((d**n, d**n) + f.shape[1:])
+    neg = flat_index(-all_vectors(n, d) % d, d)
+    return g[neg].swapaxes(0, 1).reshape(f.shape)
 
 
 def char_distribution(psi: np.ndarray, n: int, d: int) -> np.ndarray:
-    """p_psi(x) = |c_psi(x)|^2 for a pure state vector psi."""
+    """p_psi(x) = |c_psi(x)|^2 = |<psi|W_x|psi>|^2 / d^n for a pure state vector psi."""
     psi = np.asarray(psi, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("state vector is not normalized")
-    ws = weyl_all(n, d)
-    expect = np.einsum("i,xij,j->x", psi.conj(), ws, psi)
-    return np.abs(expect) ** 2 / d**n
+    return np.abs(characteristic_function(np.outer(psi, psi.conj()), n, d)) ** 2
+
+
+def wigner_state(psi: np.ndarray, n: int, d: int) -> np.ndarray:
+    """w_psi(x) = d^{-n} <psi|A_x|psi> = d^{-3n/2} Re (F c_psi)(x)."""
+    psi = np.asarray(psi, dtype=complex)
+    c = characteristic_function(np.outer(psi, psi.conj()), n, d)
+    return symplectic_fourier(c, n, d).real * d ** (-1.5 * n)
 
 
 def point_operator(x, n: int, d: int) -> np.ndarray:
@@ -133,15 +146,10 @@ def point_operator(x, n: int, d: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def point_operators(n: int, d: int) -> np.ndarray:
-    ws = weyl_all(n, d)
-    kern = _fourier_kernel(n, d)
-    return freeze(np.einsum("xy,yji->xij", kern, ws.conj()) / d**n)
-
-
-def wigner_state(psi: np.ndarray, n: int, d: int) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
-    aops = point_operators(n, d)
-    return np.einsum("i,xij,j->x", psi.conj(), aops, psi).real / d**n
+    """Stack of all d^{2n} point operators A_x, in flat index order."""
+    check_dim(d ** (2 * n))
+    adjoints = np.array([weyl(y, n, d).conj().T for y in phase_points(n, d)])
+    return freeze(symplectic_fourier(adjoints, n, d) / d**n)
 
 
 def kron_power_rows(vs: np.ndarray, k: int) -> np.ndarray:

@@ -17,15 +17,15 @@ import numpy as np
 from .commutant import permutation_matrix
 from .phase_space import (
     char_distribution,
+    characteristic_function,
     check_dim,
     kron_power_vec,
     linear_index_map,
     phase_points,
     point_index,
     point_operators,
-    symplectic_products,
+    symplectic_fourier,
     weyl,
-    weyl_all,
     wigner_state,
 )
 from .gf import symplectic_form
@@ -95,30 +95,30 @@ def _infer_n(psi: np.ndarray, d: int) -> int:
 def bell_difference_distribution(psi: np.ndarray, check: bool = True) -> np.ndarray:
     """q(a) = sum_x p_psi(x) p_psi(x + a) for a qubit state.
 
-    When check is set the distribution is recomputed as tr[Pi_a psi^{x 4}]
-    with Pi_a = 2^{-2n} sum_x (-1)^{[a,x]} W_x^{x 4}, via per-x Weyl
-    expectations; the two routes must agree.
+    The convolution over Z_2^{2n} is one DFT over the 2n binary digits,
+    squared and inverted; rounding below zero is clipped.  When check is set
+    the distribution is recomputed as tr[Pi_a psi^{x 4}] with
+    Pi_a = 2^{-2n} sum_x (-1)^{[a,x]} W_x^{x 4}, i.e. 4^{-n} F(e^4) for the
+    Weyl expectations e_x = <psi|W_x|psi>; the two routes must agree.
     """
     d = 2
     n = _infer_n(psi, d)
-    p = char_distribution(psi, n, d)
-    m = len(p)
-    conv = np.empty(m)
-    # index arithmetic of x + a over Z_2^{2n} is XOR on bit patterns
-    for ia in range(m):
-        shifted = np.bitwise_xor(np.arange(m), ia)
-        conv[ia] = p @ p[shifted]
+    p = char_distribution(psi, n, d).reshape((2,) * (2 * n))
+    conv = np.fft.ifftn(np.fft.fftn(p) ** 2).real.reshape(-1)
+    np.maximum(conv, 0.0, out=conv)
     if check:
-        ws = weyl_all(n, d)
-        expect = np.einsum("i,xij,j->x", psi.conj(), ws, psi)
-        fourth = (expect**4).real
-        signs = 1 - 2 * (symplectic_products(n, d) % 2)
-        operator_route = signs @ fourth / 2 ** (2 * n)
+        e = _qubit_weyl_expectations(psi, n)
+        operator_route = symplectic_fourier(e**4, n, d).real / 4**n
         if np.abs(conv - operator_route).max() > 1e-10:
             raise AssertionError("Bell difference routes disagree")
     if abs(conv.sum() - 1.0) > 1e-10:
         raise AssertionError("Bell difference distribution does not normalize")
     return conv
+
+
+def _qubit_weyl_expectations(psi: np.ndarray, n: int) -> np.ndarray:
+    """e_x = <psi|W_x|psi> = 2^{n/2} c_psi(x), real since qubit W_x are Hermitian."""
+    return characteristic_function(np.outer(psi, np.conj(psi)), n, 2).real * 2 ** (n / 2)
 
 
 def qubit_accept_probability(psi: np.ndarray) -> float:
@@ -158,29 +158,18 @@ def simulate_algorithm1(psi: np.ndarray, shots: int, seed: int) -> ProtocolRepor
     Each round samples a from the Bell difference distribution, then
     measures the Hermitian Weyl operator W_a twice on two fresh copies; the
     round accepts when both outcomes agree, which happens with probability
-    (1 + <W_a>^2)/2 and is simulated by explicit projective collapse.
+    (1 + <W_a>^2)/2.  Each measurement is one uniform draw against the
+    outcome probability (1 + <W_a>)/2.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
     rng = np.random.default_rng(seed)
     n = _infer_n(psi, 2)
     q = bell_difference_distribution(psi, check=False)
-    pts = phase_points(n, 2)
     draws = rng.choice(len(q), size=shots, p=q)
-    accepted = 0
-    eig_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for ia in draws:
-        if ia not in eig_cache:
-            w = weyl(pts[ia], n, 2)
-            vals, vecs = np.linalg.eigh(w)
-            eig_cache[ia] = (np.sign(vals), vecs)
-        signs, vecs = eig_cache[ia]
-        amps = np.abs(vecs.conj().T @ psi) ** 2
-        p_plus = float(amps[signs > 0].sum())
-        first = rng.random() < p_plus
-        second = rng.random() < p_plus
-        if first == second:
-            accepted += 1
+    p_plus = (1.0 + _qubit_weyl_expectations(psi, n)[draws]) / 2
+    u = rng.random((shots, 2))
+    accepted = int(((u[:, 0] < p_plus) == (u[:, 1] < p_plus)).sum())
     p_emp = accepted / shots
     p_true = qubit_accept_probability(psi)
     sigma = math.sqrt(max(p_true * (1 - p_true), 1e-12) / shots)
@@ -216,10 +205,10 @@ def qudit_soundness_constant(d: int, s: int) -> float:
 def v_s_operator(s: int, n: int, d: int) -> np.ndarray:
     """V_s = d^{-n} sum_x (W_x (x) W_x^dag)^{x s} on 2s blocks of n qudits."""
     check_dim(d ** (2 * s * n))
-    ws = weyl_all(n, d)
     dim = d ** (2 * s * n)
     V = np.zeros((dim, dim), dtype=complex)
-    for w in ws:
+    for x in phase_points(n, d):
+        w = weyl(x, n, d)
         pair = np.kron(w, w.conj().T)
         term = np.array([[1.0 + 0j]])
         for _ in range(s):
@@ -284,12 +273,9 @@ def uncertainty_points(psi: np.ndarray, x, y, z, n: int, d: int) -> dict:
     """Commutation of W_{z-x}, W_{y-x} forced by three sharp point values."""
     if d % 2 == 0:
         raise ValueError("point-operator uncertainty needs odd d")
-    aops = point_operators(n, d)
+    w = wigner_state(psi, n, d) * d**n  # <psi|A_v|psi> = d^n w_psi(v)
     thresh = math.sqrt(1.0 - 1.0 / (2 * d * d))
-    vals = [
-        float((psi.conj() @ aops[point_index(v, n, d)] @ psi).real)
-        for v in (x, y, z)
-    ]
+    vals = [float(w[point_index(v, n, d)]) for v in (x, y, z)]
     premise = all(v > thresh for v in vals)
     diff1 = (np.asarray(z) - np.asarray(x)) % d
     diff2 = (np.asarray(y) - np.asarray(x)) % d

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import Subspace, coset_reps, gram_symplectic, symplectic_form
+from .gf import Subspace, coset_reps, gram_symplectic, grow_subspaces, symplectic_form
 from .phase_space import freeze, check_dim, weyl
 
 __all__ = [
@@ -33,22 +33,11 @@ __all__ = [
 def isotropic_subspaces(n: int, d: int, dim: int) -> tuple[Subspace, ...]:
     """All symplectically isotropic subspaces of Z_d^{2n} of a given dimension.
 
-    BFS on dimension: grow each isotropic space by one vector chosen from
-    its symplectic complement, deduplicating through the canonical RREF key.
+    The symplectic form is alternating, so every vector of the complement
+    of an isotropic space extends it isotropically.
     """
-    ambient = 2 * n
-    level = {Subspace.zero(ambient, d)}
     gram = gram_symplectic(2 * n, d)
-    for _ in range(dim):
-        nxt = set()
-        for s in level:
-            comp = s.complement(gram)
-            for v in comp.vectors():
-                if not v.any() or s.contains(v):
-                    continue
-                nxt.add(Subspace(np.vstack([s.basis, v]), d, ambient))
-        level = nxt
-    out = tuple(sorted(level, key=lambda s: s._key))
+    out = grow_subspaces(gram, d, dim, lambda cand: True)
     assert not any(((s.basis @ gram @ s.basis.T) % d).any() for s in out)
     return out
 

@@ -20,6 +20,7 @@ from stabkit.gf import (
     quadratic_q,
     rref,
     solve,
+    sum_index,
     symplectic_form,
 )
 
@@ -158,3 +159,11 @@ def test_flat_index_inverts_all_vectors(k, base):
     vecs = all_vectors(k, base)
     assert vecs.shape == (base**k, k)
     assert np.array_equal(flat_index(vecs, base), np.arange(base**k))
+
+
+@given(st.integers(0, 3), st.integers(1, 6))
+@settings(max_examples=50, deadline=None)
+def test_sum_index_adds_digit_rows(k, base):
+    vecs = all_vectors(k, base)
+    want = flat_index((vecs[:, None, :] + vecs[None, :, :]) % base, base)
+    assert np.array_equal(sum_index(k, base), want)

@@ -22,9 +22,7 @@ def test_all_names_resolve(module):
     "get",
     [
         lambda: stabilizer.all_stabilizer_states(1, 2),
-        lambda: phase_space.weyl_all(1, 2),
         lambda: phase_space.point_operators(1, 3),
-        lambda: phase_space._fourier_kernel(1, 3),
         lambda: phase_space._single_qudit_zx(3)[0],
         lambda: phase_space._single_qudit_zx(3)[1],
         lambda: commutant.orthogonal_stochastic_group(4, 2)[0],
@@ -32,9 +30,7 @@ def test_all_names_resolve(module):
     ],
     ids=[
         "all_stabilizer_states",
-        "weyl_all",
         "point_operators",
-        "fourier_kernel",
         "single_qudit_z",
         "single_qudit_x",
         "orthogonal_stochastic_group",

@@ -18,7 +18,6 @@ from stabkit.phase_space import (
     point_operator,
     point_operators,
     weyl,
-    weyl_all,
     wigner_state,
 )
 
@@ -49,7 +48,7 @@ def test_weyl_unitary_and_composition(n, d):
 
 @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (1, 3)])
 def test_weyl_orthogonality(n, d):
-    ws = weyl_all(n, d)
+    ws = np.array([weyl(x, n, d) for x in phase_points(n, d)])
     dim = d**n
     gram = np.einsum("xij,yij->xy", ws.conj(), ws)
     assert np.abs(gram - dim * np.eye(len(ws))).max() < 1e-10
