@@ -6,8 +6,9 @@ construction, stabilizer-testing protocols, a robust Hudson theorem, and
 stabilizer de Finetti bounds.
 """
 
+import importlib
+
 from . import (
-    cli,
     clifford,
     commutant,
     definetti,
@@ -32,3 +33,11 @@ __all__ = [
     "stabilizer",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # `cli` loads on first use, so `python -m stabkit.cli` does not find it
+    # already imported by the package
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,12 +9,19 @@ symplectic matrix Gamma over Z_d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .gf import all_vectors, flat_index, gram_symplectic, orbits
-from .phase_space import characteristic_function, check_dim, freeze, omega, phase_points, weyl
+from .phase_space import (
+    capped_cache,
+    characteristic_function,
+    check_dim,
+    freeze,
+    omega,
+    phase_points,
+    weyl,
+)
 
 __all__ = [
     "fourier_gate",
@@ -126,10 +133,9 @@ class CliffordWord:
         return cls(data["n"], data["d"], tuple(letters))
 
 
-@lru_cache(maxsize=16)
+@capped_cache(lambda n, d: d**n)
 def clifford_generators(n: int, d: int) -> tuple[np.ndarray, ...]:
     """Fourier and phase gates on each qudit, CADD on each ordered pair."""
-    check_dim(d**n)
     gens = []
     for i in range(n):
         gens.append(embed_single(fourier_gate(d), i, n, d))

@@ -25,10 +25,10 @@ from .gf import (
     all_vectors,
     coset_reps,
     dot,
+    echelon_subspaces,
     flat_index,
     form_modulus,
     gram_dot,
-    grow_subspaces,
     is_q_isotropic,
     nullspace,
     orbits,
@@ -76,10 +76,17 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def defect_subspaces(t: int, d: int, k: int) -> tuple[Subspace, ...]:
-    """Dimension-k subspaces N of Z_d^t with N q-isotropic and N <= 1^perp."""
-    return grow_subspaces(
-        gram_dot(t, d), d, k, lambda cand: not cand[-1].sum() % d and is_q_isotropic(cand, d)
-    )
+    """Dimension-k subspaces N of Z_d^t with N q-isotropic and N <= 1^perp.
+
+    By polarization, N is q-isotropic iff q vanishes on each basis row and
+    the rows are pairwise orthogonal mod d.
+    """
+    D = form_modulus(d)
+
+    def admissible(vecs):
+        return (vecs.sum(axis=1) % d == 0) & ((vecs * vecs).sum(axis=1) % D == 0)
+
+    return echelon_subspaces(gram_dot(t, d), d, k, admissible)
 
 
 def _quotient_isometries(t: int, d: int, N: Subspace, M: Subspace):
@@ -88,7 +95,10 @@ def _quotient_isometries(t: int, d: int, N: Subspace, M: Subspace):
     Yields pairs (src, images): a fixed complement basis (c_1, ..., c_m)
     of M inside M^perp and representative image vectors (J c_1, ..., J c_m).
     The quadratic form q mod D and the dot product mod d both descend to
-    the quotients, so it is enough to match them on representatives.
+    the quotients, so it is enough to match them on representatives.  The
+    dot product is nondegenerate on M^perp/M (the radical of M^perp is M),
+    so images matching every dot are independent in N^perp/N: a rank check
+    would only prune branches that cannot be completed.
     """
     D = form_modulus(d)
     ones = np.ones(t, dtype=np.int64)
@@ -106,39 +116,31 @@ def _quotient_isometries(t: int, d: int, N: Subspace, M: Subspace):
     else:
         src = quotient_basis(Mperp, M)
 
-    # drop the zero class; images must be independent in the quotient
-    reps = [r for r in coset_reps(Nperp, N) if r.any()]
-
-    src_q = [quadratic_q(c, d) % D for c in src]
+    # candidate images: the nonzero coset representatives of N^perp/N, with
+    # the all-ones vector appended as the last row; q-values and pairwise
+    # dots are looked up in tables
+    reps = coset_reps(Nperp, N)
+    table = np.vstack([reps[reps.any(axis=1)], ones])
+    last = len(table) - 1
+    table_q = (table * table).sum(axis=1) % D
+    table_dots = (table @ table.T) % d
+    src_q = (src * src).sum(axis=1) % D
     src_dots = (src @ src.T) % d
-
-    def independent(vecs) -> bool:
-        stack = np.vstack([N.basis, *[v[None, :] for v in vecs]]) if N.dim else np.vstack(vecs)
-        return Subspace(stack, d).dim == N.dim + len(vecs)
 
     def rec(i, images):
         if i == m:
-            yield src, tuple(images)
+            yield src, table[images]
             return
-        for r in reps:
-            if quadratic_q(r, d) % D != src_q[i]:
-                continue
-            if any(dot(r, images[j], d) != src_dots[i, j] for j in range(i)):
-                continue
-            if not independent(images + [r]):
-                continue
+        dots_match = (table_dots[:last, images] == src_dots[i, :i]).all(axis=1)
+        for r in np.flatnonzero((table_q[:last] == src_q[i]) & dots_match):
             yield from rec(i + 1, images + [r])
 
     if forced:
         # J[1] = [1]: the image of the first source vector (the all-ones
         # vector itself) must represent the class of 1 in N^perp/N
-        if not Nperp.contains(ones):
+        if not Nperp.contains(ones) or N.contains(ones):
             return
-        if N.contains(ones):
-            return
-        if quadratic_q(ones, d) % D != src_q[0]:
-            return
-        yield from rec(1, [ones % d])
+        yield from rec(1, [last])
     else:
         yield from rec(0, [])
 
@@ -146,12 +148,14 @@ def _quotient_isometries(t: int, d: int, N: Subspace, M: Subspace):
 def _from_defects(N: Subspace, M: Subspace, images, src) -> Subspace:
     """span({(x_i, c_i)} U {(n, 0) : n in N} U {(0, m) : m in M}) in Z_d^{2t}."""
     t = N.ambient
-    rows = [
-        np.hstack([np.reshape(images, (-1, t)), np.reshape(src, (-1, t))]),
-        np.hstack([N.basis, np.zeros_like(N.basis)]),
-        np.hstack([np.zeros_like(M.basis), M.basis]),
-    ]
-    return Subspace(np.vstack(rows), N.d, 2 * t)
+    images = np.reshape(images, (-1, t))
+    m = len(images)
+    rows = np.zeros((m + N.dim + M.dim, 2 * t), dtype=np.int64)
+    rows[:m, :t] = images
+    rows[:m, t:] = np.reshape(src, (-1, t))
+    rows[m:m + N.dim, :t] = N.basis
+    rows[m + N.dim:, t:] = M.basis
+    return Subspace(rows, N.d, 2 * t)
 
 
 @lru_cache(maxsize=None)
@@ -191,26 +195,21 @@ def orthogonal_stochastic_group(t: int, d: int) -> tuple[np.ndarray, ...]:
     the matrix and its transpose once orthogonality holds.
     """
     D = form_modulus(d)
-    ones = np.ones(t, dtype=np.int64)
-    cand = [
-        v
-        for v in all_vectors(t, d)
-        if dot(v, v, d) == 1 % d
-        and quadratic_q(v, d) % D == 1 % D
-        and dot(v, ones, d) == 1 % d
-    ]
+    vecs = all_vectors(t, d)
+    q = (vecs * vecs).sum(axis=1)
+    # q(c) = 1 mod D implies c.c = 1 mod d, since d divides D
+    cand = vecs[(q % D == 1 % D) & (vecs.sum(axis=1) % d == 1 % d)]
+    orthogonal = (cand @ cand.T) % d == 0
     out = []
 
-    def rec(cols):
+    def rec(cols, alive):
         if len(cols) == t:
-            out.append(freeze(np.array(cols, dtype=np.int64).T))
+            out.append(freeze(cand[cols].T))
             return
-        for c in cand:
-            if any(dot(c, prev, d) for prev in cols):
-                continue
-            rec(cols + [c])
+        for i in np.flatnonzero(alive):
+            rec(cols + [i], alive & orthogonal[i])
 
-    rec([])
+    rec([], np.ones(len(cand), dtype=bool))
     return tuple(out)
 
 

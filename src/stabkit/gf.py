@@ -59,6 +59,35 @@ def sum_index(k: int, base: int) -> np.ndarray:
     return table
 
 
+def _rref_rows(rows: list[list[int]], cols: int, d: int) -> tuple[list[list[int]], list[int]]:
+    """Reduce rows (Python int lists with entries in [0, d)) in place; see `rref`."""
+    pivot_cols: list[int] = []
+    n = len(rows)
+    r = 0
+    for c in range(cols):
+        for i in range(r, n):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        prow = rows[i]
+        rows[i] = rows[r]
+        if prow[c] != 1:
+            inv = pow(prow[c], -1, d)
+            prow = [x * inv % d for x in prow]
+        rows[r] = prow
+        for i in range(n):
+            f = rows[i][c]
+            if f and i != r:
+                g = d - f
+                rows[i] = [(x + g * y) % d for x, y in zip(rows[i], prow)]
+        pivot_cols.append(c)
+        r += 1
+        if r == n:
+            break
+    return rows[:r], pivot_cols
+
+
 def rref(matrix, d: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over Z_d.
 
@@ -68,27 +97,8 @@ def rref(matrix, d: int) -> tuple[np.ndarray, list[int]]:
     a = np.atleast_2d(np.array(matrix, dtype=np.int64)) % d
     if a.shape[0] == 0 or a.shape[1] == 0:
         return a.reshape(0, a.shape[1] if a.ndim == 2 else 0), []
-    rows, cols = a.shape
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if a[i, c] % d != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[[r, pivot]] = a[[pivot, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), -1, d)) % d
-        for i in range(rows):
-            if i != r and a[i, c] % d != 0:
-                a[i] = (a[i] - a[i, c] * a[r]) % d
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a[:r], pivot_cols
+    rows, pivot_cols = _rref_rows(a.tolist(), a.shape[1], d)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), a.shape[1]), pivot_cols
 
 
 def nullspace(matrix, d: int) -> np.ndarray:
@@ -124,10 +134,11 @@ class Subspace:
     """A subspace of Z_d^m, stored as a canonical RREF basis.
 
     Two Subspace values are equal iff they are the same set of vectors; the
-    canonical form makes them usable as dict/set keys.
+    canonical form makes them usable as dict/set keys.  `pivots` holds the
+    pivot column of each basis row.
     """
 
-    __slots__ = ("d", "ambient", "basis", "_key")
+    __slots__ = ("d", "ambient", "basis", "pivots", "_key")
 
     def __init__(self, basis_rows, d: int, ambient: int | None = None):
         if not is_prime(d):
@@ -140,12 +151,13 @@ class Subspace:
         rows = np.atleast_2d(rows) % d
         if ambient is not None and rows.shape[1] != ambient:
             raise ValueError("ambient dimension mismatch")
-        basis, _ = rref(rows, d)
         self.d = d
         self.ambient = int(rows.shape[1])
-        self.basis = basis
+        reduced, pivots = _rref_rows(rows.tolist(), self.ambient, d)
+        self.pivots = tuple(pivots)
+        self.basis = np.array(reduced, dtype=np.int64).reshape(len(reduced), self.ambient)
         self.basis.setflags(write=False)
-        self._key = (d, self.ambient, tuple(map(tuple, basis.tolist())))
+        self._key = (d, self.ambient, tuple(map(tuple, reduced)))
 
     @classmethod
     def zero(cls, ambient: int, d: int) -> "Subspace":
@@ -177,9 +189,8 @@ class Subspace:
         return (all_vectors(self.dim, self.d) @ self.basis) % self.d
 
     def contains(self, v) -> bool:
-        w = asvec(v, self.d).copy()
-        pivots = [int(np.argmax(row != 0)) for row in self.basis]
-        for row, p in zip(self.basis, pivots):
+        w = asvec(v, self.d)
+        for row, p in zip(self.basis, self.pivots):
             if w[p]:
                 w = (w - w[p] * row) % self.d
         return not w.any()
@@ -275,28 +286,37 @@ def is_q_isotropic(basis, d: int) -> bool:
     return not g.any()
 
 
-def grow_subspaces(gram: np.ndarray, d: int, k: int, admissible) -> tuple[Subspace, ...]:
-    """All k-dim subspaces grown from 0 by adding one vector at a time.
+def echelon_subspaces(gram: np.ndarray, d: int, k: int, admissible) -> tuple[Subspace, ...]:
+    """All k-dim subspaces with an admissible, pairwise `gram`-orthogonal basis.
 
-    Breadth-first on dimension: each subspace s is extended by every vector
-    v of its complement w.r.t. `gram` outside s, and the candidate basis
-    rows cand = (s.basis, v) are kept when admissible(cand) holds.
-    Duplicates merge through the canonical RREF key; the result is sorted
-    by that key.
+    admissible(vectors) returns a boolean mask over rows of vectors.  The
+    rows of each subspace's canonical RREF basis must be admissible and
+    pairwise orthogonal w.r.t. `gram` (a row need not be orthogonal to
+    itself); the caller's property must hold on the whole span iff it holds
+    on such a basis.  Each subspace is built once, as its RREF basis: rows
+    are added in decreasing pivot order, each new row with its leading 1
+    left of every chosen pivot and zeros at the chosen pivot columns.  The
+    result is sorted by the canonical key.
     """
     ambient = gram.shape[0]
-    level = {Subspace.zero(ambient, d)}
-    for _ in range(k):
-        nxt = set()
-        for s in level:
-            for v in s.complement(gram).vectors():
-                if not v.any() or s.contains(v):
-                    continue
-                cand = np.vstack([s.basis, v])
-                if admissible(cand):
-                    nxt.add(Subspace(cand, d, ambient))
-        level = nxt
-    return tuple(sorted(level, key=lambda s: s._key))
+    vecs = all_vectors(ambient, d)
+    lead = np.argmax(vecs != 0, axis=1)
+    keep = vecs.any(axis=1) & (vecs[np.arange(len(vecs)), lead] == 1) & admissible(vecs)
+    cand, lead = vecs[keep], lead[keep]
+    orthogonal = (cand @ gram @ cand.T) % d == 0
+    out = []
+
+    def extend(chosen: list[int], alive: np.ndarray):
+        need = k - len(chosen)
+        if need == 0:
+            out.append(Subspace(cand[chosen[::-1]], d, ambient))
+            return
+        left = lead[chosen[-1]] if chosen else ambient
+        for i in np.flatnonzero(alive & (lead < left) & (lead >= need - 1)):
+            extend(chosen + [i], alive & orthogonal[i] & (cand[:, lead[i]] == 0))
+
+    extend([], np.ones(len(cand), dtype=bool))
+    return tuple(sorted(out, key=lambda s: s._key))
 
 
 # --- cosets and orbits ---------------------------------------------------

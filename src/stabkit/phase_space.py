@@ -12,8 +12,8 @@ memory.  Only `point_operators` stacks operators, for dense operator routes.
 
 from __future__ import annotations
 
+import functools
 import os
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,13 +42,30 @@ def check_dim(dim: int):
         raise ResourceCapError(f"requested operator dimension {dim} exceeds cap {cap}")
 
 
+def capped_cache(dim, maxsize: int = 16):
+    """lru_cache that runs check_dim(dim(*args)) before every lookup.
+
+    A cached result is returned only while the cap allows it.  The wrapper
+    keeps `cache_info` and `cache_clear` of the underlying cache.
+    """
+
+    def wrap(fn):
+        cached = functools.lru_cache(maxsize=maxsize)(fn)
+
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            check_dim(dim(*args, **kwargs))
+            return cached(*args, **kwargs)
+
+        call.cache_info = cached.cache_info
+        call.cache_clear = cached.cache_clear
+        return call
+
+    return wrap
+
+
 def omega(d: int) -> complex:
     return np.exp(2j * np.pi / d)
-
-
-def tau(d: int) -> complex:
-    """tau = exp(i pi (d^2+1)/d), a primitive D-th root with tau^2 = omega."""
-    return np.exp(1j * np.pi * (d * d + 1) / d)
 
 
 def phase_points(n: int, d: int) -> np.ndarray:
@@ -72,25 +89,18 @@ def linear_index_map(O: np.ndarray, t: int, n: int, d: int) -> np.ndarray:
     return flat_index(Y.reshape(-1, t * n), d)
 
 
-@lru_cache(maxsize=None)
-def _single_qudit_zx(d: int) -> tuple[np.ndarray, np.ndarray]:
-    w = omega(d)
-    z = np.diag(w ** np.arange(d))
-    x = np.zeros((d, d), dtype=complex)
-    for a in range(d):
-        x[(a + 1) % d, a] = 1.0  # X|a> = |a+1>
-    return freeze(z), freeze(x)
-
-
 def weyl(x, n: int, d: int) -> np.ndarray:
-    """W_x = tau^{-p.q} (X) Z^{p_i} X^{q_i} on n qudits."""
+    """W_x = tau^{-p.q} (X) Z^{p_i} X^{q_i} on n qudits.
+
+    W_x|b> = tau^{-p.q} omega^{p.(b+q)} |b+q>; with tau = e^{i pi (d^2+1)/d}
+    and omega = tau^2 each entry is e^{i pi k / d}, k reduced mod 2d.
+    """
     x = np.asarray(x, dtype=np.int64) % d
     p, q = x[:n], x[n:]
-    z1, x1 = _single_qudit_zx(d)
-    op = np.array([[tau(d) ** (-int(p @ q))]])
-    for i in range(n):
-        factor = np.linalg.matrix_power(z1, int(p[i])) @ np.linalg.matrix_power(x1, int(q[i]))
-        op = np.kron(op, factor)
+    shifted = (all_vectors(n, d) + q) % d
+    k = (2 * (shifted @ p) - (d * d + 1) * int(p @ q)) % (2 * d)
+    op = np.zeros((d**n, d**n), dtype=complex)
+    op[flat_index(shifted, d), np.arange(d**n)] = np.exp(1j * np.pi * k / d)
     return op
 
 
@@ -144,10 +154,9 @@ def point_operator(x, n: int, d: int) -> np.ndarray:
     return point_operators(n, d)[point_index(x, n, d)]
 
 
-@lru_cache(maxsize=16)
+@capped_cache(lambda n, d: d ** (2 * n))
 def point_operators(n: int, d: int) -> np.ndarray:
     """Stack of all d^{2n} point operators A_x, in flat index order."""
-    check_dim(d ** (2 * n))
     adjoints = np.array([weyl(y, n, d).conj().T for y in phase_points(n, d)])
     return freeze(symplectic_fourier(adjoints, n, d) / d**n)
 

@@ -13,8 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import Subspace, coset_reps, gram_symplectic, grow_subspaces, symplectic_form
-from .phase_space import freeze, check_dim, weyl
+from .gf import Subspace, coset_reps, echelon_subspaces, gram_symplectic, symplectic_form
+from .phase_space import capped_cache, check_dim, freeze, weyl
 
 __all__ = [
     "lagrangians",
@@ -33,17 +33,19 @@ __all__ = [
 def isotropic_subspaces(n: int, d: int, dim: int) -> tuple[Subspace, ...]:
     """All symplectically isotropic subspaces of Z_d^{2n} of a given dimension.
 
-    The symplectic form is alternating, so every vector of the complement
-    of an isotropic space extends it isotropically.
+    The symplectic form is alternating, so a span is isotropic iff its basis
+    rows are pairwise orthogonal; every vector is admissible.
     """
     gram = gram_symplectic(2 * n, d)
-    out = grow_subspaces(gram, d, dim, lambda cand: True)
+    out = echelon_subspaces(gram, d, dim, lambda vecs: np.ones(len(vecs), dtype=bool))
     assert not any(((s.basis @ gram @ s.basis.T) % d).any() for s in out)
     return out
 
 
 def lagrangians(n: int, d: int) -> tuple[Subspace, ...]:
-    return isotropic_subspaces(n, d, n)
+    out = isotropic_subspaces(n, d, n)
+    assert len(out) == num_stabilizer_states(n, d) // d**n
+    return out
 
 
 def num_stabilizer_states(n: int, d: int) -> int:
@@ -94,14 +96,13 @@ def stabilizer_state(M: Subspace, n: int, d: int, z=None) -> np.ndarray:
     return v
 
 
-@lru_cache(maxsize=16)
+@capped_cache(lambda n, d: d**n)
 def all_stabilizer_states(n: int, d: int) -> np.ndarray:
     """All stabilizer state vectors on n qudits, shape (count, d^n).
 
     Enumerates Lagrangians and, for each, translates the fiducial state by
     Weyl operators over coset representatives of Z_d^{2n} / M.
     """
-    check_dim(d**n)
     full = Subspace.full(2 * n, d)
     states = []
     for M in lagrangians(n, d):

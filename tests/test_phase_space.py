@@ -54,6 +54,28 @@ def test_weyl_orthogonality(n, d):
     assert np.abs(gram - dim * np.eye(len(ws))).max() < 1e-10
 
 
+def _weyl_matrix_power(x, n, d):
+    """W_x as tau^{-p.q} times Kronecker products of matrix powers of Z and X."""
+    x = np.asarray(x) % d
+    p, q = x[:n], x[n:]
+    z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    shift = np.roll(np.eye(d), 1, axis=0)  # X|a> = |a+1>
+    op = np.array([[np.exp(1j * np.pi * (d * d + 1) / d) ** (-int(p @ q))]])
+    for i in range(n):
+        op = np.kron(op, np.linalg.matrix_power(z, int(p[i])) @ np.linalg.matrix_power(shift, int(q[i])))
+    return op
+
+
+@pytest.mark.parametrize("n,d", [(2, 5), (2, 3), (3, 2)])
+def test_weyl_entries_are_exact_roots_of_unity(n, d):
+    for x in phase_points(n, d):
+        w, ref = weyl(x, n, d), _weyl_matrix_power(x, n, d)
+        support = np.abs(ref) > 0.5
+        assert not w[~support].any()
+        k = np.round(np.angle(ref[support]) * d / np.pi) % (2 * d)
+        assert np.abs(w[support] - np.exp(1j * np.pi * k / d)).max() <= 1e-15
+
+
 def test_char_distribution_normalized_and_bounded():
     for n, d in [(1, 2), (2, 2), (1, 3), (2, 3)]:
         psi = _rand_state(d**n, seed=n * 7 + d)
