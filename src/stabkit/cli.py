@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gf import is_prime
 from .phase_space import ResourceCapError
 
 __all__ = ["RunConfig", "ReportBundle", "run", "emit", "main"]
@@ -328,14 +329,29 @@ _COMMANDS = {
 }
 
 
+def _invalid_argument(cfg: RunConfig) -> str | None:
+    """Why the sizes in cfg are out of range, or None if they are valid."""
+    if not is_prime(cfg.d):
+        return f"d={cfg.d} is not prime"
+    for name in ("t", "n", "s"):
+        if getattr(cfg, name) < 1:
+            return f"{name}={getattr(cfg, name)} is below 1"
+    return None
+
+
 def run(cfg: RunConfig) -> ReportBundle:
-    """Run one command; a dimension-cap hit becomes a single failed record."""
+    """Run one command; an invalid size or a dimension-cap hit becomes a
+    single failed record."""
     rep = _new_bundle(cfg)
     start = time.time()
-    try:
-        _COMMANDS[cfg.command](cfg, rep)
-    except ResourceCapError as exc:
-        rep.add(cfg.command, "resource-cap", "fail", measured=str(exc))
+    invalid = _invalid_argument(cfg)
+    if invalid is not None:
+        rep.add(cfg.command, "invalid-argument", "fail", measured=invalid)
+    else:
+        try:
+            _COMMANDS[cfg.command](cfg, rep)
+        except ResourceCapError as exc:
+            rep.add(cfg.command, "resource-cap", "fail", measured=str(exc))
     rep.wall_clock = time.time() - start
     return rep
 

@@ -10,6 +10,11 @@ contains the all-ones vector (1, ..., 1).  The operators
 span the commutant of the t-th tensor power of the Clifford group.  The
 set Sigma_{t,t}(d) of such T is enumerated constructively: a T is a triple
 (N, M, J) of two defect subspaces and an isometry between their quotients.
+
+Every R(T) quantity comes from one integer table, `R_support`: the flat
+(row, column) indices of the nonzeros of each R(T).  Operators and weighted
+sums scatter it, expectations gather amplitudes through it, and the Gram
+matrix counts common elements through the incidence matrix it defines.
 """
 
 from __future__ import annotations
@@ -50,6 +55,8 @@ __all__ = [
     "diagonal_subspace",
     "left_defect",
     "right_defect",
+    "R_support",
+    "R_sum",
     "r_matrix",
     "R_matrix",
     "R_trace",
@@ -89,58 +96,73 @@ def defect_subspaces(t: int, d: int, k: int) -> tuple[Subspace, ...]:
     return echelon_subspaces(gram_dot(t, d), d, k, admissible)
 
 
-def _quotient_isometries(t: int, d: int, N: Subspace, M: Subspace):
-    """All isometries J : M^perp/M -> N^perp/N with J[1] = [1].
+def _quotient_images(t: int, d: int, N: Subspace):
+    """Candidate images in N^perp/N for the quotient isometries into it.
 
-    Yields pairs (src, images): a fixed complement basis (c_1, ..., c_m)
-    of M inside M^perp and representative image vectors (J c_1, ..., J c_m).
-    The quadratic form q mod D and the dot product mod d both descend to
-    the quotients, so it is enough to match them on representatives.  The
-    dot product is nondegenerate on M^perp/M (the radical of M^perp is M),
-    so images matching every dot are independent in N^perp/N: a rank check
-    would only prune branches that cannot be completed.
+    Returns (table, table_q, table_dots, hits_ones): the nonzero coset
+    representatives of N^perp/N with the all-ones vector appended as the
+    last row, their q-values mod D and pairwise dots mod d, and whether the
+    all-ones vector represents a nonzero class of N^perp/N.
     """
     D = form_modulus(d)
     ones = np.ones(t, dtype=np.int64)
-    gram = gram_dot(t, d)
-    Mperp = M.complement(gram)
-    Nperp = N.complement(gram)
-    m = Mperp.dim - M.dim
+    Nperp = N.complement(gram_dot(t, d))
+    reps = coset_reps(Nperp, N)
+    table = np.vstack([reps[reps.any(axis=1)], ones])
+    hits_ones = Nperp.contains(ones) and not N.contains(ones)
+    return table, (table * table).sum(axis=1) % D, (table @ table.T) % d, hits_ones
 
-    # source complement basis; put the class of the all-ones vector first
-    # when it is nonzero so its image can be forced to be [1] up front
+
+def _quotient_sources(t: int, d: int, M: Subspace):
+    """A fixed complement basis of M inside M^perp for the isometries out of it.
+
+    Returns (src, src_q, src_dots, forced).  When the all-ones vector is
+    not in M, its class is nonzero and comes first (forced), so that its
+    image can be pinned to [1] up front.
+    """
+    D = form_modulus(d)
+    ones = np.ones(t, dtype=np.int64)
+    Mperp = M.complement(gram_dot(t, d))
     forced = not M.contains(ones)
     if forced:
         M_ones = Subspace(np.vstack([M.basis, ones]), d, t)
         src = np.vstack([ones, quotient_basis(Mperp, M_ones)])
     else:
         src = quotient_basis(Mperp, M)
+    return src, (src * src).sum(axis=1) % D, (src @ src.T) % d, forced
 
-    # candidate images: the nonzero coset representatives of N^perp/N, with
-    # the all-ones vector appended as the last row; q-values and pairwise
-    # dots are looked up in tables
-    reps = coset_reps(Nperp, N)
-    table = np.vstack([reps[reps.any(axis=1)], ones])
+
+def _quotient_isometries(images, sources):
+    """All isometries J : M^perp/M -> N^perp/N with J[1] = [1].
+
+    `images` and `sources` are `_quotient_images(N)` and
+    `_quotient_sources(M)`.  Yields pairs (src, images): the complement
+    basis (c_1, ..., c_m) of M inside M^perp and representative image
+    vectors (J c_1, ..., J c_m).  The quadratic form q mod D and the dot
+    product mod d both descend to the quotients, so it is enough to match
+    them on representatives.  The dot product is nondegenerate on M^perp/M
+    (the radical of M^perp is M), so images matching every dot are
+    independent in N^perp/N: a rank check would only prune branches that
+    cannot be completed.
+    """
+    table, table_q, table_dots, hits_ones = images
+    src, src_q, src_dots, forced = sources
+    m = len(src)
     last = len(table) - 1
-    table_q = (table * table).sum(axis=1) % D
-    table_dots = (table @ table.T) % d
-    src_q = (src * src).sum(axis=1) % D
-    src_dots = (src @ src.T) % d
 
-    def rec(i, images):
+    def rec(i, chosen):
         if i == m:
-            yield src, table[images]
+            yield src, table[chosen]
             return
-        dots_match = (table_dots[:last, images] == src_dots[i, :i]).all(axis=1)
+        dots_match = (table_dots[:last, chosen] == src_dots[i, :i]).all(axis=1)
         for r in np.flatnonzero((table_q[:last] == src_q[i]) & dots_match):
-            yield from rec(i + 1, images + [r])
+            yield from rec(i + 1, chosen + [r])
 
     if forced:
         # J[1] = [1]: the image of the first source vector (the all-ones
         # vector itself) must represent the class of 1 in N^perp/N
-        if not Nperp.contains(ones) or N.contains(ones):
-            return
-        yield from rec(1, [last])
+        if hits_ones:
+            yield from rec(1, [last])
     else:
         yield from rec(0, [])
 
@@ -165,12 +187,16 @@ def stochastic_lagrangians(t: int, d: int) -> tuple[Subspace, ...]:
     out = []
     for k in range(t // 2 + 1):
         defects = defect_subspaces(t, d, k)
-        for N in defects:
-            for M in defects:
-                if N.contains(ones) != M.contains(ones):
+        # quotient data depends on one defect only: compute it once per defect
+        has_ones = [N.contains(ones) for N in defects]
+        images = [_quotient_images(t, d, N) for N in defects]
+        sources = [_quotient_sources(t, d, M) for M in defects]
+        for N, N_ones, image in zip(defects, has_ones, images):
+            for M, M_ones, source in zip(defects, has_ones, sources):
+                if N_ones != M_ones:
                     continue
-                for src, images in _quotient_isometries(t, d, N, M):
-                    out.append(_from_defects(N, M, images, src))
+                for src, imgs in _quotient_isometries(image, source):
+                    out.append(_from_defects(N, M, imgs, src))
     out = sorted(set(out), key=lambda s: s._key)
     assert len(out) == sigma_count_formula(t, d)
     assert all(T.dim == t for T in out)
@@ -277,39 +303,58 @@ def right_defect(T: Subspace) -> Subspace:
 # the operators r(T) and R(T)
 # ---------------------------------------------------------------------------
 
-def r_matrix(T: Subspace, dense: bool = False):
-    """r(T) = sum_{(x,y) in T} |x><y| on (C^d)^{x t}, sparse by default."""
-    t, d = T.ambient // 2, T.d
-    elems = T.vectors()
-    rows = flat_index(elems[:, :t], d)
-    cols = flat_index(elems[:, t:], d)
-    dim = d**t
-    mat = sp.coo_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(dim, dim), dtype=float
-    ).tocsr()
-    return mat.toarray() if dense else mat
+# T's per block of the (block, |T|, 2t) element tensor in `R_support`
+_SUPPORT_BLOCK = 256
+
+
+def R_support(Ts, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the nonzeros of every R(T_i), copy-major.
+
+    Returns (rows, cols), each of shape (m, |T|^n), for m subspaces of one
+    dimension in Z_d^{2t} (|T|^n = d^{tn} on Sigma_{t,t}(d)); R(T_i) has a 1
+    at each (rows[i, k], cols[i, k]) and zeros elsewhere.  Nonzero k is the n-tuple of elements of T_i with
+    flat index k in base |T_i| (qudit slot 0 most significant).  Copy c of
+    the row index carries the digits (x^{(0)}_c ... x^{(n-1)}_c) of the
+    chosen elements in base d, so slot j adds flat_index(x, d^n) d^{n-1-j}.
+    """
+    t, d, k = Ts[0].ambient // 2, Ts[0].d, Ts[0].dim
+    check_dim(d ** (t * n))
+    coeffs = all_vectors(k, d)
+    m, size = len(Ts), d ** (k * n)
+    rows = np.empty((m, size), dtype=np.int64)
+    cols = np.empty((m, size), dtype=np.int64)
+    for lo in range(0, m, _SUPPORT_BLOCK):
+        bases = np.stack([T.basis for T in Ts[lo:lo + _SUPPORT_BLOCK]])
+        elems = np.matmul(coeffs, bases) % d  # (block, |T|, 2t)
+        for out, half in ((rows, elems[:, :, :t]), (cols, elems[:, :, t:])):
+            slot = flat_index(half, d**n)  # (block, |T|)
+            acc = slot * d ** (n - 1)
+            for j in range(1, n):
+                acc = (acc[:, :, None] + slot[:, None, :] * d ** (n - 1 - j)).reshape(len(slot), -1)
+            out[lo:lo + len(slot)] = acc
+    return rows, cols
+
+
+def R_sum(Ts, weights, n: int) -> sp.csr_matrix:
+    """sum_i w_i R(T_i): one COO scatter of the support table, duplicates summed."""
+    t, d = Ts[0].ambient // 2, Ts[0].d
+    rows, cols = R_support(Ts, n)
+    dim = d ** (t * n)
+    w = np.repeat(np.asarray(weights, dtype=float), rows.shape[1])
+    coo = sp.coo_matrix((w, (rows.ravel(), cols.ravel())), shape=(dim, dim))
+    del rows, cols  # coo holds its own, narrower index arrays
+    return coo.tocsr()
 
 
 def R_matrix(T: Subspace, n: int, dense: bool = False):
-    """R(T) = r(T)^{x n} on (C^{d^n})^{x t}, copy-major factor ordering.
-
-    Nonzero entries are indexed by n-tuples of elements of T: the t digits
-    of the row (column) index in base d^n are built by stacking the x (y)
-    digit strings of the chosen elements across the n qudit slots.
-    """
-    t, d = T.ambient // 2, T.d
-    check_dim(d ** (t * n))
-    elems = T.vectors()
-    # digits[k, i, j] = coordinate i of the element chosen for qudit j
-    digits = elems[all_vectors(n, len(elems))].transpose(0, 2, 1)
-    # copy-major: copy i contributes the base-d digits (x^{(0)}_i ... x^{(n-1)}_i)
-    rows = flat_index(digits[:, :t].reshape(-1, t * n), d)
-    cols = flat_index(digits[:, t:].reshape(-1, t * n), d)
-    dim = d ** (t * n)
-    mat = sp.coo_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(dim, dim), dtype=float
-    ).tocsr()
+    """R(T) = r(T)^{x n} on (C^{d^n})^{x t}, copy-major factor ordering."""
+    mat = R_sum([T], [1.0], n)
     return mat.toarray() if dense else mat
+
+
+def r_matrix(T: Subspace, dense: bool = False):
+    """r(T) = sum_{(x,y) in T} |x><y| on (C^d)^{x t}, sparse by default."""
+    return R_matrix(T, 1, dense)
 
 
 def R_trace(T: Subspace, n: int) -> int:
@@ -319,21 +364,28 @@ def R_trace(T: Subspace, n: int) -> int:
 
 
 def R_gram(Ts, n: int) -> np.ndarray:
-    """G[i, j] = tr[R(T_i)^dag R(T_j)] = d^{n dim(T_i cap T_j)}."""
-    d = Ts[0].d
-    m = len(Ts)
-    G = np.empty((m, m), dtype=float)
-    for i in range(m):
-        for j in range(i, m):
-            G[i, j] = G[j, i] = float(d) ** (n * Ts[i].intersect(Ts[j]).dim)
-    return G
+    """G[i, j] = tr[R(T_i)^dag R(T_j)] = |T_i cap T_j|^n.
+
+    With A the 0/1 incidence matrix of the T_i as subsets of Z_d^{2t},
+    |T_i cap T_j| = (A A^T)_ij, so G = (A A^T)^{o n} exactly.
+    """
+    t, d = Ts[0].ambient // 2, Ts[0].d
+    rows, cols = R_support(Ts, 1)
+    m, size = rows.shape
+    A = sp.csr_matrix(
+        (np.ones(m * size, dtype=np.int64),
+         (np.repeat(np.arange(m), size), (rows * d**t + cols).ravel())),
+        shape=(m, d ** (2 * t)),
+    )
+    return (A @ A.T).toarray().astype(float) ** n
 
 
 def expectation_R(T: Subspace, psi: np.ndarray, n: int) -> complex:
     """<psi^{x t}| R(T) |psi^{x t}> for a state psi on n qudits."""
     t = T.ambient // 2
+    rows, cols = R_support([T], n)
     v = kron_power_vec(np.asarray(psi, dtype=complex), t)
-    return complex(v.conj() @ (R_matrix(T, n) @ v))
+    return complex(np.vdot(v[rows[0]], v[cols[0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,13 @@ import numpy as np
 
 from .definetti import gram
 from .gf import Subspace, orbits
-from .phase_space import kron_power_rows, linear_index_map
+from .phase_space import kron_power_rows, kron_power_vec, linear_index_map
 from .stabilizer import all_stabilizer_states
 from .commutant import (
     R_gram,
-    R_matrix,
+    R_sum,
+    R_support,
     css_subspace,
-    expectation_R,
     orthogonal_stochastic_group,
     permutation_matrix,
     r_matrix,
@@ -83,13 +83,7 @@ def haar_moment_coefficients(t: int, n: int, d: int) -> np.ndarray:
 
 def moment_operator(gamma: np.ndarray, t: int, n: int, d: int, dense: bool = True):
     """sum_T gamma_T R(T) as an explicit matrix."""
-    Ts = stochastic_lagrangians(t, d)
-    acc = None
-    for g, T in zip(gamma, Ts):
-        if g == 0.0:
-            continue
-        term = g * R_matrix(T, n)
-        acc = term if acc is None else acc + term
+    acc = R_sum(stochastic_lagrangians(t, d), gamma, n)
     return acc.toarray() if dense else acc
 
 
@@ -176,8 +170,9 @@ def orbit_moment_vector(psi: np.ndarray, t: int, n: int, d: int) -> np.ndarray:
     These inner products are invariant under the Clifford twirl, so they
     determine the twirled moment operator completely.
     """
-    Ts = stochastic_lagrangians(t, d)
-    m = np.array([np.conj(expectation_R(T, psi, n)) for T in Ts])
+    rows, cols = R_support(stochastic_lagrangians(t, d), n)
+    v = kron_power_vec(np.asarray(psi, dtype=complex), t)
+    m = np.array([np.vdot(v[c], v[r]) for r, c in zip(rows, cols)])
     if np.abs(m.imag).max() > 1e-9:
         raise ValueError("moment inner products came out non-real")
     return m.real
@@ -288,12 +283,8 @@ def qutrit_fiducial_angle(n: int) -> float:
 
 def minimal_projector(t: int, n: int, d: int) -> np.ndarray:
     """Pi_min = |O_t(d)|^{-1} sum_{O in O_t(d)} R(T_O), densely."""
-    Os = orthogonal_stochastic_group(t, d)
-    acc = None
-    for O in Os:
-        term = R_matrix(subspace_from_matrix(O, d), n)
-        acc = term if acc is None else acc + term
-    return acc.toarray() / len(Os)
+    Ts = [subspace_from_matrix(O, d) for O in orthogonal_stochastic_group(t, d)]
+    return R_sum(Ts, np.ones(len(Ts)), n).toarray() / len(Ts)
 
 
 def stab_tensor_rank(t: int, n: int, d: int) -> int:

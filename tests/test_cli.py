@@ -108,6 +108,29 @@ def test_cap_hit_is_one_failed_record(capsys, monkeypatch, argv):
     assert "exceeds cap 1" in records[0]["measured"]
 
 
+@pytest.mark.parametrize(
+    "argv,value",
+    [
+        (["enumerate-sigma", "--t", "3", "--d", "4"], "d=4"),
+        (["enumerate-sigma", "--t", "0", "--d", "2"], "t=0"),
+        (["moments", "--t", "2", "--n", "1", "--d", "6"], "d=6"),
+        (["verify-commutant", "--t", "3", "--d", "2", "--n", "0"], "n=0"),
+        (["test", "--protocol", "qudit", "--d", "4", "--seed", "1"], "d=4"),
+        (["enumerate-o", "--t", "3", "--d", "4"], "d=4"),
+        (["definetti", "--s", "0"], "s=0"),
+    ],
+)
+def test_invalid_sizes_are_one_failed_record(capsys, argv, value):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in err
+    records = json.loads(out)["records"]
+    assert [r["status"] for r in records] == ["fail"]
+    assert records[0]["check_id"] == "invalid-argument"
+    assert value in records[0]["measured"]
+
+
 def test_verify_all_skips_cap_hits(monkeypatch):
     monkeypatch.setenv("STABKIT_DIM_CAP", "1")
     rep = run(RunConfig(command="verify-all", profile="quick"))

@@ -128,7 +128,7 @@ def test_r_gram_matches_dense():
 
 
 @pytest.mark.parametrize(
-    "t,d,n,rank", [(4, 2, 3, 30), (4, 2, 1, 15), (3, 3, 2, 8)]
+    "t,d,n,rank", [(4, 2, 3, 30), (4, 2, 1, 15), (3, 3, 2, 8), (5, 2, 4, 270), (4, 5, 3, 312)]
 )
 def test_linear_independence_ranks(t, d, n, rank):
     assert linear_independence_check(t, d, n) == rank
