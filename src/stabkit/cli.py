@@ -336,6 +336,14 @@ def _invalid_argument(cfg: RunConfig) -> str | None:
     for name in ("t", "n", "s"):
         if getattr(cfg, name) < 1:
             return f"{name}={getattr(cfg, name)} is below 1"
+    if cfg.command == "test" and cfg.protocol == "qudit" and cfg.s % cfg.d == 0:
+        return f"s={cfg.s} is not invertible mod d={cfg.d}"
+    if cfg.command == "test" and cfg.protocol == "mc" and cfg.shots < 1:
+        return f"shots={cfg.shots} is below 1"
+    if cfg.command == "definetti" and cfg.variant == "anti":
+        if cfg.d != 2 or cfg.t % 6 or cfg.s % 6 or cfg.s > cfg.t:
+            return (f"d={cfg.d}, t={cfg.t}, s={cfg.s}: the anti variant needs d = 2 "
+                    "and t, s multiples of 6 with s <= t")
     return None
 
 

@@ -233,11 +233,8 @@ def sp_orbit_count(d: int, t: int, cap: int = 10**7) -> int:
     npoints = d ** (2 * k)
     if npoints > cap:
         raise ValueError("orbit enumeration exceeds cap")
-    group_T = np.array(enumerate_sp(d)).transpose(0, 2, 1)
+    # the two elementary shears generate SL(2, d)
+    gens = np.array([[[1, 1], [0, 1]], [[1, 0], [1, 1]]], dtype=np.int64)
     pts = all_vectors(2 * k, d).reshape(-1, k, 2)
-
-    def neighbours(j):
-        images = (pts[j] @ group_T) % d  # (|G|, k, 2)
-        return flat_index(images.reshape(len(group_T), -1), d).tolist()
-
-    return len(orbits(range(npoints), neighbours))
+    images = [flat_index((pts @ g.T % d).reshape(npoints, -1), d) for g in gens]
+    return len(orbits(images))

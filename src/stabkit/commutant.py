@@ -34,12 +34,14 @@ from .gf import (
     flat_index,
     form_modulus,
     gram_dot,
+    image_indices,
     is_q_isotropic,
-    nullspace,
     orbits,
     quadratic_q,
     quotient_basis,
+    rref,
     solve,
+    subspaces,
 )
 from .phase_space import check_dim, freeze, kron_power_vec
 
@@ -132,59 +134,70 @@ def _quotient_sources(t: int, d: int, M: Subspace):
     return src, (src * src).sum(axis=1) % D, (src @ src.T) % d, forced
 
 
-def _quotient_isometries(images, sources):
+def _quotient_isometries(images, sources) -> np.ndarray:
     """All isometries J : M^perp/M -> N^perp/N with J[1] = [1].
 
     `images` and `sources` are `_quotient_images(N)` and
-    `_quotient_sources(M)`.  Yields pairs (src, images): the complement
-    basis (c_1, ..., c_m) of M inside M^perp and representative image
-    vectors (J c_1, ..., J c_m).  The quadratic form q mod D and the dot
-    product mod d both descend to the quotients, so it is enough to match
-    them on representatives.  The dot product is nondegenerate on M^perp/M
-    (the radical of M^perp is M), so images matching every dot are
-    independent in N^perp/N: a rank check would only prune branches that
-    cannot be completed.
+    `_quotient_sources(M)`.  Returns an (isometries, m, t) array: entry
+    [i, j] represents J c_j under isometry i, for the complement basis
+    (c_1, ..., c_m) of M inside M^perp.  The quadratic
+    form q mod D and the dot product mod d both descend to the quotients,
+    so it is enough to match them on representatives.  The dot product is
+    nondegenerate on M^perp/M (the radical of M^perp is M), so images
+    matching every dot are independent in N^perp/N: a rank check would
+    only prune branches that cannot be completed.  Partial isometries are
+    extended breadth-first, one source vector at a time.
     """
     table, table_q, table_dots, hits_ones = images
     src, src_q, src_dots, forced = sources
-    m = len(src)
     last = len(table) - 1
-
-    def rec(i, chosen):
-        if i == m:
-            yield src, table[chosen]
-            return
-        dots_match = (table_dots[:last, chosen] == src_dots[i, :i]).all(axis=1)
-        for r in np.flatnonzero((table_q[:last] == src_q[i]) & dots_match):
-            yield from rec(i + 1, chosen + [r])
-
     if forced:
         # J[1] = [1]: the image of the first source vector (the all-ones
         # vector itself) must represent the class of 1 in N^perp/N
-        if hits_ones:
-            yield from rec(1, [last])
+        chosen = np.full((int(hits_ones), 1), last)
     else:
-        yield from rec(0, [])
+        chosen = np.zeros((1, 0), dtype=np.int64)
+    for i in range(chosen.shape[1], len(src)):
+        dots_match = (table_dots[chosen, :last] == src_dots[i, :i, None]).all(axis=1)
+        parent, image = np.nonzero(dots_match & (table_q[:last] == src_q[i]))
+        chosen = np.concatenate([chosen[parent], image[:, None]], axis=1)
+    return table[chosen]
+
+
+def _defect_rows(N: Subspace, M: Subspace, images, src) -> np.ndarray:
+    """Spanning rows of span({(x_i, c_i)} U {(n, 0) : n in N} U {(0, m) : m in M}).
+
+    images has shape (count, m, t): one choice of the x_i per T.  Returns
+    the (count, m + dim N + dim M, 2t) stack of their spanning sets.
+    """
+    t = N.ambient
+    count, m = images.shape[:2]
+    rows = np.zeros((count, m + N.dim + M.dim, 2 * t), dtype=np.int64)
+    rows[:, :m, :t] = images
+    rows[:, :m, t:] = src
+    rows[:, m:m + N.dim, :t] = N.basis
+    rows[:, m + N.dim:, t:] = M.basis
+    return rows
 
 
 def _from_defects(N: Subspace, M: Subspace, images, src) -> Subspace:
     """span({(x_i, c_i)} U {(n, 0) : n in N} U {(0, m) : m in M}) in Z_d^{2t}."""
     t = N.ambient
-    images = np.reshape(images, (-1, t))
-    m = len(images)
-    rows = np.zeros((m + N.dim + M.dim, 2 * t), dtype=np.int64)
-    rows[:m, :t] = images
-    rows[:m, t:] = np.reshape(src, (-1, t))
-    rows[m:m + N.dim, :t] = N.basis
-    rows[m + N.dim:, t:] = M.basis
-    return Subspace(rows, N.d, 2 * t)
+    rows = _defect_rows(N, M, np.reshape(images, (1, -1, t)), np.reshape(src, (-1, t)))
+    return Subspace(rows[0], N.d, 2 * t)
 
 
 @lru_cache(maxsize=None)
 def stochastic_lagrangians(t: int, d: int) -> tuple[Subspace, ...]:
-    """All of Sigma_{t,t}(d), as canonical subspaces of Z_d^{2t}."""
+    """All of Sigma_{t,t}(d), as canonical subspaces of Z_d^{2t}.
+
+    Every T has t spanning rows (dim M^perp/M = t - 2 dim M), so the rows
+    of all (N, M, J) stack into one array that is canonicalised at once
+    and ordered by the canonical key with one lexsort.
+    """
     ones = np.ones(t, dtype=np.int64)
-    out = []
+    narrow = np.min_scalar_type(d - 1)
+    blocks = []
     for k in range(t // 2 + 1):
         defects = defect_subspaces(t, d, k)
         # quotient data depends on one defect only: compute it once per defect
@@ -195,12 +208,15 @@ def stochastic_lagrangians(t: int, d: int) -> tuple[Subspace, ...]:
             for M, M_ones, source in zip(defects, has_ones, sources):
                 if N_ones != M_ones:
                     continue
-                for src, imgs in _quotient_isometries(image, source):
-                    out.append(_from_defects(N, M, imgs, src))
-    out = sorted(set(out), key=lambda s: s._key)
+                rows = _defect_rows(N, M, _quotient_isometries(image, source), source[0])
+                blocks.append(rows.astype(narrow))
+    Ts = subspaces(np.concatenate(blocks), d)
+    assert all(T.dim == t for T in Ts)
+    # with equal dimensions the key order is the order of the flattened bases
+    flat = np.array([T.basis for T in Ts], dtype=narrow).reshape(len(Ts), -1)
+    out = tuple(Ts[i] for i in np.lexsort(flat.T[::-1]))
     assert len(out) == sigma_count_formula(t, d)
-    assert all(T.dim == t for T in out)
-    return tuple(out)
+    return out
 
 
 def sigma_count_formula(t: int, d: int) -> int:
@@ -392,27 +408,42 @@ def expectation_R(T: Subspace, psi: np.ndarray, n: int) -> complex:
 # semigroup structure
 # ---------------------------------------------------------------------------
 
+def _compose_rref(T1: Subspace, T2: Subspace) -> tuple[np.ndarray, list[int]]:
+    """RREF of the rows (y, x, 0) for (x, y) in the basis of T1 and
+    (-u, 0, z) for (u, z) in the basis of T2, with column blocks (y | x | z).
+
+    A combination of these rows has y block zero iff the y parts of its T1
+    and T2 elements agree, so the reduced rows with no pivot in the y
+    block span T1 o T2 (in the x | z blocks).  A dependency among the rows
+    is (0, y) in T1 with (y, 0) in T2, so the rank falls short of
+    dim T1 + dim T2 by the dimension of the overlap of T1's right defect
+    with T2's left defect.
+    """
+    t, d = T1.ambient // 2, T1.d
+    rows = np.zeros((T1.dim + T2.dim, 3 * t), dtype=np.int64)
+    rows[:T1.dim, :t] = T1.basis[:, t:]
+    rows[:T1.dim, t:2 * t] = T1.basis[:, :t]
+    rows[T1.dim:, :t] = -T2.basis[:, :t]
+    rows[T1.dim:, 2 * t:] = T2.basis[:, t:]
+    return rref(rows, d)
+
+
 def compose(T1: Subspace, T2: Subspace) -> tuple[Subspace, int]:
     """(T1 o T2, k) with r(T1) r(T2) = d^k r(T1 o T2).
 
     T1 o T2 = {(x, z) : exists y with (x, y) in T1, (y, z) in T2} and
-    k = dim of the overlap of T1's right defect with T2's left defect.
+    k = dim of the overlap of T1's right defect with T2's left defect;
+    both come from one elimination (`_compose_rref`).
     """
-    t, d = T1.ambient // 2, T1.d
-    A1 = nullspace(T1.basis, d)  # (x, y) in T1  iff  A1 (x, y) = 0
-    A2 = nullspace(T2.basis, d)
-    # constraints on (x, y, z) in Z_d^{3t}
-    C = np.zeros((len(A1) + len(A2), 3 * t), dtype=np.int64)
-    C[: len(A1), : 2 * t] = A1
-    C[len(A1):, t:] = A2
-    sol = nullspace(C, d)
-    proj = np.hstack([sol[:, :t], sol[:, 2 * t:]])
-    return Subspace(proj, d), compose_constant(T1, T2)
+    t = T1.ambient // 2
+    reduced, pivots = _compose_rref(T1, T2)
+    product = reduced[[p >= t for p in pivots], t:]
+    return Subspace(product, T1.d, 2 * t), T1.dim + T2.dim - len(pivots)
 
 
 def compose_constant(T1: Subspace, T2: Subspace) -> int:
     """Exponent k in r(T1) r(T2) = d^k r(T1 o T2)."""
-    return right_defect(T1).intersect(left_defect(T2)).dim
+    return T1.dim + T2.dim - len(_compose_rref(T1, T2)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -488,31 +519,59 @@ def left_right_act(O: np.ndarray, T: Subspace, Oprime: np.ndarray) -> Subspace:
     return Subspace(rows, d, 2 * t)
 
 
+def _generating_set(group: tuple[np.ndarray, ...], d: int) -> list[np.ndarray]:
+    """Elements of a matrix group, in order, each kept only if the subgroup
+    generated by those kept so far does not contain it."""
+    t = len(group[0])
+    gens: list[np.ndarray] = []
+    seen = {np.eye(t, dtype=np.int64).tobytes()}
+    for O in group:
+        if O.tobytes() in seen:
+            continue
+        gens.append(O)
+        frontier = [np.frombuffer(b, dtype=np.int64).reshape(t, t) for b in seen]
+        while frontier:
+            new = []
+            for g in gens:
+                for x in np.matmul(frontier, g) % d:
+                    if x.tobytes() not in seen:
+                        seen.add(x.tobytes())
+                        new.append(x)
+            frontier = new
+    return gens
+
+
 def double_cosets(t: int, d: int) -> tuple[dict, ...]:
     """Partition of Sigma_{t,t}(d) into O_t(d) x O_t(d) double cosets.
 
-    Computed by orbit closure under the left and right actions; each entry
-    records the members plus two invariants that are constant per coset.
+    Computed by orbit closure under the left and right actions of a
+    generating set of O_t(d), each applied to all bases at once; each
+    entry records the members plus two invariants that are constant per
+    coset.
     """
-    group = orthogonal_stochastic_group(t, d)
-    ident = np.eye(t, dtype=np.int64)
+    sigma = stochastic_lagrangians(t, d)
+    narrow = np.min_scalar_type(d - 1)
+    bases = np.array([T.basis for T in sigma], dtype=narrow)
+    L, R = bases[:, :, :t], bases[:, :, t:]
+    images = []
+    for O in _generating_set(orthogonal_stochastic_group(t, d), d):
+        left, right = (L @ O.T % d).astype(narrow), (R @ O % d).astype(narrow)
+        images.append(image_indices(bases, np.concatenate([left, R], axis=2), d))
+        images.append(image_indices(bases, np.concatenate([L, right], axis=2), d))
+    # items in the order of their basis bytes, as members are listed
+    order = sorted(range(len(sigma)), key=lambda i: sigma[i].basis.tobytes())
+    position = np.empty(len(sigma), dtype=np.int64)
+    position[order] = np.arange(len(sigma))
     ones = np.ones(2 * t, dtype=np.int64)
-
-    def neighbours(T):
-        for O in group:
-            yield left_right_act(O, T, ident)
-            yield left_right_act(ident, T, O)
-
-    by_bytes = lambda s: s.basis.tobytes()
     cosets = []
-    for orbit in orbits(sorted(stochastic_lagrangians(t, d), key=by_bytes), neighbours):
-        members = tuple(sorted(orbit, key=by_bytes))
+    for orbit in orbits(position[np.array(images)[:, order]]):
+        members = tuple(sigma[order[i]] for i in orbit)
         rep = members[0]
         cosets.append(
             {
                 "representative": rep,
                 "members": members,
-                "size": len(orbit),
+                "size": len(members),
                 "defect_dim": left_defect(rep).dim,
                 "contains_ones": rep.contains(ones),
             }

@@ -160,6 +160,14 @@ class Subspace:
         self._key = (d, self.ambient, tuple(map(tuple, reduced)))
 
     @classmethod
+    def _from_rref(cls, basis: np.ndarray, pivots: tuple, key: tuple) -> "Subspace":
+        """Wrap a read-only canonical basis without reducing it again."""
+        self = object.__new__(cls)
+        self.d, self.ambient = key[0], key[1]
+        self.basis, self.pivots, self._key = basis, pivots, key
+        return self
+
+    @classmethod
     def zero(cls, ambient: int, d: int) -> "Subspace":
         return cls(np.zeros((0, ambient), dtype=np.int64), d, ambient)
 
@@ -226,6 +234,100 @@ class Subspace:
 
     def to_json(self) -> dict:
         return {"d": self.d, "ambient": self.ambient, "basis": self.basis.tolist()}
+
+
+# matrices per block of the batched reduction in `rref_stack`
+_RREF_BLOCK = 4096
+
+
+def _rref_block(a: np.ndarray, d: int) -> None:
+    """Reduce each matrix of an (m, r, c) stack with entries in [0, d), in place.
+
+    Column by column for all matrices at once, with the row operations of
+    `_rref_rows`, so every matrix ends in its canonical RREF with the zero
+    rows last.  A pivot row is zero left of its pivot column, so each step
+    touches only the columns from the pivot on.  Residues are taken as
+    x - (x // d) d, which numpy computes far faster than x % d.
+    """
+    m, r, c = a.shape
+    rank = np.zeros(m, dtype=np.int64)
+    row = np.arange(r)
+    for col in range(c):
+        free = (a[:, :, col] != 0) & (row >= rank[:, None])
+        sel = np.flatnonzero(free.any(axis=1))
+        if not len(sel):
+            continue
+        src, dst = free[sel].argmax(axis=1), rank[sel]
+        prow = a[sel, src, col:]
+        a[sel, src, col:] = a[sel, dst, col:]
+        lead = np.unique(prow[:, 0])
+        inverse = np.array([pow(x, -1, d) for x in lead.tolist()], dtype=a.dtype)
+        prow *= inverse[np.searchsorted(lead, prow[:, 0])][:, None]
+        prow -= prow // d * d
+        a[sel, dst, col:] = prow
+        factor = a[sel, :, col]
+        factor[np.arange(len(sel)), dst] = 0
+        rest = a[sel, :, col:] - factor[:, :, None] * prow[:, None, :]
+        a[sel, :, col:] = rest - rest // d * d
+        rank[sel] += 1
+
+
+def rref_stack(stack, d: int) -> np.ndarray:
+    """The canonical RREF of every matrix of an (m, r, c) stack over Z_d.
+
+    Returns an (m, r, c) array: the rows of rref(stack[i], d), then zero
+    rows, in the integer type of the stack (widened if it cannot hold
+    every residue).  Blocks of matrices are reduced at once in a narrow
+    integer type.
+    """
+    if (d - 1) ** 2 + d >= 2**63:
+        raise ValueError(f"d={d} is too large for int64 row operations")
+    stack = np.asarray(stack)
+    # products of two residues must fit the working type
+    work = np.int16 if (d - 1) ** 2 + d < 2**15 else np.int64
+    out = np.empty(stack.shape, dtype=np.result_type(stack.dtype, np.min_scalar_type(d - 1)))
+    for lo in range(0, len(stack), _RREF_BLOCK):
+        a = np.asarray(stack[lo:lo + _RREF_BLOCK], dtype=np.int64)
+        a = (a - a // d * d).astype(work)
+        _rref_block(a, d)
+        out[lo:lo + len(a)] = a
+    return out
+
+
+def subspaces(stack, d: int) -> tuple[Subspace, ...]:
+    """Subspace(stack[i], d) for every matrix of an (m, r, c) stack.
+
+    One `rref_stack` call gives every canonical basis; each Subspace holds
+    a read-only view of it, with the pivots and key a single `Subspace`
+    call computes, and is not reduced again.
+    """
+    import gc
+
+    if not is_prime(d):
+        raise ValueError(f"d={d} is not prime")
+    reduced = rref_stack(stack, d).astype(np.int64, copy=False)
+    reduced.setflags(write=False)
+    c = reduced.shape[2]
+    out = []
+    # equal rows and pivot tuples recur across the stack: keep one copy of each
+    shared: dict[tuple, tuple] = {}
+    # only acyclic objects are built below, so collections would find nothing
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for lo in range(0, len(reduced), _RREF_BLOCK):
+            block = reduced[lo:lo + _RREF_BLOCK]
+            nonzero = block != 0
+            ranks = nonzero.any(axis=2).sum(axis=1).tolist()
+            pivots = nonzero.argmax(axis=2).tolist()
+            for mat, rows, k, piv in zip(block, block.tolist(), ranks, pivots):
+                rows = tuple([shared.setdefault(row, row) for row in map(tuple, rows[:k])])
+                piv = tuple(piv[:k])
+                out.append(Subspace._from_rref(mat[:k], shared.setdefault(piv, piv), (d, c, rows)))
+    finally:
+        if collecting:
+            gc.enable()
+    return tuple(out)
 
 
 # --- bilinear forms ------------------------------------------------------
@@ -351,25 +453,44 @@ def coset_reps(sup: Subspace, sub: Subspace) -> np.ndarray:
     return np.array(reps, dtype=np.int64)
 
 
-def orbits(items, neighbours) -> list[set]:
-    """Orbits of a group action on `items`, by closure under `neighbours`.
+def image_indices(reference, images, d: int) -> np.ndarray:
+    """Where a bijection of a set of subspaces sends each of them.
 
-    neighbours(x) yields the images of x under a generating set.  Each orbit
-    is grown from the first item, in the order of `items`, that no earlier
-    orbit contains, so the orbits come out in the order of their first items.
+    reference is an (m, r, c) stack of canonical bases of one rank, in
+    lexicographic order of their flattened rows (the key order of
+    `Subspace`); images[i] spans the image of reference[i].  Returns table
+    with span(images[i]) = span(reference[table[i]]): the images,
+    canonicalised and sorted, must equal the reference.
     """
-    seen: set = set()
-    out = []
-    for item in items:
-        if item in seen:
-            continue
-        orbit = {item}
-        frontier = [item]
-        while frontier:
-            for nb in neighbours(frontier.pop()):
-                if nb not in orbit:
-                    orbit.add(nb)
-                    frontier.append(nb)
-        seen |= orbit
-        out.append(orbit)
-    return out
+    m = len(reference)
+    canonical = rref_stack(images, d).reshape(m, -1)
+    order = np.lexsort(canonical.T[::-1])
+    if not np.array_equal(canonical[order], np.reshape(reference, (m, -1))):
+        raise ValueError("the images are not a permutation of the reference")
+    table = np.empty(m, dtype=np.int64)
+    table[order] = np.arange(m)
+    return table
+
+
+def orbits(images) -> list[np.ndarray]:
+    """Orbits of a group action on the items 0, ..., n - 1.
+
+    images is a (generators, n) integer table: images[g, i] is the image of
+    item i under generator g.  Every item is labelled with the least item
+    of its orbit: labels are propagated along each generator in both
+    directions and label chains are halved after each sweep, until a sweep
+    changes nothing.  Returns the orbits as ascending index arrays, in the
+    order of their first items.
+    """
+    images = np.asarray(images, dtype=np.int64)
+    label = np.arange(images.shape[1])
+    while True:
+        before = label
+        for image in images:
+            label = np.minimum(label, label[image])
+            np.minimum.at(label, image, label.copy())
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .definetti import gram
-from .gf import Subspace, orbits
+from .gf import Subspace, image_indices, orbits
 from .phase_space import kron_power_rows, kron_power_vec, linear_index_map
 from .stabilizer import all_stabilizer_states
 from .commutant import (
@@ -22,6 +22,7 @@ from .commutant import (
     R_sum,
     R_support,
     css_subspace,
+    diagonal_subspace,
     orthogonal_stochastic_group,
     permutation_matrix,
     r_matrix,
@@ -108,54 +109,28 @@ def frobenius_distance(gamma1: np.ndarray, gamma2: np.ndarray, G: np.ndarray) ->
 # equivalence classes of Sigma under S_t x S_t and transposition
 # ---------------------------------------------------------------------------
 
-def _left_permute(T: Subspace, perm) -> Subspace:
-    """pi T : (x, y) -> (pi x, y); permutes the first t coordinates."""
-    t = T.ambient // 2
-    cols = list(range(2 * t))
-    for j in range(t):
-        cols[perm[j]] = j
-    return Subspace(T.basis[:, cols], T.d)
-
-
-def _right_permute(T: Subspace, perm) -> Subspace:
-    t = T.ambient // 2
-    cols = list(range(2 * t))
-    for j in range(t):
-        cols[t + perm[j]] = t + j
-    return Subspace(T.basis[:, cols], T.d)
-
-
-def _transpose(T: Subspace) -> Subspace:
-    t = T.ambient // 2
-    return Subspace(np.hstack([T.basis[:, t:], T.basis[:, :t]]), T.d)
-
-
 @lru_cache(maxsize=None)
 def sigma_classes(t: int, d: int) -> tuple[tuple[int, ...], ...]:
     """Partition of Sigma_{t,t}(d) under T ~ pi T pi' and T ~ T^t.
 
     Returns index tuples into stochastic_lagrangians(t, d); the class of
-    the permutation subspaces comes first.
+    the permutation subspaces comes first.  The group is generated by the
+    swap T -> T^t of the two halves and by a transposition and a t-cycle
+    of the copies on the left (conjugating by the swap moves them to the
+    right); each generator permutes the columns of all bases at once.
     """
     Ts = stochastic_lagrangians(t, d)
-    index = {T: i for i, T in enumerate(Ts)}
-    gens = [tuple(range(t))]
-    for k in range(t - 1):  # adjacent transpositions generate S_t
-        g = list(range(t))
-        g[k], g[k + 1] = g[k + 1], g[k]
-        gens.append(tuple(g))
+    bases = np.array([T.basis for T in Ts], dtype=np.min_scalar_type(d - 1))
+    right = np.arange(t, 2 * t)
+    orders = [np.r_[right, :t], np.r_[np.roll(np.arange(t), 1), right]]
+    if t > 1:
+        orders.append(np.r_[1, 0, 2:t, right])
+    images = [image_indices(bases, bases[:, :, cols], d) for cols in orders]
+    classes = [tuple(orbit.tolist()) for orbit in orbits(images)]
 
-    def neighbours(i):
-        T = Ts[i]
-        yield index[_transpose(T)]
-        for g in gens[1:]:
-            yield index[_left_permute(T, g)]
-            yield index[_right_permute(T, g)]
-
-    classes = [tuple(sorted(orbit)) for orbit in orbits(range(len(Ts)), neighbours)]
-
-    perms = permutation_subspaces(t, d)
-    first = [c for c in classes if index[next(iter(perms))] in c]
+    # the class of the permutation subspaces holds the diagonal T_identity
+    diagonal = Ts.index(diagonal_subspace(t, d))
+    first = [c for c in classes if diagonal in c]
     rest = [c for c in classes if c is not first[0]]
     return tuple(first + rest)
 

@@ -118,6 +118,9 @@ def test_cap_hit_is_one_failed_record(capsys, monkeypatch, argv):
         (["test", "--protocol", "qudit", "--d", "4", "--seed", "1"], "d=4"),
         (["enumerate-o", "--t", "3", "--d", "4"], "d=4"),
         (["definetti", "--s", "0"], "s=0"),
+        (["test", "--protocol", "qudit", "--d", "3", "--s", "3", "--seed", "1"], "s=3"),
+        (["test", "--protocol", "mc", "--shots", "0", "--seed", "1"], "shots=0"),
+        (["definetti", "--variant", "anti", "--t", "1"], "t=1"),
     ],
 )
 def test_invalid_sizes_are_one_failed_record(capsys, argv, value):

@@ -29,12 +29,14 @@ def test_all_names_resolve(module):
         lambda: phase_space.point_operators(1, 3),
         lambda: commutant.orthogonal_stochastic_group(4, 2)[0],
         lambda: clifford.clifford_generators(2, 2)[-1],
+        lambda: commutant.stochastic_lagrangians(4, 2)[-1].basis,
     ],
     ids=[
         "all_stabilizer_states",
         "point_operators",
         "orthogonal_stochastic_group",
         "clifford_generators",
+        "stochastic_lagrangians",
     ],
 )
 def test_cached_arrays_are_read_only(get):
