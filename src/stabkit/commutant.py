@@ -33,6 +33,7 @@ from .gf import (
     echelon_subspaces,
     flat_index,
     form_modulus,
+    generating_set,
     gram_dot,
     image_indices,
     is_q_isotropic,
@@ -519,28 +520,6 @@ def left_right_act(O: np.ndarray, T: Subspace, Oprime: np.ndarray) -> Subspace:
     return Subspace(rows, d, 2 * t)
 
 
-def _generating_set(group: tuple[np.ndarray, ...], d: int) -> list[np.ndarray]:
-    """Elements of a matrix group, in order, each kept only if the subgroup
-    generated by those kept so far does not contain it."""
-    t = len(group[0])
-    gens: list[np.ndarray] = []
-    seen = {np.eye(t, dtype=np.int64).tobytes()}
-    for O in group:
-        if O.tobytes() in seen:
-            continue
-        gens.append(O)
-        frontier = [np.frombuffer(b, dtype=np.int64).reshape(t, t) for b in seen]
-        while frontier:
-            new = []
-            for g in gens:
-                for x in np.matmul(frontier, g) % d:
-                    if x.tobytes() not in seen:
-                        seen.add(x.tobytes())
-                        new.append(x)
-            frontier = new
-    return gens
-
-
 def double_cosets(t: int, d: int) -> tuple[dict, ...]:
     """Partition of Sigma_{t,t}(d) into O_t(d) x O_t(d) double cosets.
 
@@ -554,7 +533,7 @@ def double_cosets(t: int, d: int) -> tuple[dict, ...]:
     bases = np.array([T.basis for T in sigma], dtype=narrow)
     L, R = bases[:, :, :t], bases[:, :, t:]
     images = []
-    for O in _generating_set(orthogonal_stochastic_group(t, d), d):
+    for O in generating_set(orthogonal_stochastic_group(t, d), d):
         left, right = (L @ O.T % d).astype(narrow), (R @ O % d).astype(narrow)
         images.append(image_indices(bases, np.concatenate([left, R], axis=2), d))
         images.append(image_indices(bases, np.concatenate([L, right], axis=2), d))

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .gf import all_vectors
+from .commutant import anti_identity_matrix, orthogonal_stochastic_group, permutation_matrix
+from .gf import generating_set, orbits
 from .phase_space import check_dim, kron_power_rows, linear_index_map
 from .stabilizer import all_stabilizer_states
 
@@ -103,59 +104,11 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * np.abs(vals).sum())
 
 
-def _pair_labels(t: int, q: int) -> np.ndarray:
-    """S_t-orbit label of every index pair over the alphabet Z_q.
-
-    Two pairs of length-t strings are in the same diagonal S_t orbit iff
-    the counts of their per-position symbol pairs agree.
-    """
-    X = all_vectors(t, q)
-    m = len(X)
-    label = np.zeros((m, m), dtype=np.int64)
-    for a in range(q):
-        for b in range(q):
-            if a == q - 1 and b == q - 1:
-                continue  # counts of the last type are determined
-            Ia = (X == a).astype(np.int64)
-            Ib = (X == b).astype(np.int64)
-            label = label * (t + 1) + Ia @ Ib.T
-    # compactify
-    uniq, compact = np.unique(label, return_inverse=True)
-    return compact.reshape(m, m)
-
-
-def _symmetrize_labels(rho: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Exact average of rho over the diagonal S_t action (per label class)."""
-    counts = np.bincount(labels.reshape(-1))
-    re = np.bincount(labels.reshape(-1), weights=rho.real.reshape(-1)) / counts
-    im = np.bincount(labels.reshape(-1), weights=rho.imag.reshape(-1)) / counts
-    return (re + 1j * im)[labels]
-
-
 def _embedded_anti(t: int) -> np.ndarray:
     """Anti-identity acting on the first six copies, identity on the rest."""
-    from .commutant import anti_identity_matrix
-
     out = np.eye(t, dtype=np.int64)
     out[:6, :6] = anti_identity_matrix(6)
     return out
-
-
-def _string_labels(t: int, q: int) -> np.ndarray:
-    """S_t-orbit label of every length-t string over Z_q (symbol counts)."""
-    X = all_vectors(t, q)
-    label = np.zeros(len(X), dtype=np.int64)
-    for a in range(q - 1):
-        label = label * (t + 1) + (X == a).sum(axis=1)
-    _, compact = np.unique(label, return_inverse=True)
-    return compact
-
-
-def _project_sym_vec(v: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    counts = np.bincount(labels)
-    re = np.bincount(labels, weights=v.real) / counts
-    im = np.bincount(labels, weights=v.imag) / counts
-    return (re + 1j * im)[labels]
 
 
 def make_invariant_state(
@@ -163,90 +116,59 @@ def make_invariant_state(
 ) -> SymmetricInput:
     """Twirl of a random input state onto the declared symmetry's commutant.
 
-    symmetry = "perm" averages over all copy permutations (exactly, via
-    S_t orbit classes); "perm+anti" additionally enforces the anti-identity
-    on the first six copies (d = 2, t a multiple of 6) by alternating
-    projections; "full" averages over the enumerated O_t(d).  Pure inputs
-    are projected as vectors (so the result is an invariant pure state);
-    mixed inputs are twirled by conjugation.
+    Every copy map O permutes the basis indices (`linear_index_map`), so
+    the average over the group the maps generate is the mean of the input
+    over each orbit of indices, with the orbits closed by `gf.orbits` on
+    the index tables of a generating set.  symmetry = "perm" is generated
+    by the t-cycle and the swap of copies 0 and 1; "perm+anti" adds the
+    anti-identity on the first six copies (d = 2, t a multiple of 6);
+    "full" takes a generating set of O_t(d).  Pure inputs are averaged as
+    vectors over index orbits (so the result is an invariant pure state);
+    mixed inputs as matrices over orbits of index pairs (i, j), on which O
+    acts by its index permutation on both entries.
     """
+    if t < 2:
+        raise ValueError("the copy symmetries need t >= 2")
     dim = d ** (t * n)
     check_dim(dim)
     rng = np.random.default_rng(seed)
-    gens_idx: list[np.ndarray] = []
     if symmetry == "full":
-        from .commutant import orthogonal_stochastic_group
-
-        group = orthogonal_stochastic_group(t, d)
-        perms = [linear_index_map(O, t, n, d) for O in group]
-        gens_idx = perms[:4]
+        gens = generating_set(orthogonal_stochastic_group(t, d), d)
     elif symmetry in ("perm", "perm+anti"):
-        from .commutant import permutation_matrix
-
         swap = np.arange(t)
         swap[[0, 1]] = [1, 0]
-        cycle = np.roll(np.arange(t), 1)
-        gens_idx = [
-            linear_index_map(permutation_matrix(p), t, n, d)
-            for p in (swap, cycle)
-        ]
-        aperm = None
+        gens = [permutation_matrix(p) for p in (swap, np.roll(np.arange(t), 1))]
         if symmetry == "perm+anti":
             if d != 2 or t % 6:
                 raise ValueError("perm+anti needs d = 2 and t a multiple of 6")
-            aperm = linear_index_map(_embedded_anti(t), t, n, d)
-            gens_idx.append(aperm)
+            gens.append(_embedded_anti(t))
     else:
         raise ValueError(f"unknown symmetry {symmetry!r}")
+    tables = np.array([linear_index_map(O, t, n, d) for O in gens])
 
     if pure:
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        if symmetry == "full":
-            w = np.zeros_like(v)
-            for perm in perms:
-                w += v[perm]
-            v = w / len(perms)
-        else:
-            labels = _string_labels(t, d**n)
-            v = _project_sym_vec(v, labels)
-            if aperm is not None:
-                for _ in range(500):
-                    nxt = _project_sym_vec(0.5 * (v + v[aperm]), labels)
-                    delta = np.abs(nxt - v).max()
-                    v = nxt
-                    if delta < 1e-15:
-                        break
-        v /= np.linalg.norm(v)
-        rho = np.outer(v, v.conj())
-        for perm in gens_idx:
-            if np.abs(v[perm] - v).max() > 1e-9:
-                raise AssertionError("projected state is not invariant")
+        x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     else:
         k = min(dim, 16)
         A = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
-        rho = A @ A.conj().T
-        rho /= np.trace(rho).real
-        if symmetry == "full":
-            out = np.zeros_like(rho)
-            for perm in perms:
-                out += rho[np.ix_(perm, perm)]
-            rho = out / len(perms)
-        else:
-            pair_labels = _pair_labels(t, d**n)
-            rho = _symmetrize_labels(rho, pair_labels)
-            if aperm is not None:
-                for _ in range(500):
-                    nxt = _symmetrize_labels(
-                        0.5 * (rho + rho[np.ix_(aperm, aperm)]), pair_labels
-                    )
-                    delta = np.abs(nxt - rho).max()
-                    rho = nxt
-                    if delta < 1e-15:
-                        break
-        rho /= np.trace(rho).real
-        for perm in gens_idx:
-            if np.abs(rho[np.ix_(perm, perm)] - rho).max() > 1e-9:
-                raise AssertionError("twirled state fails to commute with symmetry")
+        x = (A @ A.conj().T).reshape(-1)
+        tables = (tables[:, :, None] * dim + tables[:, None, :]).reshape(len(gens), -1)
+    classes = orbits(tables)
+    label = np.empty(len(x), dtype=np.int64)
+    label[np.concatenate(classes)] = np.repeat(np.arange(len(classes)), [len(c) for c in classes])
+    counts = np.bincount(label)
+    re = np.bincount(label, weights=x.real) / counts
+    im = np.bincount(label, weights=x.imag) / counts
+    x = (re + 1j * im)[label]
+    if pure:
+        x /= np.linalg.norm(x)
+        rho = np.outer(x, x.conj())
+    else:
+        x /= x[:: dim + 1].sum().real  # the trace
+        rho = x.reshape(dim, dim)
+    for table in tables:
+        if np.abs(x[table] - x).max() > 1e-9:
+            raise AssertionError("twirled state is not invariant under a generator")
     return SymmetricInput(t=t, n=n, d=d, state=rho, symmetry=symmetry)
 
 
@@ -288,26 +210,13 @@ def _stab_mixture(p: np.ndarray, s: int, data: GramData) -> np.ndarray:
     return (V.T * p) @ V.conj()
 
 
-def _trace_ancillas(block: np.ndarray, s: int, dim: int) -> np.ndarray:
-    """Partial trace over the ancilla half of each of s doubled copies.
-
-    `block` acts on (dim x dim)^{x s} with factor order
-    (sys1, anc1, ..., sys_s, anc_s)."""
-    letters = "abcdefghijklmnopqrstuvwx"
-    row = []
-    col = []
-    out_row = []
-    out_col = []
-    for k in range(s):
-        sys_r, anc = letters[2 * k], letters[2 * k + 1]
-        sys_c = letters[2 * s + 2 * k]
-        row += [sys_r, anc]
-        col += [sys_c, anc]
-        out_row.append(sys_r)
-        out_col.append(sys_c)
-    spec = "".join(row) + "".join(col) + "->" + "".join(out_row) + "".join(out_col)
-    M = block.reshape((dim,) * (4 * s))
-    return np.einsum(spec, M).reshape(dim**s, dim**s)
+def _partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
+    """Trace of rho, on factors of sizes dims, over every factor not in keep."""
+    k = len(dims)
+    cols = [k + i if i in keep else i for i in range(k)]
+    out = [*keep, *(k + i for i in keep)]
+    size = math.prod(dims[i] for i in keep)
+    return np.einsum(rho.reshape(tuple(dims) * 2), [*range(k), *cols], out).reshape(size, size)
 
 
 def pure_bound(n: int, d: int, t: int, s: int) -> float:
@@ -356,7 +265,7 @@ def exp_definetti_check(
             psi = purify(source.state)
             # reorder (sys copies, anc copies) -> (sys1, anc1, sys2, anc2, ...)
             # so the doubled system reads as (d^{2n})^{x t}
-            order = [k // 2 if k % 2 == 0 else t + k // 2 for k in range(2 * t)]
+            order = np.arange(2 * t).reshape(2, t).T.reshape(-1)
             psi = psi.reshape((d**n,) * (2 * t)).transpose(order).reshape(-1)
             data = gram(2 * n, d, t)
             alpha, residual = stab_power_decompose(psi, data)
@@ -375,8 +284,10 @@ def exp_definetti_check(
     rho_s = reduced_from_coefficients(alpha / math.sqrt(norm2), s, data)
     sigma = _stab_mixture(p, s, data)
     if mixed:
-        rho_s = _trace_ancillas(rho_s, s, d**n)
-        sigma = _trace_ancillas(sigma, s, d**n)
+        # factors (sys1, anc1, ..., sys_s, anc_s): keep the systems
+        dims, keep = (d**n,) * (2 * s), range(0, 2 * s, 2)
+        rho_s = _partial_trace(rho_s, dims, keep)
+        sigma = _partial_trace(sigma, dims, keep)
     dist = trace_distance(rho_s, sigma)
     return {
         "t": t,
@@ -403,13 +314,7 @@ def anti_definetti_check(source: SymmetricInput, s: int) -> dict:
         raise ValueError("s must be a multiple of 6")
     if source.symmetry not in ("perm+anti", "full"):
         raise ValueError("needs permutation + anti-identity symmetry")
-    dims = 2 ** (n * s)
-    # s-copy reduced state by dense partial trace over the last t - s copies
-    block = d**n
-    rho = source.state.reshape((block,) * (2 * t))
-    for _ in range(t - s):
-        rho = np.trace(rho, axis1=rho.ndim // 2 - 1, axis2=rho.ndim - 1)
-    rho = rho.reshape(dims, dims)
+    rho = _partial_trace(source.state, (d**n,) * t, range(s))
     data = gram(n, d, t)
     V = kron_power_rows(data.states, s)
     basis = (V[:, :, None] * V.conj()[:, None, :]).reshape(len(V), -1)
@@ -421,7 +326,8 @@ def anti_definetti_check(source: SymmetricInput, s: int) -> dict:
     p = p / p.sum()
     sigma = _stab_mixture(p, s, data)
     dist = trace_distance(rho, sigma)
-    purity = float(np.trace(source.state @ source.state).real)
+    # tr rho^2 for Hermitian rho
+    purity = float(np.vdot(source.state, source.state).real)
     bound = anti_bound(n, t, s, mixed=purity < 1.0 - 1e-9)
     return {
         "t": t,

@@ -435,22 +435,16 @@ def quotient_basis(sup: Subspace, sub: Subspace) -> np.ndarray:
 
 
 def coset_reps(sup: Subspace, sub: Subspace) -> np.ndarray:
-    """Lexicographically least representatives of sup / sub cosets."""
+    """Lexicographically least representatives of sup / sub cosets.
+
+    The least member of v + sub is the one with zeros at the pivot columns
+    of sub's RREF basis, so the representatives are the distinct members
+    of sup with those columns cleared, in sorted order.
+    """
     if not sup.contains_space(sub):
         raise ValueError("sub is not contained in sup")
     members = sup.vectors()
-    order = np.lexsort(members.T[::-1])
-    shifts = sub.vectors()
-    seen: set[tuple] = set()
-    reps = []
-    for idx in order:
-        v = members[idx]
-        if tuple(v.tolist()) in seen:
-            continue
-        reps.append(v)
-        for w in (v + shifts) % sup.d:
-            seen.add(tuple(w.tolist()))
-    return np.array(reps, dtype=np.int64)
+    return np.unique((members - members[:, list(sub.pivots)] @ sub.basis) % sup.d, axis=0)
 
 
 def image_indices(reference, images, d: int) -> np.ndarray:
@@ -470,6 +464,28 @@ def image_indices(reference, images, d: int) -> np.ndarray:
     table = np.empty(m, dtype=np.int64)
     table[order] = np.arange(m)
     return table
+
+
+def generating_set(group, d: int) -> list[np.ndarray]:
+    """Elements of a matrix group over Z_d, in order, each kept only if the
+    subgroup generated by those kept so far does not contain it."""
+    t = len(group[0])
+    gens: list[np.ndarray] = []
+    seen = {np.eye(t, dtype=np.int64).tobytes()}
+    for O in group:
+        if O.tobytes() in seen:
+            continue
+        gens.append(O)
+        frontier = [np.frombuffer(b, dtype=np.int64).reshape(t, t) for b in seen]
+        while frontier:
+            new = []
+            for g in gens:
+                for x in np.matmul(frontier, g) % d:
+                    if x.tobytes() not in seen:
+                        seen.add(x.tobytes())
+                        new.append(x)
+            frontier = new
+    return gens
 
 
 def orbits(images) -> list[np.ndarray]:

@@ -7,7 +7,9 @@ closure by breadth-first search over a neighbours callback that builds a
 new `Subspace` for every (element, generator) pair, and the semigroup
 product through three nullspaces.  The library reduces whole stacks of
 bases in one `gf.rref_stack` call and closes orbits on integer image
-tables.
+tables.  Coset representatives were the least members found by a loop
+over sorted members that marks each coset as seen; the library clears
+the pivot columns of the subspace in every member at once.
 """
 
 from __future__ import annotations
@@ -38,7 +40,10 @@ from stabkit.commutant import (
 from stabkit.gf import (
     Subspace,
     all_vectors,
+    coset_reps,
     flat_index,
+    generating_set,
+    gram_dot,
     image_indices,
     nullspace,
     orbits,
@@ -47,6 +52,7 @@ from stabkit.gf import (
     subspaces,
 )
 from stabkit.moments import permutation_subspaces, sigma_classes
+from stabkit.stabilizer import lagrangians
 
 
 # --- oracles ----------------------------------------------------------------
@@ -195,6 +201,23 @@ def _compose_nullspaces(T1, T2):
     sol = nullspace(C, d)
     proj = np.hstack([sol[:, :t], sol[:, 2 * t:]])
     return Subspace(proj, d), right_defect(T1).intersect(left_defect(T2)).dim
+
+
+def _coset_reps_loop(sup, sub):
+    """Least member of each coset, walking the members in sorted order."""
+    members = sup.vectors()
+    order = np.lexsort(members.T[::-1])
+    shifts = sub.vectors()
+    seen: set[tuple] = set()
+    reps = []
+    for idx in order:
+        v = members[idx]
+        if tuple(v.tolist()) in seen:
+            continue
+        reps.append(v)
+        for w in (v + shifts) % sup.d:
+            seen.add(tuple(w.tolist()))
+    return np.array(reps, dtype=np.int64)
 
 
 # --- batched canonicalisation -------------------------------------------------
@@ -367,3 +390,63 @@ def test_double_cosets_frontier(t, d):
     for c in cosets:
         assert {left_defect(T).dim for T in c["members"]} == {c["defect_dim"]}
         assert {T.contains(ones) for T in c["members"]} == {c["contains_ones"]}
+
+
+# --- coset representatives and generating sets ---------------------------------
+
+def _assert_coset_reps_match(sup, sub):
+    got = coset_reps(sup, sub)
+    want = _coset_reps_loop(sup, sub)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("t,d", [(6, 2), (4, 3), (4, 5), (3, 7), (5, 3), (7, 2)])
+def test_coset_reps_match_loop_on_defects(t, d):
+    for k in range(t // 2 + 1):
+        for N in defect_subspaces(t, d, k):
+            _assert_coset_reps_match(N.complement(gram_dot(t, d)), N)
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (1, 5)])
+def test_coset_reps_match_loop_on_lagrangians(n, d):
+    full = Subspace.full(2 * n, d)
+    for M in lagrangians(n, d):
+        _assert_coset_reps_match(full, M)
+
+
+@given(stacks(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_coset_reps_match_loop(sd, seed):
+    stack, d = sd
+    if stack.shape[2] > 6:
+        stack = stack[:, :, :6]  # keep d^dim members small
+    sup = Subspace(stack[0], d, stack.shape[2])
+    # sub: random combinations of sup's basis rows
+    coeff = np.random.default_rng(seed).integers(0, d, size=(len(stack[0]), sup.dim))
+    sub = Subspace(coeff @ sup.basis, d, sup.ambient)
+    _assert_coset_reps_match(sup, sub)
+
+
+def test_coset_reps_refuse_a_subspace_outside():
+    sup = Subspace(np.array([[1, 0, 0]]), 3)
+    with pytest.raises(ValueError):
+        coset_reps(sup, Subspace(np.array([[0, 1, 0]]), 3))
+
+
+@pytest.mark.parametrize("t,d", [(3, 2), (4, 2), (6, 2), (4, 3), (3, 5)])
+def test_generating_set_generates_the_group(t, d):
+    group = orthogonal_stochastic_group(t, d)
+    gens = generating_set(group, d)
+    seen = {np.eye(t, dtype=np.int64).tobytes()}
+    frontier = [np.eye(t, dtype=np.int64)]
+    while frontier:
+        new = []
+        for g in frontier:
+            for h in gens:
+                x = g @ h % d
+                if x.tobytes() not in seen:
+                    seen.add(x.tobytes())
+                    new.append(x)
+        frontier = new
+    assert seen == {O.tobytes() for O in group}
