@@ -72,6 +72,12 @@ def _new_bundle(cfg: RunConfig) -> ReportBundle:
     return ReportBundle(config=cfgdict, versions={"numpy": np.__version__})
 
 
+def _haar_state(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A Haar-random unit vector: complex Gaussian entries, normalised."""
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
 def _cmd_enumerate_sigma(cfg: RunConfig, rep: ReportBundle) -> None:
     from .commutant import sigma_count_formula, stochastic_lagrangians
 
@@ -142,11 +148,7 @@ def _cmd_design(cfg: RunConfig, rep: ReportBundle) -> None:
         single = np.array([np.cos(theta), -np.sin(theta), 0.0])
         fiducials = [kron_power_vec(single, cfg.n)]
     else:
-        dim = cfg.d**cfg.n
-        fiducials = []
-        for _ in range(8):
-            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            fiducials.append(v / np.linalg.norm(v))
+        fiducials = [_haar_state(rng, cfg.d**cfg.n) for _ in range(8)]
     weights = find_design_weights(fiducials, cfg.t, cfg.n, cfg.d)
     gap = mixture_design_gap(fiducials, weights, cfg.t, cfg.n, cfg.d)
     rep.add("design", "weighted-orbit-design",
@@ -161,10 +163,7 @@ def _cmd_test(cfg: RunConfig, rep: ReportBundle) -> None:
         raise SystemExit("--seed is required for sampling commands")
     if cfg.protocol in ("qubit6", "mc") and cfg.d != 2:
         raise SystemExit(f"protocol {cfg.protocol!r} is a qubit test and needs --d 2")
-    rng = np.random.default_rng(cfg.seed)
-    dim = cfg.d**cfg.n
-    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    psi /= np.linalg.norm(psi)
+    psi = _haar_state(np.random.default_rng(cfg.seed), cfg.d**cfg.n)
     if cfg.protocol == "qubit6":
         p = pr.qubit_accept_probability(psi)
         from .stabilizer import max_stabilizer_overlap
@@ -194,11 +193,9 @@ def _cmd_hudson(cfg: RunConfig, rep: ReportBundle) -> None:
     if cfg.seed is None:
         raise SystemExit("--seed is required for sampling commands")
     rng = np.random.default_rng(cfg.seed)
-    dim = cfg.d**cfg.n
     worst = -np.inf
     for _ in range(100):
-        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        psi /= np.linalg.norm(psi)
+        psi = _haar_state(rng, cfg.d**cfg.n)
         out = pr.robust_hudson_check(psi, cfg.d)
         slack = (1 - out.max_overlap) - out.bound
         worst = max(worst, slack)

@@ -51,7 +51,6 @@ class GramData:
     states: np.ndarray  # rows are the stabilizer state vectors
     G: np.ndarray  # G_{SS'} = <S|S'>^t
     eps: float
-    Q: np.ndarray | None = None
 
     @property
     def num_states(self) -> int:
@@ -67,7 +66,7 @@ class SymmetricInput:
     symmetry: str  # "full" or "perm+anti" or "perm"
 
 
-def gram(n: int, d: int, t: int, with_Q: bool = False) -> GramData:
+def gram(n: int, d: int, t: int) -> GramData:
     """Gram data of the stabilizer tensor-power frame {|S>^{x t}}.
 
     eps = d^{((n+2)^2 - t)/2}; when eps < 1/2 the frame is close to
@@ -78,11 +77,7 @@ def gram(n: int, d: int, t: int, with_Q: bool = False) -> GramData:
     overlaps = states.conj() @ states.T
     G = overlaps**t
     eps = float(d) ** (((n + 2) ** 2 - t) / 2.0)
-    Q = None
-    if with_Q:
-        vecs = kron_power_rows(states, t)
-        Q = vecs.T @ vecs.conj()
-    return GramData(n=n, d=d, t=t, states=np.asarray(states), G=G, eps=eps, Q=Q)
+    return GramData(n=n, d=d, t=t, states=np.asarray(states), G=G, eps=eps)
 
 
 def vectorize(B: np.ndarray) -> np.ndarray:

@@ -8,14 +8,13 @@ through the exact Gram matrix tr[R(T)^dag R(T')] = d^{n dim(T cap T')}.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 
 import numpy as np
 
 from .definetti import gram
 from .gf import Subspace, image_indices, orbits
-from .phase_space import kron_power_rows, kron_power_vec, linear_index_map
+from .phase_space import kron_power_rows, kron_power_vec
 from .stabilizer import all_stabilizer_states
 from .commutant import (
     R_gram,
@@ -41,7 +40,6 @@ __all__ = [
     "sigma_classes",
     "orbit_moment_vector",
     "orbit_coefficients",
-    "permutation_operator",
     "class_coefficients",
     "design_gap",
     "find_design_weights",
@@ -49,7 +47,6 @@ __all__ = [
     "minimal_projector",
     "mixture_design_gap",
     "stab_tensor_rank",
-    "symmetrizer",
 ]
 
 
@@ -266,21 +263,3 @@ def stab_tensor_rank(t: int, n: int, d: int) -> int:
     """Rank of span{|S>^{x t} : S stabilizer state} via the Gram matrix."""
     eig = np.linalg.eigvalsh(gram(n, d, t).G)
     return int((eig > 1e-8 * eig.max()).sum())
-
-
-def permutation_operator(perm, subdim: int) -> np.ndarray:
-    """Operator permuting the tensor factors of (C^subdim)^{x len(perm)}."""
-    t = len(perm)
-    dim = subdim**t
-    P = np.zeros((dim, dim))
-    P[linear_index_map(permutation_matrix(perm), t, 1, subdim), np.arange(dim)] = 1.0
-    return P
-
-
-def symmetrizer(t: int, subdim: int) -> np.ndarray:
-    """Projector onto the symmetric subspace of (C^subdim)^{x t}."""
-    dim = subdim**t
-    acc = np.zeros((dim, dim))
-    for perm in itertools.permutations(range(t)):
-        acc += permutation_operator(perm, subdim)
-    return acc / math.factorial(t)

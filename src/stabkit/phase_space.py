@@ -7,7 +7,9 @@ i.e. index = int(p, base d) * d^n + int(q, base d).
 Every Weyl expansion comes from `characteristic_function` (tr[W_x^dag B]
 at all x: one DFT over the shifted diagonals of B) and `symplectic_fourier`
 (one DFT over the 2n digits), each O(n d^{2n} log d) time and d^{2n}
-memory.  Only `point_operators` stacks operators, for dense operator routes.
+memory.  `weyl_action` is the one home of the Weyl formula: W_x as a
+permutation of basis states times phases, which callers gather through;
+`weyl` scatters it into one dense matrix.  Nothing here stacks operators.
 """
 
 from __future__ import annotations
@@ -89,18 +91,27 @@ def linear_index_map(O: np.ndarray, t: int, n: int, d: int) -> np.ndarray:
     return flat_index(Y.reshape(-1, t * n), d)
 
 
-def weyl(x, n: int, d: int) -> np.ndarray:
-    """W_x = tau^{-p.q} (X) Z^{p_i} X^{q_i} on n qudits.
+def weyl_action(xs, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(targets, phases) with W_x|b> = phases[i, b] |targets[i, b]> for x = xs[i].
 
-    W_x|b> = tau^{-p.q} omega^{p.(b+q)} |b+q>; with tau = e^{i pi (d^2+1)/d}
-    and omega = tau^2 each entry is e^{i pi k / d}, k reduced mod 2d.
+    W_x = tau^{-p.q} (X) Z^{p_i} X^{q_i} sends |b> to
+    tau^{-p.q} omega^{p.(b+q)} |b+q>; with tau = e^{i pi (d^2+1)/d} and
+    omega = tau^2 each phase is e^{i pi k / d}, k reduced mod 2d.  xs is one
+    point (p, q) or a stack of them; both outputs have shape (len(xs), d^n).
     """
-    x = np.asarray(x, dtype=np.int64) % d
-    p, q = x[:n], x[n:]
-    shifted = (all_vectors(n, d) + q) % d
-    k = (2 * (shifted @ p) - (d * d + 1) * int(p @ q)) % (2 * d)
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.int64)) % d
+    p, q = xs[:, :n], xs[:, n:]
+    shifted = (all_vectors(n, d) + q[:, None, :]) % d
+    pq = np.einsum("ij,ij->i", p, q)[:, None]
+    k = (2 * np.einsum("ibj,ij->ib", shifted, p) - (d * d + 1) * pq) % (2 * d)
+    return flat_index(shifted, d), np.exp(1j * np.pi * k / d)
+
+
+def weyl(x, n: int, d: int) -> np.ndarray:
+    """W_x as a dense d^n x d^n matrix: the scatter of `weyl_action`."""
+    targets, phases = weyl_action(x, n, d)
     op = np.zeros((d**n, d**n), dtype=complex)
-    op[flat_index(shifted, d), np.arange(d**n)] = np.exp(1j * np.pi * k / d)
+    op[targets[0], np.arange(d**n)] = phases[0]
     return op
 
 
@@ -147,18 +158,6 @@ def wigner_state(psi: np.ndarray, n: int, d: int) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     c = characteristic_function(np.outer(psi, psi.conj()), n, d)
     return symplectic_fourier(c, n, d).real * d ** (-1.5 * n)
-
-
-def point_operator(x, n: int, d: int) -> np.ndarray:
-    """A_x = d^{-n} sum_y omega^{-[x,y]} W_y^dag."""
-    return point_operators(n, d)[point_index(x, n, d)]
-
-
-@capped_cache(lambda n, d: d ** (2 * n))
-def point_operators(n: int, d: int) -> np.ndarray:
-    """Stack of all d^{2n} point operators A_x, in flat index order."""
-    adjoints = np.array([weyl(y, n, d).conj().T for y in phase_points(n, d)])
-    return freeze(symplectic_fourier(adjoints, n, d) / d**n)
 
 
 def kron_power_rows(vs: np.ndarray, k: int) -> np.ndarray:

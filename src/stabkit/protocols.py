@@ -1,31 +1,25 @@
 """Stabilizer-testing protocols, phase-space uncertainty, and negativity.
 
-Acceptance probabilities are computed by two independent routes whenever
-dimensions permit: a moment formula over the characteristic distribution
-p_psi (or the Wigner function w_psi), and an explicit dense POVM element on
-tensor powers of the state.
+Acceptance probabilities come from one moment formula over the
+characteristic distribution p_psi (or the Wigner function w_psi); no dense
+POVM element on tensor powers of the state is built.  Weyl expectations
+are gathers (`characteristic_function`, `weyl_action`), never dense Weyl
+matrices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
-from .commutant import permutation_matrix
 from .phase_space import (
     char_distribution,
     characteristic_function,
-    check_dim,
-    kron_power_vec,
-    linear_index_map,
-    phase_points,
     point_index,
-    point_operators,
     symplectic_fourier,
-    weyl,
+    weyl_action,
     wigner_state,
 )
 from .gf import symplectic_form
@@ -34,14 +28,9 @@ __all__ = [
     "ProtocolReport",
     "bell_difference_distribution",
     "qubit_accept_probability",
-    "qubit_accept_operator_route",
-    "anti_identity_operator",
     "simulate_algorithm1",
     "qudit_accept_probability",
-    "v_s_operator",
-    "v_s_permutation_action",
     "three_copy_accept_probability",
-    "three_copy_operator",
     "uncertainty_weyl",
     "uncertainty_points",
     "sum_negativity",
@@ -126,32 +115,6 @@ def qubit_accept_probability(psi: np.ndarray) -> float:
     return qudit_accept_probability(psi, 3, 2)
 
 
-def anti_identity_operator(n: int) -> np.ndarray:
-    """V = 2^{-n} (I^{x 6} + X^{x 6} + Y^{x 6} + Z^{x 6})^{x n} on 6n qubits.
-
-    The tensor factors are ordered copy-major to act on (psi^{x 6}).
-    """
-    check_dim(2 ** (6 * n))
-    paulis = [np.eye(2), np.array([[0, 1], [1, 0]])]
-    paulis.append(np.array([[0, -1j], [1j, 0]]))
-    paulis.append(np.diag([1.0, -1.0]))
-    v = sum(reduce(np.kron, [P] * 6) for P in paulis) / 2
-    out = reduce(np.kron, [v] * n, np.array([[1.0 + 0j]]))
-    # out acts qudit-major ((copy factors of qubit 1), ...); factor i * n + j
-    # of the copy-major order is factor j * 6 + i of the qudit-major one
-    ordering = [j * 6 + i for i in range(6) for j in range(n)]
-    perm = linear_index_map(permutation_matrix(ordering), 6 * n, 1, 2)
-    return out[np.ix_(perm, perm)]
-
-
-def qubit_accept_operator_route(psi: np.ndarray) -> float:
-    """tr[psi^{x 6} (I + V)/2] with V the anti-identity action."""
-    n = _infer_n(psi, 2)
-    V = anti_identity_operator(n)
-    v6 = kron_power_vec(psi, 6)
-    return float((0.5 * (1.0 + v6.conj() @ V @ v6)).real)
-
-
 def simulate_algorithm1(psi: np.ndarray, shots: int, seed: int) -> ProtocolReport:
     """Monte-Carlo of the six-copy qubit test.
 
@@ -202,34 +165,6 @@ def qudit_soundness_constant(d: int, s: int) -> float:
     return (1.0 - (1.0 - 1.0 / (4 * d * d)) ** (s - 1)) / 2.0
 
 
-def v_s_operator(s: int, n: int, d: int) -> np.ndarray:
-    """V_s = d^{-n} sum_x (W_x (x) W_x^dag)^{x s} on 2s blocks of n qudits."""
-    check_dim(d ** (2 * s * n))
-    dim = d ** (2 * s * n)
-    V = np.zeros((dim, dim), dtype=complex)
-    for x in phase_points(n, d):
-        w = weyl(x, n, d)
-        pair = np.kron(w, w.conj().T)
-        term = np.array([[1.0 + 0j]])
-        for _ in range(s):
-            term = np.kron(term, pair)
-        V += term
-    return V / d**n
-
-
-def v_s_permutation_action(s: int, n: int, d: int) -> np.ndarray:
-    """The same V_s as a basis permutation: x -> (O (x) I_n) x with
-    O = 1 - s^{-1} p p^T, p the length-2s parity vector (-1,1,...,-1,1)."""
-    sinv = pow(s, -1, d)
-    par = np.array([(-1) ** (k + 1) for k in range(2 * s)], dtype=np.int64) % d
-    O = (np.eye(2 * s, dtype=np.int64) - sinv * np.outer(par, par)) % d
-    dim = d ** (2 * s * n)
-    perm = linear_index_map(O, 2 * s, n, d)
-    M = np.zeros((dim, dim))
-    M[perm, np.arange(dim)] = 1.0
-    return M
-
-
 def three_copy_accept_probability(psi: np.ndarray, d: int) -> float:
     """p_accept of the three-copy odd-d test: (1 + d^{2n} sum_x w^3) / 2."""
     if d % 6 not in (1, 5):
@@ -239,17 +174,6 @@ def three_copy_accept_probability(psi: np.ndarray, d: int) -> float:
     return float(0.5 * (1.0 + d ** (2 * n) * (w**3).sum()))
 
 
-def three_copy_operator(n: int, d: int) -> np.ndarray:
-    """V = d^{-n} sum_x A_x^{x 3}."""
-    check_dim(d ** (3 * n))
-    aops = point_operators(n, d)
-    dim = d ** (3 * n)
-    V = np.zeros((dim, dim), dtype=complex)
-    for a in aops:
-        V += np.kron(np.kron(a, a), a)
-    return V / d**n
-
-
 # ---------------------------------------------------------------------------
 # uncertainty lemmas
 # ---------------------------------------------------------------------------
@@ -257,8 +181,9 @@ def three_copy_operator(n: int, d: int) -> np.ndarray:
 def uncertainty_weyl(psi: np.ndarray, x, y, n: int, d: int) -> dict:
     """Commutation forced by two sharp Weyl expectations (delta = 1/2d)."""
     delta = 1.0 / (2 * d)
-    wx = np.abs(psi.conj() @ weyl(x, n, d) @ psi) ** 2
-    wy = np.abs(psi.conj() @ weyl(y, n, d) @ psi) ** 2
+    psi = np.asarray(psi)
+    targets, phases = weyl_action(np.array([x, y]), n, d)
+    wx, wy = np.abs((psi[targets].conj() * phases * psi).sum(axis=1)) ** 2
     premise = wx > 1 - delta**2 and wy > 1 - delta**2
     commute = symplectic_form(x, y, d) == 0
     return {

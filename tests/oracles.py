@@ -1,0 +1,221 @@
+"""Dense second routes, kept as oracles for the library's single routes.
+
+Each function here builds explicit operators (Weyl matrices, projectors,
+permutation and POVM operators on tensor powers) where the library gathers
+or uses a closed formula.  Tests compare the two.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from functools import reduce
+
+import numpy as np
+
+from stabkit import stabilizer
+from stabkit.commutant import permutation_matrix
+from stabkit.gf import Subspace, all_vectors, coset_reps, flat_index, symplectic_form
+from stabkit.phase_space import (
+    capped_cache,
+    check_dim,
+    freeze,
+    kron_power_vec,
+    linear_index_map,
+    phase_points,
+    symplectic_fourier,
+)
+
+
+# ---------------------------------------------------------------------------
+# Weyl and point operators
+# ---------------------------------------------------------------------------
+
+def weyl(x, n: int, d: int) -> np.ndarray:
+    """W_x = tau^{-p.q} (X) Z^{p_i} X^{q_i} on n qudits, built directly.
+
+    W_x|b> = tau^{-p.q} omega^{p.(b+q)} |b+q>; with tau = e^{i pi (d^2+1)/d}
+    and omega = tau^2 each entry is e^{i pi k / d}, k reduced mod 2d.
+    """
+    x = np.asarray(x, dtype=np.int64) % d
+    p, q = x[:n], x[n:]
+    shifted = (all_vectors(n, d) + q) % d
+    k = (2 * (shifted @ p) - (d * d + 1) * int(p @ q)) % (2 * d)
+    op = np.zeros((d**n, d**n), dtype=complex)
+    op[flat_index(shifted, d), np.arange(d**n)] = np.exp(1j * np.pi * k / d)
+    return op
+
+
+@capped_cache(lambda n, d: d ** (2 * n))
+def point_operators(n: int, d: int) -> np.ndarray:
+    """Stack of all d^{2n} point operators A_x = d^{-n} sum_y omega^{-[x,y]} W_y^dag,
+    in flat index order."""
+    adjoints = np.array([weyl(y, n, d).conj().T for y in phase_points(n, d)])
+    return freeze(symplectic_fourier(adjoints, n, d) / d**n)
+
+
+# ---------------------------------------------------------------------------
+# stabilizer states from dense projectors
+# ---------------------------------------------------------------------------
+
+def stabilizer_projector(M: Subspace, n: int, d: int, z=None) -> np.ndarray:
+    """Projector onto the joint eigenspace of {omega^{[z,x]} W_x : x in M}.
+
+    P = d^{-dim M} sum_{x in M} omega^{-[z, x]} W_x.  For d = 2 the Weyl
+    operators in an isotropic M commute and are Hermitian involutions, so
+    the product form over rows of the basis is used instead (it avoids any
+    reliance on character additivity over Z_2 lifts).
+    """
+    check_dim(d**n)
+    if z is None:
+        z = np.zeros(2 * n, dtype=np.int64)
+    z = np.asarray(z, dtype=np.int64) % d
+    dim = d**n
+    if d == 2:
+        P = np.eye(dim, dtype=complex)
+        for g in M.basis:
+            sign = (-1) ** symplectic_form(z, g, d)
+            P = P @ (np.eye(dim) + sign * weyl(g, n, d)) / 2
+        return P
+    P = np.zeros((dim, dim), dtype=complex)
+    w = np.exp(2j * np.pi / d)
+    for x in M.vectors():
+        P += w ** (-symplectic_form(z, x, d)) * weyl(x, n, d)
+    return P / M.size
+
+
+def stabilizer_state(M: Subspace, n: int, d: int, z=None) -> np.ndarray:
+    """Normalized state vector for a Lagrangian M (rank-1 projector column)."""
+    if M.dim != n:
+        raise ValueError("stabilizer_state needs a Lagrangian (dim n) subspace")
+    P = stabilizer_projector(M, n, d, z)
+    col = np.argmax(np.abs(np.diag(P)))
+    v = P[:, col]
+    v = v / np.linalg.norm(v)
+    # fix the global phase: first component of nonneligible modulus real positive
+    k = np.argmax(np.abs(v) > 1e-8)
+    v = v * (abs(v[k]) / v[k])
+    return v
+
+
+def all_stabilizer_states(n: int, d: int) -> np.ndarray:
+    """All stabilizer states, each translate W_z|M, 0> one dense product."""
+    full = Subspace.full(2 * n, d)
+    states = []
+    for M in stabilizer.lagrangians(n, d):
+        base = stabilizer_state(M, n, d)
+        for z in coset_reps(full, M):
+            v = weyl(z, n, d) @ base
+            k = np.argmax(np.abs(v) > 1e-8)
+            states.append(v * (abs(v[k]) / v[k]))
+    out = np.array(states)
+    assert len(out) == stabilizer.num_stabilizer_states(n, d)
+    return out
+
+
+def measurement_channel(M: Subspace, rho: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Dephasing to the stabilizer basis of M: d^{-n} sum_{x in M} W_x rho W_x^dag."""
+    if rho.shape[0] != d**n:
+        raise ValueError("dimension mismatch")
+    out = np.zeros_like(rho, dtype=complex)
+    for x in M.vectors():
+        w = weyl(x, n, d)
+        out += w @ rho @ w.conj().T
+    return out / M.size
+
+
+def sample_stabilizer(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform draw from the enumerated stabilizer states."""
+    states = stabilizer.all_stabilizer_states(n, d)
+    return states[rng.integers(len(states))]
+
+
+# ---------------------------------------------------------------------------
+# dense POVM elements of the testing protocols
+# ---------------------------------------------------------------------------
+
+def anti_identity_operator(n: int) -> np.ndarray:
+    """V = 2^{-n} (I^{x 6} + X^{x 6} + Y^{x 6} + Z^{x 6})^{x n} on 6n qubits.
+
+    The tensor factors are ordered copy-major to act on (psi^{x 6}).
+    """
+    check_dim(2 ** (6 * n))
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]])]
+    paulis.append(np.array([[0, -1j], [1j, 0]]))
+    paulis.append(np.diag([1.0, -1.0]))
+    v = sum(reduce(np.kron, [P] * 6) for P in paulis) / 2
+    out = reduce(np.kron, [v] * n, np.array([[1.0 + 0j]]))
+    # out acts qudit-major ((copy factors of qubit 1), ...); factor i * n + j
+    # of the copy-major order is factor j * 6 + i of the qudit-major one
+    ordering = [j * 6 + i for i in range(6) for j in range(n)]
+    perm = linear_index_map(permutation_matrix(ordering), 6 * n, 1, 2)
+    return out[np.ix_(perm, perm)]
+
+
+def qubit_accept_operator_route(psi: np.ndarray) -> float:
+    """tr[psi^{x 6} (I + V)/2] with V the anti-identity action."""
+    n = round(math.log2(len(psi)))
+    V = anti_identity_operator(n)
+    v6 = kron_power_vec(psi, 6)
+    return float((0.5 * (1.0 + v6.conj() @ V @ v6)).real)
+
+
+def v_s_operator(s: int, n: int, d: int) -> np.ndarray:
+    """V_s = d^{-n} sum_x (W_x (x) W_x^dag)^{x s} on 2s blocks of n qudits."""
+    check_dim(d ** (2 * s * n))
+    dim = d ** (2 * s * n)
+    V = np.zeros((dim, dim), dtype=complex)
+    for x in phase_points(n, d):
+        w = weyl(x, n, d)
+        pair = np.kron(w, w.conj().T)
+        term = np.array([[1.0 + 0j]])
+        for _ in range(s):
+            term = np.kron(term, pair)
+        V += term
+    return V / d**n
+
+
+def v_s_permutation_action(s: int, n: int, d: int) -> np.ndarray:
+    """The same V_s as a basis permutation: x -> (O (x) I_n) x with
+    O = 1 - s^{-1} p p^T, p the length-2s parity vector (-1,1,...,-1,1)."""
+    sinv = pow(s, -1, d)
+    par = np.array([(-1) ** (k + 1) for k in range(2 * s)], dtype=np.int64) % d
+    O = (np.eye(2 * s, dtype=np.int64) - sinv * np.outer(par, par)) % d
+    dim = d ** (2 * s * n)
+    perm = linear_index_map(O, 2 * s, n, d)
+    M = np.zeros((dim, dim))
+    M[perm, np.arange(dim)] = 1.0
+    return M
+
+
+def three_copy_operator(n: int, d: int) -> np.ndarray:
+    """V = d^{-n} sum_x A_x^{x 3}."""
+    check_dim(d ** (3 * n))
+    aops = point_operators(n, d)
+    dim = d ** (3 * n)
+    V = np.zeros((dim, dim), dtype=complex)
+    for a in aops:
+        V += np.kron(np.kron(a, a), a)
+    return V / d**n
+
+
+# ---------------------------------------------------------------------------
+# permutations of tensor factors
+# ---------------------------------------------------------------------------
+
+def permutation_operator(perm, subdim: int) -> np.ndarray:
+    """Operator permuting the tensor factors of (C^subdim)^{x len(perm)}."""
+    t = len(perm)
+    dim = subdim**t
+    P = np.zeros((dim, dim))
+    P[linear_index_map(permutation_matrix(perm), t, 1, subdim), np.arange(dim)] = 1.0
+    return P
+
+
+def symmetrizer(t: int, subdim: int) -> np.ndarray:
+    """Projector onto the symmetric subspace of (C^subdim)^{x t}."""
+    dim = subdim**t
+    acc = np.zeros((dim, dim))
+    for perm in itertools.permutations(range(t)):
+        acc += permutation_operator(perm, subdim)
+    return acc / math.factorial(t)

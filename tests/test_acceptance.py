@@ -42,7 +42,6 @@ from stabkit.moments import (
 )
 from stabkit.phase_space import kron_power_vec
 from stabkit.protocols import (
-    anti_identity_operator,
     bell_difference_distribution,
     qubit_accept_probability,
     qudit_accept_probability,
@@ -58,6 +57,8 @@ from stabkit.definetti import (
     gram,
     random_span_coefficients,
 )
+
+from oracles import anti_identity_operator
 
 
 def _haar_state(dim, rng):

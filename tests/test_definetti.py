@@ -22,7 +22,7 @@ from stabkit.definetti import (
     trace_distance,
     vectorize,
 )
-from stabkit.phase_space import kron_power_vec
+from stabkit.phase_space import kron_power_rows, kron_power_vec
 
 
 def test_gram_lemma_pins():
@@ -43,8 +43,9 @@ def test_gram_spectrum_within_eps_band():
 
 
 def test_frame_operator_matches_gram_spectrum():
-    data = gram(1, 2, 4, with_Q=True)
-    eq = np.linalg.eigvalsh(data.Q)
+    data = gram(1, 2, 4)
+    vecs = kron_power_rows(data.states, 4)
+    eq = np.linalg.eigvalsh(vecs.T @ vecs.conj())
     eg = np.linalg.eigvalsh(data.G)
     nz = eq[np.abs(eq) > 1e-10]
     assert len(nz) <= len(eg)

@@ -18,17 +18,17 @@ from stabkit.moments import (
     mixture_design_gap,
     orbit_coefficients,
     orbit_moment_vector,
-    permutation_operator,
     permutation_subspaces,
     qutrit_fiducial_angle,
     sigma_classes,
     stab_moment_coefficients,
     stab_moment_operator,
     stab_tensor_rank,
-    symmetrizer,
 )
 from stabkit.phase_space import kron_power_vec
 from stabkit.stabilizer import all_stabilizer_states
+
+from oracles import permutation_operator, symmetrizer
 
 
 @pytest.mark.parametrize("t,n,d", [(2, 1, 2), (3, 1, 2), (3, 1, 3), (4, 1, 2), (2, 2, 3)])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import stabkit
-from stabkit import clifford, commutant, phase_space, stabilizer
+from stabkit import clifford, commutant, stabilizer
 from stabkit.phase_space import ResourceCapError
 
 
@@ -26,14 +26,12 @@ def test_all_names_resolve(module):
     "get",
     [
         lambda: stabilizer.all_stabilizer_states(1, 2),
-        lambda: phase_space.point_operators(1, 3),
         lambda: commutant.orthogonal_stochastic_group(4, 2)[0],
         lambda: clifford.clifford_generators(2, 2)[-1],
         lambda: commutant.stochastic_lagrangians(4, 2)[-1].basis,
     ],
     ids=[
         "all_stabilizer_states",
-        "point_operators",
         "orthogonal_stochastic_group",
         "clifford_generators",
         "stochastic_lagrangians",
@@ -51,10 +49,9 @@ def test_cached_arrays_are_read_only(get):
     "fn, args",
     [
         (stabilizer.all_stabilizer_states, (3, 2)),
-        (phase_space.point_operators, (1, 3)),
         (clifford.clifford_generators, (3, 2)),
     ],
-    ids=["all_stabilizer_states", "point_operators", "clifford_generators"],
+    ids=["all_stabilizer_states", "clifford_generators"],
 )
 def test_cap_guards_warm_cache(fn, args, monkeypatch):
     fn(*args)

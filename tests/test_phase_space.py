@@ -15,11 +15,12 @@ from stabkit.phase_space import (
     kron_power_vec,
     phase_points,
     point_index,
-    point_operator,
-    point_operators,
     weyl,
     wigner_state,
 )
+
+import oracles
+from oracles import point_operators
 
 
 def _rand_state(dim, seed=0):
@@ -74,6 +75,12 @@ def test_weyl_entries_are_exact_roots_of_unity(n, d):
         assert not w[~support].any()
         k = np.round(np.angle(ref[support]) * d / np.pi) % (2 * d)
         assert np.abs(w[support] - np.exp(1j * np.pi * k / d)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n,d", [(2, 5), (2, 3), (3, 2)])
+def test_weyl_equals_dense_oracle(n, d):
+    for x in phase_points(n, d):
+        assert np.array_equal(weyl(x, n, d), oracles.weyl(x, n, d))
 
 
 def test_char_distribution_normalized_and_bounded():

@@ -20,12 +20,13 @@ from stabkit.phase_space import (
     characteristic_function,
     omega,
     phase_points,
-    point_operators,
     symplectic_fourier,
     weyl,
     wigner_state,
 )
 from stabkit.protocols import bell_difference_distribution, simulate_algorithm1
+
+from oracles import point_operators
 
 SIZES = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 5), (2, 5)]
 

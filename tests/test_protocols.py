@@ -7,13 +7,11 @@ import pytest
 
 from stabkit.clifford import fourier_gate, phase_gate
 from stabkit.protocols import (
-    anti_identity_operator,
     bell_difference_distribution,
     choi_state,
     clifford_test,
     mana,
     max_mixed_state_check,
-    qubit_accept_operator_route,
     qubit_accept_probability,
     qudit_accept_probability,
     qudit_soundness_constant,
@@ -21,15 +19,22 @@ from stabkit.protocols import (
     simulate_algorithm1,
     sum_negativity,
     three_copy_accept_probability,
-    three_copy_operator,
     uncertainty_points,
     uncertainty_weyl,
-    v_s_operator,
-    v_s_permutation_action,
     wigner_norm,
 )
-from stabkit.phase_space import kron_power_vec, point_operators
+from stabkit.phase_space import kron_power_vec, phase_points
 from stabkit.stabilizer import all_stabilizer_states
+
+import oracles
+from oracles import (
+    anti_identity_operator,
+    point_operators,
+    qubit_accept_operator_route,
+    three_copy_operator,
+    v_s_operator,
+    v_s_permutation_action,
+)
 
 
 def _haar_state(dim, rng):
@@ -205,6 +210,18 @@ def test_uncertainty_weyl_premise_attainable():
     psi = np.array([1.0, 0.0, 0.0])
     rep = uncertainty_weyl(psi, np.array([1, 0]), np.array([2, 0]), 1, 3)
     assert rep["premise"] and rep["commute"] and not rep["violated"]
+
+
+@pytest.mark.parametrize("n,d", [(1, 3), (2, 2), (1, 5), (2, 3)])
+def test_uncertainty_weyl_expectations_match_dense_weyl(n, d):
+    rng = np.random.default_rng(37)
+    pts = phase_points(n, d)
+    for _ in range(5):
+        psi = _haar_state(d**n, rng)
+        x, y = pts[rng.integers(len(pts), size=2)]
+        got = uncertainty_weyl(psi, x, y, n, d)["expectations"]
+        want = [abs(psi.conj() @ oracles.weyl(v, n, d) @ psi) ** 2 for v in (x, y)]
+        assert np.abs(np.array(got) - want).max() < 1e-12
 
 
 def test_uncertainty_points_never_violated():

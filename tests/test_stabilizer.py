@@ -1,4 +1,4 @@
-"""Stabilizer states, projectors, and ensembles."""
+"""Stabilizer states and ensembles, against the dense projector oracles."""
 
 from __future__ import annotations
 
@@ -7,14 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from stabkit.phase_space import weyl
+from stabkit.phase_space import ResourceCapError, weyl, weyl_action
 from stabkit.stabilizer import (
     all_stabilizer_states,
     isotropic_subspaces,
     lagrangians,
     max_stabilizer_overlap,
-    measurement_channel,
     num_stabilizer_states,
+)
+
+import oracles
+from oracles import (
+    measurement_channel,
     sample_stabilizer,
     stabilizer_projector,
     stabilizer_state,
@@ -64,6 +68,35 @@ def test_stabilizer_state_is_weyl_eigenvector():
             phase = out @ psi.conj()
             assert abs(abs(phase) - 1) < 1e-10
             assert np.abs(out - phase * psi).max() < 1e-10
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 5), (2, 5)])
+def test_state_list_matches_projector_oracle(n, d):
+    # (3, 2) has Lagrangians whose +1 eigenstate has no |0...0> amplitude
+    states, want = all_stabilizer_states(n, d), oracles.all_stabilizer_states(n, d)
+    assert states.shape == want.shape
+    assert np.abs(states - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 5)])
+def test_lagrangian_blocks_are_joint_eigenbases(n, d):
+    dim = d**n
+    blocks = all_stabilizer_states(n, d).reshape(-1, dim, dim)
+    for M, block in zip(lagrangians(n, d), blocks):
+        assert np.abs(block.conj() @ block.T - np.eye(dim)).max() < 1e-12
+        for targets, phases in zip(*weyl_action(M.basis, n, d)):
+            image = np.zeros_like(block)
+            image[:, targets] = phases * block
+            eigenvalues = np.einsum("ij,ij->i", block.conj(), image)
+            assert np.abs(np.abs(eigenvalues) - 1).max() < 1e-12
+            assert np.abs(image - eigenvalues[:, None] * block).max() < 1e-12
+
+
+def test_state_list_cap_counts_every_amplitude(monkeypatch):
+    # 2423520 states of 32 amplitudes: as many entries as an 8807-sided operator
+    monkeypatch.delenv("STABKIT_DIM_CAP", raising=False)
+    with pytest.raises(ResourceCapError, match="dimension 8807 exceeds cap 8192"):
+        all_stabilizer_states(5, 2)
 
 
 def test_max_overlap_t_state():
