@@ -4,6 +4,10 @@ Generators: the Fourier gate F (Hadamard for d = 2), the phase gate P,
 controlled addition CADD, and Weyl operators.  Every Clifford unitary U
 acts on Weyl operators by U W_x U^dag = phase(x) W_{Gamma x} for a
 symplectic matrix Gamma over Z_d.
+
+`apply_letter` is the one route by which a gate acts: F and P contract one
+qudit axis, CADD gathers rows and W scatters them through
+`phase_space.weyl_action`, so no gate is embedded as a dense matrix.
 """
 
 from __future__ import annotations
@@ -20,16 +24,14 @@ from .phase_space import (
     freeze,
     omega,
     phase_points,
-    weyl,
+    weyl_action,
 )
 
 __all__ = [
     "fourier_gate",
     "phase_gate",
     "cadd_gate",
-    "embed_single",
-    "embed_pair",
-    "gate_matrix",
+    "apply_letter",
     "CliffordWord",
     "clifford_generators",
     "random_clifford",
@@ -64,40 +66,31 @@ def cadd_gate(d: int) -> np.ndarray:
     return g
 
 
-def embed_single(g: np.ndarray, pos: int, n: int, d: int) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for i in range(n):
-        out = np.kron(out, g if i == pos else np.eye(d))
-    return out
+def apply_letter(letter, V: np.ndarray, n: int, d: int) -> np.ndarray:
+    """gate . V for one letter (kind, *args), kind in F/P/CADD/W, without the gate.
 
-
-def embed_pair(g: np.ndarray, i: int, j: int, n: int, d: int) -> np.ndarray:
-    """Apply a two-qudit gate to qudits (i, j) of n, i as first factor."""
-    dim = d**n
-    U = np.zeros((dim, dim), dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    digits = all_vectors(n, d)
-    sub_in = digits[:, i] * d + digits[:, j]
-    # each (row, col) pair is hit by exactly one sub_out
-    for sub_out in range(d * d):
-        new = digits.copy()
-        new[:, i], new[:, j] = divmod(sub_out, d)
-        U[flat_index(new, d), np.arange(dim)] = g[sub_out, sub_in]
-    return U
-
-
-def gate_matrix(letter, n: int, d: int) -> np.ndarray:
-    """Dense matrix of one gate letter: (kind, *args) with kind in F/P/CADD/W."""
+    V has shape (d^n, ...).  F and P act on the axis of qudit `pos` of V
+    viewed as (d^pos, d, rest); CADD gathers the rows with b_j <- b_j - b_i,
+    the preimage of b under |b_i, b_j> -> |b_i, b_i + b_j>; W scatters the
+    rows through `weyl_action`.
+    """
     kind, *args = letter
-    if kind == "F":
-        return embed_single(fourier_gate(d), args[0], n, d)
-    if kind == "P":
-        return embed_single(phase_gate(d), args[0], n, d)
-    if kind == "CADD":
-        return embed_pair(cadd_gate(d), args[0], args[1], n, d)
-    if kind == "W":
-        return weyl(np.asarray(args[0], dtype=np.int64), n, d)
-    raise ValueError(f"unknown gate kind {kind!r}")
+    rows = np.asarray(V, dtype=complex).reshape(d**n, -1)
+    if kind in ("F", "P"):
+        view = rows.reshape(d ** args[0], d, -1)
+        out = fourier_gate(d) @ view if kind == "F" else np.diag(phase_gate(d))[:, None] * view
+    elif kind == "CADD":
+        i, j = args
+        digits = all_vectors(n, d)
+        digits[:, j] = (digits[:, j] - digits[:, i]) % d
+        out = rows[flat_index(digits, d)]
+    elif kind == "W":
+        targets, phases = weyl_action(args[0], n, d)
+        out = np.empty_like(rows)
+        out[targets[0]] = phases[0][:, None] * rows
+    else:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    return out.reshape(np.shape(V))
 
 
 @dataclass(frozen=True)
@@ -110,7 +103,7 @@ class CliffordWord:
         check_dim(self.d**self.n)
         U = np.eye(self.d**self.n, dtype=complex)
         for letter in self.letters:
-            U = gate_matrix(letter, self.n, self.d) @ U
+            U = apply_letter(letter, U, self.n, self.d)
         return U
 
     def to_json(self) -> dict:
@@ -135,16 +128,11 @@ class CliffordWord:
 
 @capped_cache(lambda n, d: d**n)
 def clifford_generators(n: int, d: int) -> tuple[np.ndarray, ...]:
-    """Fourier and phase gates on each qudit, CADD on each ordered pair."""
-    gens = []
-    for i in range(n):
-        gens.append(embed_single(fourier_gate(d), i, n, d))
-        gens.append(embed_single(phase_gate(d), i, n, d))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                gens.append(embed_pair(cadd_gate(d), i, j, n, d))
-    return tuple(freeze(g) for g in gens)
+    """Fourier and phase gates on each qudit, CADD on each ordered pair, by `apply_letter`."""
+    letters = [(kind, i) for i in range(n) for kind in ("F", "P")]
+    letters += [("CADD", i, j) for i in range(n) for j in range(n) if i != j]
+    eye = np.eye(d**n, dtype=complex)
+    return tuple(freeze(apply_letter(letter, eye, n, d)) for letter in letters)
 
 
 def _random_letter(n: int, d: int, rng: np.random.Generator):
@@ -186,13 +174,16 @@ def conjugate_weyl_check(U: np.ndarray, n: int, d: int, atol: float = 1e-8):
     Raises ValueError with the failing point if U is not Clifford.
     """
     pts = phase_points(n, d)
+    Uh = U.conj().T
+
+    def conjugate(targets, phases):
+        # U W_x U^dag, with W_x|b> = phases[b] |targets[b]>
+        return (U[:, targets] * phases) @ Uh
 
     images = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    for k in range(2 * n):
-        x = np.zeros(2 * n, dtype=np.int64)
-        x[k] = 1
-        conj = U @ weyl(x, n, d) @ U.conj().T
-        mods = np.abs(characteristic_function(conj, n, d)) * d ** (-n / 2)
+    basis = weyl_action(np.eye(2 * n, dtype=np.int64), n, d)
+    for k, (targets, phases) in enumerate(zip(*basis)):
+        mods = np.abs(characteristic_function(conjugate(targets, phases), n, d)) * d ** (-n / 2)
         top = int(np.argmax(mods))
         if abs(mods[top] - 1.0) > atol or np.delete(mods, top).max() > atol:
             raise ValueError(f"not Clifford: no unique Weyl image for basis point {k}")
@@ -203,11 +194,15 @@ def conjugate_weyl_check(U: np.ndarray, n: int, d: int, atol: float = 1e-8):
     if ((Gamma.T @ J @ Gamma - J) % d).any():
         raise ValueError("conjugation action is not symplectic")
 
-    # linearity: each point maps to Gamma x with a unit phase
+    # linearity: each point maps to Gamma x with a unit phase, read off as
+    # tr[W_{Gamma x}^dag U W_x U^dag] / d^n on the support of W_{Gamma x}
+    sources, source_phases = weyl_action(pts, n, d)
+    targets, target_phases = weyl_action(pts @ Gamma.T, n, d)
+    cols = np.arange(d**n)
     phases = np.zeros(len(pts), dtype=complex)
     for i, x in enumerate(pts):
-        target = weyl((Gamma @ x) % d, n, d)
-        val = np.trace(target.conj().T @ (U @ weyl(x, n, d) @ U.conj().T)) / d**n
+        conj = conjugate(sources[i], source_phases[i])
+        val = np.vdot(target_phases[i], conj[targets[i], cols]) / d**n
         if abs(abs(val) - 1.0) > atol:
             raise ValueError(f"conjugation not linear at point {x}")
         phases[i] = val

@@ -649,11 +649,13 @@ def commutes_with_clifford(T: Subspace, n: int, d: int) -> dict:
     else:
         rng = np.random.default_rng(0)
         dim = d ** (t * n)
+        block = np.empty((dim, 6), dtype=complex)
         for U in gens:
-            for _ in range(3):
+            # three probes v, then R v: one pass of U^{x t} over all six
+            for k in range(3):
                 v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-                v /= np.linalg.norm(v)
-                lhs = R @ apply_tensor_power(U, v, t)
-                rhs = apply_tensor_power(U, R @ v, t)
-                worst = max(worst, float(np.abs(lhs - rhs).max()))
+                block[:, k] = v / np.linalg.norm(v)
+            block[:, 3:] = R @ block[:, :3]
+            moved = apply_tensor_power(U, block, t)
+            worst = max(worst, float(np.abs(R @ moved[:, :3] - moved[:, 3:]).max()))
     return {"t": t, "n": n, "d": d, "max_norm": worst, "passed": worst < 1e-9}

@@ -438,13 +438,14 @@ def coset_reps(sup: Subspace, sub: Subspace) -> np.ndarray:
     """Lexicographically least representatives of sup / sub cosets.
 
     The least member of v + sub is the one with zeros at the pivot columns
-    of sub's RREF basis, so the representatives are the distinct members
-    of sup with those columns cleared, in sorted order.
+    of sub's RREF basis.  Those members are a subspace of sup of dimension
+    dim sup - dim sub, spanned by sup's basis with the columns cleared, and
+    `Subspace.vectors` lists the members of an RREF basis in sorted order.
     """
     if not sup.contains_space(sub):
         raise ValueError("sub is not contained in sup")
-    members = sup.vectors()
-    return np.unique((members - members[:, list(sub.pivots)] @ sub.basis) % sup.d, axis=0)
+    cleared = sup.basis - sup.basis[:, list(sub.pivots)] @ sub.basis
+    return Subspace(cleared, sup.d, sup.ambient).vectors()
 
 
 def image_indices(reference, images, d: int) -> np.ndarray:
@@ -492,19 +493,26 @@ def orbits(images) -> list[np.ndarray]:
     """Orbits of a group action on the items 0, ..., n - 1.
 
     images is a (generators, n) integer table: images[g, i] is the image of
-    item i under generator g.  Every item is labelled with the least item
-    of its orbit: labels are propagated along each generator in both
-    directions and label chains are halved after each sweep, until a sweep
-    changes nothing.  Returns the orbits as ascending index arrays, in the
-    order of their first items.
+    item i under generator g, each row a permutation (else ValueError).
+    Every item is labelled with the least item of its orbit: labels are
+    propagated along each generator and its inverse and label chains are
+    halved after each sweep, until a sweep changes nothing.  Returns the
+    orbits as ascending index arrays, in the order of their first items.
     """
     images = np.asarray(images, dtype=np.int64)
     label = np.arange(images.shape[1])
+    if ((images < 0) | (images >= len(label))).any():
+        raise ValueError("an image table is not a permutation of the items")
+    # each inverse by one scatter; a repeated image leaves a hole (0) in it
+    inverses = np.zeros_like(images)
+    np.put_along_axis(inverses, images, label[None], axis=1)
+    if (np.take_along_axis(images, inverses, axis=1) != label).any():
+        raise ValueError("an image table is not a permutation of the items")
     while True:
         before = label
-        for image in images:
+        for image, inverse in zip(images, inverses):
             label = np.minimum(label, label[image])
-            np.minimum.at(label, image, label.copy())
+            label = np.minimum(label, label[inverse])
         label = label[label]
         if np.array_equal(label, before):
             break

@@ -8,8 +8,8 @@ Every Weyl expansion comes from `characteristic_function` (tr[W_x^dag B]
 at all x: one DFT over the shifted diagonals of B) and `symplectic_fourier`
 (one DFT over the 2n digits), each O(n d^{2n} log d) time and d^{2n}
 memory.  `weyl_action` is the one home of the Weyl formula: W_x as a
-permutation of basis states times phases, which callers gather through;
-`weyl` scatters it into one dense matrix.  Nothing here stacks operators.
+permutation of basis states times phases, which callers gather through.
+Nothing here builds a Weyl matrix or stacks operators.
 """
 
 from __future__ import annotations
@@ -107,14 +107,6 @@ def weyl_action(xs, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return flat_index(shifted, d), np.exp(1j * np.pi * k / d)
 
 
-def weyl(x, n: int, d: int) -> np.ndarray:
-    """W_x as a dense d^n x d^n matrix: the scatter of `weyl_action`."""
-    targets, phases = weyl_action(x, n, d)
-    op = np.zeros((d**n, d**n), dtype=complex)
-    op[targets[0], np.arange(d**n)] = phases[0]
-    return op
-
-
 def characteristic_function(B: np.ndarray, n: int, d: int) -> np.ndarray:
     """c_B(x) = d^{-n/2} tr[W_x^dag B], as a complex flat array.
 
@@ -179,11 +171,13 @@ def kron_power_vec(v: np.ndarray, k: int) -> np.ndarray:
 def apply_tensor_power(U: np.ndarray, v: np.ndarray, t: int) -> np.ndarray:
     """Compute U^{x t} v without materializing U^{x t}.
 
-    v lives on (C^m)^{x t} with m = U.shape[0]; U is applied along each of
-    the t tensor factors in turn.
+    v lives on (C^m)^{x t} with m = U.shape[0], one vector or a block of
+    them as the columns of a (m^t, k) array; U is applied along each of the
+    t tensor factors in turn.
     """
     m = U.shape[0]
-    w = np.asarray(v, dtype=complex).reshape((m,) * t)
+    v = np.asarray(v, dtype=complex)
+    w = v.reshape((m,) * t + v.shape[1:])
     for axis in range(t):
         w = np.moveaxis(np.tensordot(U, w, axes=([1], [axis])), 0, axis)
-    return w.reshape(-1)
+    return w.reshape(v.shape)

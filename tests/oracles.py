@@ -1,8 +1,8 @@
 """Dense second routes, kept as oracles for the library's single routes.
 
-Each function here builds explicit operators (Weyl matrices, projectors,
-permutation and POVM operators on tensor powers) where the library gathers
-or uses a closed formula.  Tests compare the two.
+Each function here builds explicit operators (Weyl matrices, embedded
+Clifford gates, projectors, permutation and POVM operators on tensor
+powers) where the library gathers or uses a closed formula.  Tests compare the two.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from functools import reduce
 import numpy as np
 
 from stabkit import stabilizer
+from stabkit.clifford import cadd_gate, fourier_gate, phase_gate
 from stabkit.commutant import permutation_matrix
 from stabkit.gf import Subspace, all_vectors, coset_reps, flat_index, symplectic_form
 from stabkit.phase_space import (
@@ -24,6 +25,7 @@ from stabkit.phase_space import (
     linear_index_map,
     phase_points,
     symplectic_fourier,
+    weyl_action,
 )
 
 
@@ -46,12 +48,74 @@ def weyl(x, n: int, d: int) -> np.ndarray:
     return op
 
 
+def weyl_scatter(x, n: int, d: int) -> np.ndarray:
+    """W_x as a dense matrix: the library's `weyl_action` scattered into d^n x d^n."""
+    targets, phases = weyl_action(x, n, d)
+    op = np.zeros((d**n, d**n), dtype=complex)
+    op[targets[0], np.arange(d**n)] = phases[0]
+    return op
+
+
 @capped_cache(lambda n, d: d ** (2 * n))
 def point_operators(n: int, d: int) -> np.ndarray:
     """Stack of all d^{2n} point operators A_x = d^{-n} sum_y omega^{-[x,y]} W_y^dag,
     in flat index order."""
     adjoints = np.array([weyl(y, n, d).conj().T for y in phase_points(n, d)])
     return freeze(symplectic_fourier(adjoints, n, d) / d**n)
+
+
+# ---------------------------------------------------------------------------
+# Clifford gates embedded as dense matrices
+# ---------------------------------------------------------------------------
+
+def embed_single(g: np.ndarray, pos: int, n: int, d: int) -> np.ndarray:
+    """A one-qudit gate on qudit pos of n, as a Kronecker product with identities."""
+    out = np.array([[1.0 + 0j]])
+    for i in range(n):
+        out = np.kron(out, g if i == pos else np.eye(d))
+    return out
+
+
+def embed_pair(g: np.ndarray, i: int, j: int, n: int, d: int) -> np.ndarray:
+    """Apply a two-qudit gate to qudits (i, j) of n, i as first factor."""
+    dim = d**n
+    U = np.zeros((dim, dim), dtype=complex)
+    g = np.asarray(g, dtype=complex)
+    digits = all_vectors(n, d)
+    sub_in = digits[:, i] * d + digits[:, j]
+    # each (row, col) pair is hit by exactly one sub_out
+    for sub_out in range(d * d):
+        new = digits.copy()
+        new[:, i], new[:, j] = divmod(sub_out, d)
+        U[flat_index(new, d), np.arange(dim)] = g[sub_out, sub_in]
+    return U
+
+
+def gate_matrix(letter, n: int, d: int) -> np.ndarray:
+    """Dense matrix of one gate letter: (kind, *args) with kind in F/P/CADD/W."""
+    kind, *args = letter
+    if kind == "F":
+        return embed_single(fourier_gate(d), args[0], n, d)
+    if kind == "P":
+        return embed_single(phase_gate(d), args[0], n, d)
+    if kind == "CADD":
+        return embed_pair(cadd_gate(d), args[0], args[1], n, d)
+    if kind == "W":
+        return weyl(args[0], n, d)
+    raise ValueError(f"unknown gate kind {kind!r}")
+
+
+def clifford_generators(n: int, d: int) -> list[np.ndarray]:
+    """F and P on each qudit, then CADD on each ordered pair, as dense embeddings."""
+    gens = []
+    for i in range(n):
+        gens.append(embed_single(fourier_gate(d), i, n, d))
+        gens.append(embed_single(phase_gate(d), i, n, d))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                gens.append(embed_pair(cadd_gate(d), i, j, n, d))
+    return gens
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,113 @@
+"""Clifford gates applied by gathers against the dense embedded gates.
+
+The oracles embed each gate letter as a dense d^n x d^n matrix (Kronecker
+products with identities, a scattered two-qudit gate, the dense Weyl
+matrix) and multiply; the library applies a letter to a block of vectors
+by a contraction on one qudit axis, a row gather or a row scatter.  The
+commutant residual is checked against the earlier route, which applied
+U^{x t} to each probe vector and to its image under R(T) separately.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from stabkit.clifford import apply_letter, clifford_generators, random_clifford
+from stabkit.commutant import R_matrix, commutes_with_clifford, stochastic_lagrangians
+from stabkit.gf import Subspace
+from stabkit.phase_space import apply_tensor_power, phase_points
+
+import oracles
+
+SIZES = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (2, 5)]
+
+# not isotropic ((e_1, 0) has x.x - y.y = 1), so not a stochastic Lagrangian
+NOT_COMMUTANT = Subspace(
+    np.array([[1, 0, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0], [0, 0, 1, 0, 0, 1]]), 2, 6
+)
+
+
+def _letters(n, d):
+    """Every F, P and CADD letter on n qudits, and W at every phase point."""
+    letters = [(kind, i) for i in range(n) for kind in ("F", "P")]
+    letters += [("CADD", i, j) for i in range(n) for j in range(n) if i != j]
+    letters += [("W", tuple(int(v) for v in x)) for x in phase_points(n, d)]
+    return letters
+
+
+@pytest.mark.parametrize("n,d", SIZES)
+def test_each_letter_matches_dense_gate(n, d):
+    rng = np.random.default_rng(10 * n + d)
+    V = rng.normal(size=(d**n, 3)) + 1j * rng.normal(size=(d**n, 3))
+    for letter in _letters(n, d):
+        want = oracles.gate_matrix(letter, n, d) @ V
+        assert np.abs(apply_letter(letter, V, n, d) - want).max() < 1e-12, letter
+        assert np.abs(apply_letter(letter, V[:, 0], n, d) - want[:, 0]).max() < 1e-12, letter
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n,d", SIZES)
+def test_word_matrix_matches_dense_product(n, d, seed):
+    word, U = random_clifford(n, d, np.random.default_rng(seed))
+    want = np.eye(d**n, dtype=complex)
+    for letter in word.letters:
+        want = oracles.gate_matrix(letter, n, d) @ want
+    assert np.abs(U - want).max() < 1e-12
+    assert np.abs(word.matrix() - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("n,d", SIZES)
+def test_generators_match_dense_embeddings(n, d):
+    gens = clifford_generators(n, d)
+    want = oracles.clifford_generators(n, d)
+    assert len(gens) == len(want) == 2 * n + n * (n - 1)
+    for g, w in zip(gens, want):
+        assert np.abs(g - w).max() < 1e-12
+
+
+def test_unknown_letter_rejected():
+    with pytest.raises(ValueError):
+        apply_letter(("T", 0), np.eye(2), 1, 2)
+
+
+def test_apply_tensor_power_on_a_block_matches_each_column():
+    rng = np.random.default_rng(3)
+    U = clifford_generators(2, 2)[0]
+    block = rng.normal(size=(4**3, 5)) + 1j * rng.normal(size=(4**3, 5))
+    moved = apply_tensor_power(U, block, 3)
+    for k in range(5):
+        assert np.abs(moved[:, k] - apply_tensor_power(U, block[:, k], 3)).max() < 1e-12
+
+
+def _residual_per_vector(T, n, d):
+    """max |R U^{x t} v - U^{x t} R v| with U^{x t} applied to one vector at a time."""
+    t = T.ambient // 2
+    R = R_matrix(T, n)
+    rng = np.random.default_rng(0)
+    dim = d ** (t * n)
+    worst = 0.0
+    for U in oracles.clifford_generators(n, d):
+        for _ in range(3):
+            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            v /= np.linalg.norm(v)
+            lhs = R @ apply_tensor_power(U, v, t)
+            rhs = apply_tensor_power(U, R @ v, t)
+            worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
+
+
+@pytest.mark.parametrize("t,d", [(2, 2), (3, 2), (2, 3), (4, 2)])
+def test_matrix_free_residual_matches_per_vector_route(t, d):
+    for T in stochastic_lagrangians(t, d)[:6]:
+        got = commutes_with_clifford(T, 2, d)["max_norm"]
+        assert got < 1e-9
+        assert abs(got - _residual_per_vector(T, 2, d)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_matrix_free_negative_control(n):
+    rep = commutes_with_clifford(NOT_COMMUTANT, n, 2)
+    assert not rep["passed"]
+    assert rep["max_norm"] > 1e-3
+    assert abs(rep["max_norm"] - _residual_per_vector(NOT_COMMUTANT, n, 2)) < 1e-12

