@@ -338,9 +338,15 @@ def _invalid_argument(cfg: RunConfig) -> str | None:
     if cfg.command == "test" and cfg.protocol == "mc" and cfg.shots < 1:
         return f"shots={cfg.shots} is below 1"
     if cfg.command == "definetti" and cfg.variant == "anti":
-        if cfg.d != 2 or cfg.t % 6 or cfg.s % 6 or cfg.s > cfg.t:
+        if cfg.d != 2 or cfg.t % 6 or cfg.s % 6:
             return (f"d={cfg.d}, t={cfg.t}, s={cfg.s}: the anti variant needs d = 2 "
-                    "and t, s multiples of 6 with s <= t")
+                    "and t, s multiples of 6")
+    if cfg.command == "definetti" and cfg.s > cfg.t:
+        return f"s={cfg.s} exceeds t={cfg.t}: the reduced state keeps s of the t copies"
+    if cfg.command == "test" and cfg.protocol == "three-copy" and cfg.d % 6 not in (1, 5):
+        return f"d={cfg.d}: the three-copy test needs d = 1, 5 mod 6"
+    if cfg.command == "hudson" and cfg.d == 2:
+        return f"d={cfg.d}: robust Hudson needs odd d"
     return None
 
 
@@ -361,11 +367,96 @@ def run(cfg: RunConfig) -> ReportBundle:
     return rep
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == float("inf"):
+        return "Infinity"
+    if x == float("-inf"):
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it, before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_text(obj, newline: str, out: list) -> None:
+    """Append the text of `json.dumps(obj, indent=2, sort_keys=True,
+    default=str)` to out, nested at `newline` (a newline and the indent).
+
+    The rules are those of json's pure-Python encoder, which json.dumps
+    uses whenever an indent is given, but without a generator per
+    container: a list or tuple of plain ints (no bool, no subclass),
+    almost every byte of a basis report, is written by one join.
+    """
+    if isinstance(obj, str):
+        out.append(_escape(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if list(map(type, obj)).count(int) == len(obj):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            sep = "," + inner
+            _json_text(item, inner, out)
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + _escape(_key_text(key)) + ": ")
+            sep = "," + inner
+            _json_text(value, inner, out)
+        out.append(newline + "}")
+    else:
+        out.append(_escape(str(obj)))
+
+
 def emit(report: ReportBundle, fmt: str = "json") -> bytes:
     if fmt == "json":
         payload = report.to_json()
         payload["wall_clock"] = None  # determinism: drop timing from the output
-        return (json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n").encode()
+        out: list[str] = []
+        _json_text(payload, "\n", out)
+        out.append("\n")
+        text = "".join(out)
+        del out  # drop the pieces before encoding, so they and the bytes never coexist
+        return text.encode()
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(

@@ -543,7 +543,9 @@ def double_cosets(t: int, d: int) -> tuple[dict, ...]:
     position[order] = np.arange(len(sigma))
     ones = np.ones(2 * t, dtype=np.int64)
     cosets = []
-    for orbit in orbits(position[np.array(images)[:, order]]):
+    # O_1(d) is trivial: no generators, and every T is its own coset
+    images = np.array(images, dtype=np.int64).reshape(-1, len(sigma))
+    for orbit in orbits(position[images[:, order]]):
         members = tuple(sigma[order[i]] for i in orbit)
         rep = members[0]
         cosets.append(

@@ -21,7 +21,7 @@ from scipy.optimize import nnls
 
 from .commutant import anti_identity_matrix, orthogonal_stochastic_group, permutation_matrix
 from .gf import generating_set, orbits
-from .phase_space import check_dim, kron_power_rows, linear_index_map
+from .phase_space import check_dim, kron_power_rows, linear_index_map, square_side
 from .stabilizer import all_stabilizer_states
 
 __all__ = [
@@ -120,7 +120,9 @@ def make_invariant_state(
     "full" takes a generating set of O_t(d).  Pure inputs are averaged as
     vectors over index orbits (so the result is an invariant pure state);
     mixed inputs as matrices over orbits of index pairs (i, j), on which O
-    acts by its index permutation on both entries.
+    acts by its index permutation on both entries.  The cap guards dim, and
+    for a mixed input the generators x dim^2 pair tables as entries of a
+    square operator.
     """
     if t < 2:
         raise ValueError("the copy symmetries need t >= 2")
@@ -144,6 +146,7 @@ def make_invariant_state(
     if pure:
         x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     else:
+        check_dim(square_side(len(gens) * dim**2))
         k = min(dim, 16)
         A = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
         x = (A @ A.conj().T).reshape(-1)
@@ -273,6 +276,8 @@ def exp_definetti_check(
         data = gram(2 * n if mixed else n, d, t)
         residual = 0.0
         bound = mixed_bound(n, d, t, s) if mixed else pure_bound(n, d, t, s)
+    if not 1 <= s <= t:
+        raise ValueError(f"s={s} must lie in 1..t={t}")
     norm2 = float((alpha.conj() @ data.G @ alpha).real)
     p = np.abs(alpha) ** 2
     p = p / p.sum()

@@ -398,13 +398,19 @@ def echelon_subspaces(gram: np.ndarray, d: int, k: int, admissible) -> tuple[Sub
     on such a basis.  Each subspace is built once, as its RREF basis: rows
     are added in decreasing pivot order, each new row with its leading 1
     left of every chosen pivot and zeros at the chosen pivot columns.  The
-    result is sorted by the canonical key.
+    result is sorted by the canonical key.  The table of all d^ambient
+    vectors and the candidates' square orthogonality table are guarded by
+    the dimension cap.
     """
+    from .phase_space import check_dim, square_side  # phase_space imports gf
+
     ambient = gram.shape[0]
+    check_dim(square_side(d**ambient * ambient))
     vecs = all_vectors(ambient, d)
     lead = np.argmax(vecs != 0, axis=1)
     keep = vecs.any(axis=1) & (vecs[np.arange(len(vecs)), lead] == 1) & admissible(vecs)
     cand, lead = vecs[keep], lead[keep]
+    check_dim(len(cand))
     orthogonal = (cand @ gram @ cand.T) % d == 0
     out = []
 

@@ -15,6 +15,7 @@ Nothing here builds a Weyl matrix or stacks operators.
 from __future__ import annotations
 
 import functools
+import math
 import os
 
 import numpy as np
@@ -42,6 +43,12 @@ def check_dim(dim: int):
     cap = int(os.environ.get("STABKIT_DIM_CAP", DEFAULT_DIM_CAP))
     if dim > cap:
         raise ResourceCapError(f"requested operator dimension {dim} exceeds cap {cap}")
+
+
+def square_side(entries: int) -> int:
+    """Side of the smallest square operator with at least `entries` entries,
+    the dimension `check_dim` is given for a table that is not square."""
+    return math.isqrt(entries - 1) + 1
 
 
 def capped_cache(dim, maxsize: int = 16):

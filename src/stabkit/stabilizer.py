@@ -10,13 +10,12 @@ gathers, one formula for every d; no dense Weyl matrix is formed.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
 from .gf import Subspace, coset_reps, echelon_subspaces, gram_symplectic
-from .phase_space import capped_cache, freeze, weyl_action
+from .phase_space import capped_cache, freeze, square_side, weyl_action
 
 __all__ = [
     "lagrangians",
@@ -56,7 +55,7 @@ def num_stabilizer_states(n: int, d: int) -> int:
 
 def _state_list_side(n: int, d: int) -> int:
     """Side of a square operator with as many entries as the state list."""
-    return math.isqrt(num_stabilizer_states(n, d) * d**n - 1) + 1
+    return square_side(num_stabilizer_states(n, d) * d**n)
 
 
 @capped_cache(_state_list_side)

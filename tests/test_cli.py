@@ -6,9 +6,12 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stabkit.cli import RunConfig, emit, main, run
+from stabkit.cli import _COMMANDS, ReportBundle, RunConfig, emit, main, run
 
 
 def _capture(capsys, argv):
@@ -121,6 +124,9 @@ def test_cap_hit_is_one_failed_record(capsys, monkeypatch, argv):
         (["test", "--protocol", "qudit", "--d", "3", "--s", "3", "--seed", "1"], "s=3"),
         (["test", "--protocol", "mc", "--shots", "0", "--seed", "1"], "shots=0"),
         (["definetti", "--variant", "anti", "--t", "1"], "t=1"),
+        (["definetti", "--variant", "exp", "--t", "2", "--s", "3"], "s=3"),
+        (["test", "--protocol", "three-copy", "--d", "3"], "d=3"),
+        (["hudson", "--seed", "1"], "d=2"),
     ],
 )
 def test_invalid_sizes_are_one_failed_record(capsys, argv, value):
@@ -151,3 +157,112 @@ def test_config_has_only_command_line_fields(capsys):
     code, out = _capture(capsys, ["enumerate-o", "--t", "3", "--d", "3"])
     assert code == 0
     assert not {"cap", "tolerance"} & set(json.loads(out)["config"])
+
+
+def test_double_cosets_at_t1(capsys):
+    # O_1(d) is trivial: the one element of Sigma_{1,1}(d) is its own coset
+    code, out = _capture(capsys, ["double-cosets", "--t", "1", "--d", "3"])
+    assert code == 0
+    assert json.loads(out)["records"][0]["measured"] == [1]
+
+
+def test_candidate_table_cap_is_one_failed_record(capsys, monkeypatch):
+    # the defects of Sigma_{9,9}(7) need all 7^9 digit rows of length 9
+    monkeypatch.delenv("STABKIT_DIM_CAP", raising=False)
+    code, out = _capture(capsys, ["enumerate-sigma", "--t", "9", "--d", "7"])
+    assert code == 1
+    records = json.loads(out)["records"]
+    assert [r["check_id"] for r in records] == ["resource-cap"]
+    assert "exceeds cap 8192" in records[0]["measured"]
+
+
+def _emit_oracle(rep: ReportBundle) -> bytes:
+    payload = rep.to_json()
+    payload["wall_clock"] = None
+    return (json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n").encode()
+
+
+_SMALL_RUNS = [
+    RunConfig(command="enumerate-sigma", t=4, d=3),
+    RunConfig(command="enumerate-o", t=4, d=3),
+    RunConfig(command="verify-commutant", t=3, d=2, n=2),
+    RunConfig(command="double-cosets", t=4, d=3),
+    RunConfig(command="moments", t=3, n=1, d=3, check=True),
+    RunConfig(command="design", t=3, n=1, d=3),
+    RunConfig(command="test", protocol="qubit6", n=2, seed=3),
+    RunConfig(command="test", protocol="qudit", d=3, seed=3),
+    RunConfig(command="test", protocol="three-copy", d=5, seed=3),
+    RunConfig(command="test", protocol="mc", shots=500, seed=3),
+    RunConfig(command="hudson", d=3, seed=3),
+    RunConfig(command="definetti", variant="exp", t=4, s=2, seed=3),
+    RunConfig(command="verify-all", profile="quick"),
+    RunConfig(command="enumerate-sigma", t=3, d=4),  # invalid-argument
+]
+
+
+@pytest.mark.parametrize("cfg", _SMALL_RUNS, ids=lambda c: c.command)
+def test_json_report_is_byte_identical_to_json_dumps(cfg):
+    rep = run(cfg)
+    assert emit(rep, "json") == _emit_oracle(rep)
+
+
+def test_small_runs_cover_every_command():
+    assert {cfg.command for cfg in _SMALL_RUNS} == set(_COMMANDS)
+
+
+def test_resource_cap_record_is_byte_identical(monkeypatch):
+    monkeypatch.setenv("STABKIT_DIM_CAP", "1")
+    rep = run(RunConfig(command="moments", t=3, n=2))
+    assert rep.records[0]["check_id"] == "resource-cap"
+    assert emit(rep, "json") == _emit_oracle(rep)
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not json"
+
+
+_floats = st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e-17])
+_ints = st.integers(-(2**100), 2**100) | st.sampled_from([2**70, -(2**70), 2**200])
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    _ints,
+    _floats,
+    st.text(),
+    st.sampled_from(["\u00e9\u4e2d\U0001f600", "\x00\x1f\x7f\n\t\"\\"]),
+    _ints.map(_Int),
+    _floats.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.lists(_floats, max_size=4).map(np.array),
+    st.lists(st.integers(-9, 9), max_size=6).map(lambda v: np.array(v, dtype=np.int64)),
+)
+# keys of one dict must be comparable for sort_keys: text, numbers or None
+_key_sets = [st.text(), _ints | _floats | st.booleans(), st.none()]
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(_ints, max_size=6),
+        st.lists(_ints | st.booleans(), max_size=6),
+        *[st.dictionaries(keys, children, max_size=5) for keys in _key_sets],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_scalars, _containers, max_leaves=40))
+def test_json_encoding_matches_json_dumps(payload):
+    rep = ReportBundle(config={"payload": payload})
+    assert emit(rep, "json") == _emit_oracle(rep)
+
+
+@pytest.mark.parametrize("key", [(1, 2), np.int64(1), np.bool_(True)])
+def test_json_rejects_keys_as_json_dumps_does(key):
+    rep = ReportBundle(config={key: 0})
+    with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+        _emit_oracle(rep)
+    with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+        emit(rep, "json")

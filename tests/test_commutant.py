@@ -205,7 +205,8 @@ def test_permutation_times_diagonal():
 
 
 @pytest.mark.parametrize(
-    "t,d,sizes", [(3, 3, [6, 2]), (4, 2, [24, 6]), (4, 3, [48, 32])]
+    "t,d,sizes",
+    [(3, 3, [6, 2]), (4, 2, [24, 6]), (4, 3, [48, 32]), (1, 2, [1]), (1, 3, [1])],
 )
 def test_double_cosets(t, d, sizes):
     cosets = double_cosets(t, d)

@@ -22,7 +22,7 @@ from stabkit.definetti import (
     trace_distance,
     vectorize,
 )
-from stabkit.phase_space import kron_power_rows, kron_power_vec
+from stabkit.phase_space import ResourceCapError, kron_power_rows, kron_power_vec
 
 
 def test_gram_lemma_pins():
@@ -222,3 +222,19 @@ def test_gram_data_fields():
     assert data.num_states == 12
     assert data.G.shape == (12, 12)
     assert np.abs(np.diag(data.G) - 1.0).max() < 1e-12
+
+
+def test_mixed_twirl_cap_counts_the_pair_tables(monkeypatch):
+    # perm at (t, n, d) = (2, 1, 2): dim 4, two pair tables of 16 entries (side 6)
+    monkeypatch.setenv("STABKIT_DIM_CAP", "5")
+    assert make_invariant_state(2, 1, 2, "perm", seed=0).state.shape == (4, 4)
+    with pytest.raises(ResourceCapError, match="dimension 6 exceeds cap 5"):
+        make_invariant_state(2, 1, 2, "perm", seed=0, pure=False)
+    monkeypatch.setenv("STABKIT_DIM_CAP", "6")
+    assert make_invariant_state(2, 1, 2, "perm", seed=0, pure=False).state.shape == (4, 4)
+
+
+def test_exp_definetti_refuses_more_copies_than_t():
+    alpha = random_span_coefficients(gram(1, 2, 2), 0)
+    with pytest.raises(ValueError, match="s=3 must lie in 1..t=2"):
+        exp_definetti_check(alpha, 3, t=2, n=1, d=2)

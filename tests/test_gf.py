@@ -12,9 +12,11 @@ from stabkit.gf import (
     all_vectors,
     coset_reps,
     dot,
+    echelon_subspaces,
     flat_index,
     form_modulus,
     gram_dot,
+    gram_symplectic,
     nullspace,
     quadratic_Q_vec,
     quadratic_q,
@@ -23,6 +25,7 @@ from stabkit.gf import (
     sum_index,
     symplectic_form,
 )
+from stabkit.phase_space import ResourceCapError
 
 primes = st.sampled_from([2, 3, 5])
 
@@ -167,3 +170,17 @@ def test_sum_index_adds_digit_rows(k, base):
     vecs = all_vectors(k, base)
     want = flat_index((vecs[:, None, :] + vecs[None, :, :]) % base, base)
     assert np.array_equal(sum_index(k, base), want)
+
+
+def test_echelon_subspaces_cap_guards_both_tables(monkeypatch):
+    # Z_3^4: 81 rows of 4 digits (as many entries as an 18-sided operator),
+    # 40 candidates with a leading 1 and a 40 x 40 orthogonality table
+    args = gram_symplectic(4, 3), 3, 2, lambda vecs: np.ones(len(vecs), dtype=bool)
+    monkeypatch.setenv("STABKIT_DIM_CAP", "17")
+    with pytest.raises(ResourceCapError, match="dimension 18 exceeds cap 17"):
+        echelon_subspaces(*args)
+    monkeypatch.setenv("STABKIT_DIM_CAP", "39")
+    with pytest.raises(ResourceCapError, match="dimension 40 exceeds cap 39"):
+        echelon_subspaces(*args)
+    monkeypatch.setenv("STABKIT_DIM_CAP", "40")
+    assert len(echelon_subspaces(*args)) == (3 + 1) * (9 + 1)
