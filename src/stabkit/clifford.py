@@ -17,15 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import all_vectors, flat_index, gram_symplectic, orbits
-from .phase_space import (
-    capped_cache,
-    characteristic_function,
-    check_dim,
-    freeze,
-    omega,
-    phase_points,
-    weyl_action,
-)
+from .phase_space import characteristic_function, check_dim, omega, phase_points, weyl_action
 
 __all__ = [
     "fourier_gate",
@@ -33,7 +25,7 @@ __all__ = [
     "cadd_gate",
     "apply_letter",
     "CliffordWord",
-    "clifford_generators",
+    "generator_letters",
     "random_clifford",
     "is_clifford",
     "conjugate_weyl_check",
@@ -81,9 +73,9 @@ def apply_letter(letter, V: np.ndarray, n: int, d: int) -> np.ndarray:
         out = fourier_gate(d) @ view if kind == "F" else np.diag(phase_gate(d))[:, None] * view
     elif kind == "CADD":
         i, j = args
-        digits = all_vectors(n, d)
-        digits[:, j] = (digits[:, j] - digits[:, i]) % d
-        out = rows[flat_index(digits, d)]
+        b = np.arange(d**n)
+        b_i, b_j = b // d ** (n - 1 - i) % d, b // d ** (n - 1 - j) % d
+        out = rows[b + ((b_j - b_i) % d - b_j) * d ** (n - 1 - j)]
     elif kind == "W":
         targets, phases = weyl_action(args[0], n, d)
         out = np.empty_like(rows)
@@ -126,13 +118,10 @@ class CliffordWord:
         return cls(data["n"], data["d"], tuple(letters))
 
 
-@capped_cache(lambda n, d: d**n)
-def clifford_generators(n: int, d: int) -> tuple[np.ndarray, ...]:
-    """Fourier and phase gates on each qudit, CADD on each ordered pair, by `apply_letter`."""
+def generator_letters(n: int) -> list:
+    """The Clifford generators as letters: F and P on each qudit, then CADD on each ordered pair."""
     letters = [(kind, i) for i in range(n) for kind in ("F", "P")]
-    letters += [("CADD", i, j) for i in range(n) for j in range(n) if i != j]
-    eye = np.eye(d**n, dtype=complex)
-    return tuple(freeze(apply_letter(letter, eye, n, d)) for letter in letters)
+    return letters + [("CADD", i, j) for i in range(n) for j in range(n) if i != j]
 
 
 def _random_letter(n: int, d: int, rng: np.random.Generator):

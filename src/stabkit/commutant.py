@@ -31,6 +31,7 @@ from .gf import (
     coset_reps,
     dot,
     echelon_subspaces,
+    extend_tuples,
     flat_index,
     form_modulus,
     generating_set,
@@ -147,7 +148,7 @@ def _quotient_isometries(images, sources) -> np.ndarray:
     nondegenerate on M^perp/M (the radical of M^perp is M), so images
     matching every dot are independent in N^perp/N: a rank check would
     only prune branches that cannot be completed.  Partial isometries are
-    extended breadth-first, one source vector at a time.
+    extended by `extend_tuples`, one source vector at a time.
     """
     table, table_q, table_dots, hits_ones = images
     src, src_q, src_dots, forced = sources
@@ -157,12 +158,9 @@ def _quotient_isometries(images, sources) -> np.ndarray:
         # vector itself) must represent the class of 1 in N^perp/N
         chosen = np.full((int(hits_ones), 1), last)
     else:
-        chosen = np.zeros((1, 0), dtype=np.int64)
-    for i in range(chosen.shape[1], len(src)):
-        dots_match = (table_dots[chosen, :last] == src_dots[i, :i, None]).all(axis=1)
-        parent, image = np.nonzero(dots_match & (table_q[:last] == src_q[i]))
-        chosen = np.concatenate([chosen[parent], image[:, None]], axis=1)
-    return table[chosen]
+        chosen = np.zeros((1, 0))
+    slot_ok = (table_q == src_q[:, None]) & (np.arange(len(table)) < last)
+    return table[extend_tuples(chosen, table_dots, src_dots, slot_ok)]
 
 
 def _defect_rows(N: Subspace, M: Subspace, images, src) -> np.ndarray:
@@ -232,10 +230,12 @@ def sigma_count_formula(t: int, d: int) -> int:
 def orthogonal_stochastic_group(t: int, d: int) -> tuple[np.ndarray, ...]:
     """O_t(d): t x t matrices over Z_d, orthogonal, stochastic, q-preserving.
 
-    Column-by-column DFS.  A valid column c has c.c = 1 mod d, q(c) = 1
-    mod D, and sum(c) = 1 mod d; columns are pairwise orthogonal mod d.
-    Per-column sums equal to one are equivalent to stochasticity of both
-    the matrix and its transpose once orthogonality holds.
+    A valid column c has c.c = 1 mod d, q(c) = 1 mod D, and sum(c) = 1
+    mod d; columns are pairwise orthogonal mod d, and `extend_tuples` lists
+    the column tuples in lexicographic order.  Per-column sums equal to one
+    are equivalent to stochasticity of both the matrix and its transpose
+    once orthogonality holds.  The matrices are read-only views of one
+    stack.
     """
     D = form_modulus(d)
     vecs = all_vectors(t, d)
@@ -243,17 +243,9 @@ def orthogonal_stochastic_group(t: int, d: int) -> tuple[np.ndarray, ...]:
     # q(c) = 1 mod D implies c.c = 1 mod d, since d divides D
     cand = vecs[(q % D == 1 % D) & (vecs.sum(axis=1) % d == 1 % d)]
     orthogonal = (cand @ cand.T) % d == 0
-    out = []
-
-    def rec(cols, alive):
-        if len(cols) == t:
-            out.append(freeze(cand[cols].T))
-            return
-        for i in np.flatnonzero(alive):
-            rec(cols + [i], alive & orthogonal[i])
-
-    rec([], np.ones(len(cand), dtype=bool))
-    return tuple(out)
+    want, slot_ok = np.ones((t, t), dtype=bool), np.ones((t, len(cand)), dtype=bool)
+    cols = extend_tuples(np.zeros((1, 0)), orthogonal, want, slot_ok)
+    return tuple(np.moveaxis(freeze(cand.T[:, cols]), 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -537,16 +529,12 @@ def double_cosets(t: int, d: int) -> tuple[dict, ...]:
         left, right = (L @ O.T % d).astype(narrow), (R @ O % d).astype(narrow)
         images.append(image_indices(bases, np.concatenate([left, R], axis=2), d))
         images.append(image_indices(bases, np.concatenate([L, right], axis=2), d))
-    # items in the order of their basis bytes, as members are listed
-    order = sorted(range(len(sigma)), key=lambda i: sigma[i].basis.tobytes())
-    position = np.empty(len(sigma), dtype=np.int64)
-    position[order] = np.arange(len(sigma))
     ones = np.ones(2 * t, dtype=np.int64)
     cosets = []
     # O_1(d) is trivial: no generators, and every T is its own coset
     images = np.array(images, dtype=np.int64).reshape(-1, len(sigma))
-    for orbit in orbits(position[images[:, order]]):
-        members = tuple(sigma[order[i]] for i in orbit)
+    for orbit in orbits(images):
+        members = tuple(sigma[i] for i in orbit)
         rep = members[0]
         cosets.append(
             {
@@ -629,35 +617,29 @@ def linear_independence_check(t: int, d: int, n: int) -> int:
 
 
 def commutes_with_clifford(T: Subspace, n: int, d: int) -> dict:
-    """Residuals of [R(T), U^{x t}] over the Clifford generators.
+    """Residuals of [R(T), U^{x t}] over the Clifford generators U.
 
-    Dense commutator norms at n = 1; matrix-free residuals on random
-    vectors for larger n.
+    Matrix-free, at every n: for each generator letter, three seeded unit
+    probes v and their images R v are moved by U^{x t}, the same letter on
+    qudit c n + i of every copy c applied by `clifford.apply_letter`, and
+    the residual is max |R U^{x t} v - U^{x t} R v|.
     """
-    from .clifford import clifford_generators
-    from .phase_space import apply_tensor_power
+    from .clifford import apply_letter, generator_letters
 
     t = T.ambient // 2
     R = R_matrix(T, n)
-    gens = clifford_generators(n, d)
+    rng = np.random.default_rng(0)
+    dim = d ** (t * n)
+    block = np.empty((dim, 6), dtype=complex)
     worst = 0.0
-    if n == 1 and d**t <= 512:
-        Rd = np.asarray(R.todense())
-        for U in gens:
-            Ut = U
-            for _ in range(t - 1):
-                Ut = np.kron(Ut, U)
-            worst = max(worst, np.abs(Rd @ Ut - Ut @ Rd).max())
-    else:
-        rng = np.random.default_rng(0)
-        dim = d ** (t * n)
-        block = np.empty((dim, 6), dtype=complex)
-        for U in gens:
-            # three probes v, then R v: one pass of U^{x t} over all six
-            for k in range(3):
-                v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-                block[:, k] = v / np.linalg.norm(v)
-            block[:, 3:] = R @ block[:, :3]
-            moved = apply_tensor_power(U, block, t)
-            worst = max(worst, float(np.abs(R @ moved[:, :3] - moved[:, 3:]).max()))
+    for kind, *qudits in generator_letters(n):
+        # three probes v, then R v: one pass of U^{x t} over all six
+        for k in range(3):
+            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            block[:, k] = v / np.linalg.norm(v)
+        block[:, 3:] = R @ block[:, :3]
+        moved = block
+        for c in range(t):
+            moved = apply_letter((kind, *[c * n + i for i in qudits]), moved, t * n, d)
+        worst = max(worst, float(np.abs(R @ moved[:, :3] - moved[:, 3:]).max()))
     return {"t": t, "n": n, "d": d, "max_norm": worst, "passed": worst < 1e-9}

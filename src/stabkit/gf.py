@@ -388,6 +388,34 @@ def is_q_isotropic(basis, d: int) -> bool:
     return not g.any()
 
 
+# partial tuples per block of `extend_tuples`, and digit rows per block of
+# the candidate scan in `echelon_subspaces`
+_FRONTIER_BLOCK = 4096
+
+
+def extend_tuples(chosen, values, want, slot_ok) -> np.ndarray:
+    """Every extension of the rows of `chosen` to len(slot_ok) entries.
+
+    Entry i of a row is an index c with slot_ok[i, c] and
+    values[row[l], c] == want[i, l] for every earlier entry l.  The rows
+    are extended breadth-first, one entry at a time, for a block of the
+    frontier at once.  Returns an (rows, len(slot_ok)) index array listing
+    the extensions of each row of `chosen` in turn, in lexicographic order.
+    """
+    chosen = np.asarray(chosen, dtype=np.int64)
+    for i in range(chosen.shape[1], len(slot_ok)):
+        pieces = [np.empty((0, i + 1), dtype=np.int64)]
+        for lo in range(0, len(chosen), _FRONTIER_BLOCK):
+            block = chosen[lo:lo + _FRONTIER_BLOCK]
+            ok = np.repeat(slot_ok[i][None], len(block), axis=0)
+            for l in range(i):
+                ok &= values[block[:, l]] == want[i, l]
+            parent, entry = np.nonzero(ok)
+            pieces.append(np.concatenate([block[parent], entry[:, None]], axis=1))
+        chosen = np.concatenate(pieces)
+    return chosen
+
+
 def echelon_subspaces(gram: np.ndarray, d: int, k: int, admissible) -> tuple[Subspace, ...]:
     """All k-dim subspaces with an admissible, pairwise `gram`-orthogonal basis.
 
@@ -395,36 +423,39 @@ def echelon_subspaces(gram: np.ndarray, d: int, k: int, admissible) -> tuple[Sub
     rows of each subspace's canonical RREF basis must be admissible and
     pairwise orthogonal w.r.t. `gram` (a row need not be orthogonal to
     itself); the caller's property must hold on the whole span iff it holds
-    on such a basis.  Each subspace is built once, as its RREF basis: rows
-    are added in decreasing pivot order, each new row with its leading 1
-    left of every chosen pivot and zeros at the chosen pivot columns.  The
-    result is sorted by the canonical key.  The table of all d^ambient
-    vectors and the candidates' square orthogonality table are guarded by
-    the dimension cap.
+    on such a basis.  Each subspace is built once, as its RREF basis: the
+    candidate rows (leading entry 1) are chosen by `extend_tuples` in
+    decreasing pivot order, each with zeros at the pivot columns chosen
+    before it, so every partial tuple can still be completed to a basis
+    pattern.  The candidates are in lexicographic order, so one lexsort of
+    the index tuples, read in increasing pivot order, puts the subspaces
+    in key order.  The digit rows are scanned in blocks, and the running
+    candidate count, the side of the square orthogonality table, is
+    guarded by the dimension cap.
     """
-    from .phase_space import check_dim, square_side  # phase_space imports gf
+    from .phase_space import check_dim  # phase_space imports gf
 
     ambient = gram.shape[0]
-    check_dim(square_side(d**ambient * ambient))
-    vecs = all_vectors(ambient, d)
-    lead = np.argmax(vecs != 0, axis=1)
-    keep = vecs.any(axis=1) & (vecs[np.arange(len(vecs)), lead] == 1) & admissible(vecs)
-    cand, lead = vecs[keep], lead[keep]
-    check_dim(len(cand))
-    orthogonal = (cand @ gram @ cand.T) % d == 0
-    out = []
-
-    def extend(chosen: list[int], alive: np.ndarray):
-        need = k - len(chosen)
-        if need == 0:
-            out.append(Subspace(cand[chosen[::-1]], d, ambient))
-            return
-        left = lead[chosen[-1]] if chosen else ambient
-        for i in np.flatnonzero(alive & (lead < left) & (lead >= need - 1)):
-            extend(chosen + [i], alive & orthogonal[i] & (cand[:, lead[i]] == 0))
-
-    extend([], np.ones(len(cand), dtype=bool))
-    return tuple(sorted(out, key=lambda s: s._key))
+    place = _place_values(ambient, d)
+    narrow = np.min_scalar_type(d - 1)
+    cand, lead, count = [], [], 0
+    for lo in range(0, d**ambient, _FRONTIER_BLOCK):
+        vecs = np.arange(lo, min(lo + _FRONTIER_BLOCK, d**ambient))[:, None] // place % d
+        first = np.argmax(vecs != 0, axis=1)
+        keep = vecs.any(axis=1) & (vecs[np.arange(len(vecs)), first] == 1) & admissible(vecs)
+        cand.append(vecs[keep].astype(narrow))
+        lead.append(first[keep])
+        count += len(cand[-1])
+        check_dim(count)
+    cand, lead = np.concatenate(cand), np.concatenate(lead)
+    # follows[a, b]: row b may be chosen after row a
+    follows = (cand @ gram @ cand.T) % d == 0
+    follows &= (lead[None, :] < lead[:, None]) & (cand.T[lead] == 0)
+    slot_ok = lead[None, :] >= k - 1 - np.arange(k)[:, None]
+    rows = extend_tuples(np.zeros((1, 0)), follows, np.ones((k, k), dtype=bool), slot_ok)[:, ::-1]
+    if k:  # lexsort needs a key; the zero subspace is one tuple
+        rows = rows[np.lexsort(rows.T[::-1])]
+    return subspaces(cand[rows], d)
 
 
 # --- cosets and orbits ---------------------------------------------------

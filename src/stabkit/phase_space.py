@@ -173,18 +173,3 @@ def kron_power_rows(vs: np.ndarray, k: int) -> np.ndarray:
 def kron_power_vec(v: np.ndarray, k: int) -> np.ndarray:
     """v^{(x) k}, with a hard cap on the dimension."""
     return kron_power_rows(v, k)[0]
-
-
-def apply_tensor_power(U: np.ndarray, v: np.ndarray, t: int) -> np.ndarray:
-    """Compute U^{x t} v without materializing U^{x t}.
-
-    v lives on (C^m)^{x t} with m = U.shape[0], one vector or a block of
-    them as the columns of a (m^t, k) array; U is applied along each of the
-    t tensor factors in turn.
-    """
-    m = U.shape[0]
-    v = np.asarray(v, dtype=complex)
-    w = v.reshape((m,) * t + v.shape[1:])
-    for axis in range(t):
-        w = np.moveaxis(np.tensordot(U, w, axes=([1], [axis])), 0, axis)
-    return w.reshape(v.shape)

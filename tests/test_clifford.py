@@ -10,11 +10,12 @@ import pytest
 
 from stabkit.clifford import (
     CliffordWord,
+    apply_letter,
     cadd_gate,
-    clifford_generators,
     conjugate_weyl_check,
     enumerate_sp,
     fourier_gate,
+    generator_letters,
     is_clifford,
     phase_gate,
     random_clifford,
@@ -42,8 +43,8 @@ def test_gate_conventions():
 
 @pytest.mark.parametrize("n,d", [(1, 2), (1, 3), (2, 2)])
 def test_generators_are_clifford(n, d):
-    for U in clifford_generators(n, d):
-        assert is_clifford(U, n, d)
+    for letter in generator_letters(n):
+        assert is_clifford(apply_letter(letter, np.eye(d**n), n, d), n, d)
 
 
 @pytest.mark.parametrize("n,d", [(1, 2), (1, 3), (2, 2), (2, 3)])

@@ -4,19 +4,23 @@ The oracles embed each gate letter as a dense d^n x d^n matrix (Kronecker
 products with identities, a scattered two-qudit gate, the dense Weyl
 matrix) and multiply; the library applies a letter to a block of vectors
 by a contraction on one qudit axis, a row gather or a row scatter.  The
-commutant residual is checked against the earlier route, which applied
-U^{x t} to each probe vector and to its image under R(T) separately.
+commutant residual, which applies U^{x t} letter by letter on the tn
+qudits, is checked against the earlier route, which applied the dense
+U^{x t} to each probe vector and to its image under R(T) separately, and
+against the dense commutator at n = 1.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from stabkit.clifford import apply_letter, clifford_generators, random_clifford
+from stabkit.clifford import apply_letter, generator_letters, random_clifford
 from stabkit.commutant import R_matrix, commutes_with_clifford, stochastic_lagrangians
 from stabkit.gf import Subspace
-from stabkit.phase_space import apply_tensor_power, phase_points
+from stabkit.phase_space import phase_points
 
 import oracles
 
@@ -30,10 +34,7 @@ NOT_COMMUTANT = Subspace(
 
 def _letters(n, d):
     """Every F, P and CADD letter on n qudits, and W at every phase point."""
-    letters = [(kind, i) for i in range(n) for kind in ("F", "P")]
-    letters += [("CADD", i, j) for i in range(n) for j in range(n) if i != j]
-    letters += [("W", tuple(int(v) for v in x)) for x in phase_points(n, d)]
-    return letters
+    return generator_letters(n) + [("W", tuple(int(v) for v in x)) for x in phase_points(n, d)]
 
 
 @pytest.mark.parametrize("n,d", SIZES)
@@ -59,11 +60,11 @@ def test_word_matrix_matches_dense_product(n, d, seed):
 
 @pytest.mark.parametrize("n,d", SIZES)
 def test_generators_match_dense_embeddings(n, d):
-    gens = clifford_generators(n, d)
+    letters = generator_letters(n)
     want = oracles.clifford_generators(n, d)
-    assert len(gens) == len(want) == 2 * n + n * (n - 1)
-    for g, w in zip(gens, want):
-        assert np.abs(g - w).max() < 1e-12
+    assert len(letters) == len(want) == 2 * n + n * (n - 1)
+    for letter, w in zip(letters, want):
+        assert np.abs(apply_letter(letter, np.eye(d**n), n, d) - w).max() < 1e-12
 
 
 def test_unknown_letter_rejected():
@@ -73,11 +74,11 @@ def test_unknown_letter_rejected():
 
 def test_apply_tensor_power_on_a_block_matches_each_column():
     rng = np.random.default_rng(3)
-    U = clifford_generators(2, 2)[0]
+    U = oracles.clifford_generators(2, 2)[0]
     block = rng.normal(size=(4**3, 5)) + 1j * rng.normal(size=(4**3, 5))
-    moved = apply_tensor_power(U, block, 3)
+    moved = oracles.apply_tensor_power(U, block, 3)
     for k in range(5):
-        assert np.abs(moved[:, k] - apply_tensor_power(U, block[:, k], 3)).max() < 1e-12
+        assert np.abs(moved[:, k] - oracles.apply_tensor_power(U, block[:, k], 3)).max() < 1e-12
 
 
 def _residual_per_vector(T, n, d):
@@ -91,8 +92,8 @@ def _residual_per_vector(T, n, d):
         for _ in range(3):
             v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             v /= np.linalg.norm(v)
-            lhs = R @ apply_tensor_power(U, v, t)
-            rhs = apply_tensor_power(U, R @ v, t)
+            lhs = R @ oracles.apply_tensor_power(U, v, t)
+            rhs = oracles.apply_tensor_power(U, R @ v, t)
             worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
@@ -103,6 +104,31 @@ def test_matrix_free_residual_matches_per_vector_route(t, d):
         got = commutes_with_clifford(T, 2, d)["max_norm"]
         assert got < 1e-9
         assert abs(got - _residual_per_vector(T, 2, d)) < 1e-12
+
+
+@pytest.mark.parametrize("t,d", [(3, 2), (2, 3), (4, 2), (4, 3)])
+def test_one_qudit_residual_matches_per_vector_route(t, d):
+    for T in stochastic_lagrangians(t, d)[:6]:
+        got = commutes_with_clifford(T, 1, d)["max_norm"]
+        assert got < 1e-9
+        assert abs(got - _residual_per_vector(T, 1, d)) < 1e-12
+
+
+def test_one_qudit_negative_control():
+    rep = commutes_with_clifford(NOT_COMMUTANT, 1, 2)
+    assert rep["max_norm"] > 1e-3
+    assert abs(rep["max_norm"] - _residual_per_vector(NOT_COMMUTANT, 1, 2)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_dense_commutator_vanishes_at_one_qudit(t, d):
+    """[R(T), U^{x t}] = 0 exactly, as dense matrices, for every T and generator U."""
+    powers = [reduce(np.kron, [U] * t) for U in oracles.clifford_generators(1, d)]
+    for T in stochastic_lagrangians(t, d):
+        R = R_matrix(T, 1, dense=True)
+        for Ut in powers:
+            assert np.abs(R @ Ut - Ut @ R).max() < 1e-9
 
 
 @pytest.mark.parametrize("n", [2, 3])

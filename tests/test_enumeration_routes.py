@@ -167,5 +167,22 @@ def test_stochastic_lagrangian_keys_unchanged(t, d):
     assert hashlib.sha256(repr(keys).encode()).hexdigest() == SIGMA_KEYS[t, d]
 
 
+# sha256 of the (count, n, 2n) int64 stack of the bases of lagrangians(n, d),
+# which fixes the keys and their order; recorded from the recursive echelon
+# search (rows added in decreasing pivot order, one Subspace per leaf,
+# sorted by key), out of reach of the breadth-first oracle
+LAGRANGIAN_BASES = {
+    (5, 2): "9b4c33ebb1885e46c036197ea9e8eebda6acf6c1924d3053162e901356f6ee57",
+    (4, 3): "442814a6ef5ca0982437a1c2c9aa49d8393e8c758b2ba52b4ce47fd3a757e2c5",
+}
+
+
+@pytest.mark.parametrize("n,d", sorted(LAGRANGIAN_BASES))
+def test_lagrangian_keys_unchanged(n, d):
+    bases = np.array([M.basis for M in lagrangians(n, d)], dtype=np.int64)
+    assert bases.shape[1:] == (n, 2 * n)
+    assert hashlib.sha256(bases.tobytes()).hexdigest() == LAGRANGIAN_BASES[n, d]
+
+
 def test_four_qubit_lagrangians():
     assert len(lagrangians(4, 2)) == 2295

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabkit import gf
 from stabkit.gf import (
     Subspace,
     all_vectors,
     coset_reps,
     dot,
     echelon_subspaces,
+    extend_tuples,
     flat_index,
     form_modulus,
     gram_dot,
@@ -173,14 +177,88 @@ def test_sum_index_adds_digit_rows(k, base):
 
 
 def test_echelon_subspaces_cap_guards_both_tables(monkeypatch):
-    # Z_3^4: 81 rows of 4 digits (as many entries as an 18-sided operator),
-    # 40 candidates with a leading 1 and a 40 x 40 orthogonality table
-    args = gram_symplectic(4, 3), 3, 2, lambda vecs: np.ones(len(vecs), dtype=bool)
-    monkeypatch.setenv("STABKIT_DIM_CAP", "17")
-    with pytest.raises(ResourceCapError, match="dimension 18 exceeds cap 17"):
-        echelon_subspaces(*args)
+    # Z_3^4: 40 of the 81 digit rows have a leading 1; the running count of
+    # these candidates guards both their table and the 40 x 40 orthogonality table
+    seen = []
+
+    def admissible(vecs):
+        seen.append(len(vecs))
+        return np.ones(len(vecs), dtype=bool)
+
+    args = gram_symplectic(4, 3), 3, 2, admissible
     monkeypatch.setenv("STABKIT_DIM_CAP", "39")
     with pytest.raises(ResourceCapError, match="dimension 40 exceeds cap 39"):
         echelon_subspaces(*args)
+    # in blocks of 8 digit rows the count is refused before the scan ends
+    monkeypatch.setattr(gf, "_FRONTIER_BLOCK", 8)
+    monkeypatch.setenv("STABKIT_DIM_CAP", "10")
+    seen.clear()
+    with pytest.raises(ResourceCapError):
+        echelon_subspaces(*args)
+    assert set(seen) == {8} and sum(seen) < 81
     monkeypatch.setenv("STABKIT_DIM_CAP", "40")
     assert len(echelon_subspaces(*args)) == (3 + 1) * (9 + 1)
+
+def _extend_brute(chosen, values, want, slot_ok):
+    """Every completion of each row of chosen, by itertools.product over all tails."""
+    length, count = slot_ok.shape
+    out = []
+    for row in chosen.tolist():
+        for tail in itertools.product(range(count), repeat=length - len(row)):
+            full = row + list(tail)
+            if all(
+                slot_ok[i, full[i]] and all(values[full[l], full[i]] == want[i, l] for l in range(i))
+                for i in range(len(row), length)
+            ):
+                out.append(full)
+    return np.array(out, dtype=np.int64).reshape(len(out), length)
+
+
+def _check_extend(chosen, values, want, slot_ok, block):
+    before = gf._FRONTIER_BLOCK
+    gf._FRONTIER_BLOCK = block
+    try:
+        got = extend_tuples(chosen, values, want, slot_ok)
+    finally:
+        gf._FRONTIER_BLOCK = before
+    want_rows = _extend_brute(chosen, values, want, slot_ok)
+    assert got.dtype == np.int64 and got.shape == want_rows.shape
+    assert np.array_equal(got, want_rows)
+
+
+@st.composite
+def tuple_searches(draw):
+    count, length = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    start = draw(st.integers(0, length))
+    rows = draw(st.integers(0, 3)) if count else draw(st.integers(0, 1)) * (start == 0)
+
+    def table(shape, elements):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)), dtype=np.int64).reshape(shape)
+
+    values = table((count, count), st.integers(0, 2))
+    want = table((length, length), st.integers(0, 2))
+    slot_ok = table((length, count), st.integers(0, 1)).astype(bool)
+    chosen = table((rows, start), st.integers(0, max(count - 1, 0)))
+    return chosen, values, want, slot_ok, draw(st.sampled_from([1, 2, 4096]))
+
+
+@given(tuple_searches())
+@settings(max_examples=300, deadline=None)
+def test_extend_tuples_matches_product_search(search):
+    _check_extend(*search)
+
+
+def test_extend_tuples_empty_level_and_given_start():
+    values = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 1]])
+    want = np.ones((3, 3), dtype=np.int64)
+    slot_ok = np.ones((3, 3), dtype=bool)
+    chosen = np.array([[0], [2], [1]])
+    # the completions of each start row in turn; [1] has none
+    want_rows = [[0, 2, 2], [2, 0, 2], [2, 2, 0], [2, 2, 2]]
+    assert extend_tuples(chosen, values, want, slot_ok).tolist() == want_rows
+    _check_extend(chosen, values, want, slot_ok, 1)
+    # a level with no admissible index ends every row
+    slot_ok[1] = False
+    assert extend_tuples(chosen, values, want, slot_ok).shape == (0, 3)
+    _check_extend(chosen, values, want, slot_ok, 2)

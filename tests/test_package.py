@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import stabkit
-from stabkit import clifford, commutant, stabilizer
+from stabkit import commutant, stabilizer
 from stabkit.phase_space import ResourceCapError
 
 
@@ -27,13 +27,11 @@ def test_all_names_resolve(module):
     [
         lambda: stabilizer.all_stabilizer_states(1, 2),
         lambda: commutant.orthogonal_stochastic_group(4, 2)[0],
-        lambda: clifford.clifford_generators(2, 2)[-1],
         lambda: commutant.stochastic_lagrangians(4, 2)[-1].basis,
     ],
     ids=[
         "all_stabilizer_states",
         "orthogonal_stochastic_group",
-        "clifford_generators",
         "stochastic_lagrangians",
     ],
 )
@@ -49,9 +47,8 @@ def test_cached_arrays_are_read_only(get):
     "fn, args",
     [
         (stabilizer.all_stabilizer_states, (3, 2)),
-        (clifford.clifford_generators, (3, 2)),
     ],
-    ids=["all_stabilizer_states", "clifford_generators"],
+    ids=["all_stabilizer_states"],
 )
 def test_cap_guards_warm_cache(fn, args, monkeypatch):
     fn(*args)
