@@ -136,6 +136,8 @@ def _cmd_moments(cfg: RunConfig, rep: ReportBundle) -> None:
 
 def _cmd_design(cfg: RunConfig, rep: ReportBundle) -> None:
     from .moments import (
+        _DESIGN_ATOL,
+        InfeasibleDesign,
         find_design_weights,
         mixture_design_gap,
         qutrit_fiducial_angle,
@@ -149,7 +151,13 @@ def _cmd_design(cfg: RunConfig, rep: ReportBundle) -> None:
         fiducials = [kron_power_vec(single, cfg.n)]
     else:
         fiducials = [_haar_state(rng, cfg.d**cfg.n) for _ in range(8)]
-    weights = find_design_weights(fiducials, cfg.t, cfg.n, cfg.d)
+    try:
+        weights = find_design_weights(fiducials, cfg.t, cfg.n, cfg.d)
+    except InfeasibleDesign as exc:
+        # measured is the least constraint residual over non-negative weights
+        rep.add("design", "weighted-orbit-design", "fail",
+                measured=exc.residual, tolerance=_DESIGN_ATOL)
+        return
     gap = mixture_design_gap(fiducials, weights, cfg.t, cfg.n, cfg.d)
     rep.add("design", "weighted-orbit-design",
             "pass" if gap < 1e-8 else "fail",

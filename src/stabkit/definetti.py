@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .commutant import anti_identity_matrix, orthogonal_stochastic_group, permutation_matrix
 from .gf import generating_set, orbits
@@ -41,6 +40,11 @@ __all__ = [
     "mixed_bound",
     "anti_bound",
 ]
+
+# _nnls stops when no gradient entry off the support exceeds this times |A| |b|
+_NNLS_RTOL = 1e-12
+# outer (column-adding) steps of _nnls before it gives up
+_NNLS_MAX_ITER = 1000
 
 
 @dataclass
@@ -208,6 +212,55 @@ def _stab_mixture(p: np.ndarray, s: int, data: GramData) -> np.ndarray:
     return (V.T * p) @ V.conj()
 
 
+def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin_{p >= 0} ||A p - b||_2 by the Lawson-Hanson active-set method.
+
+    A tall A is first replaced by the triangular factor R of A = QR and b
+    by Q^T b, which leaves the gradient A^T (b - A p) unchanged; both are
+    read off the R factor of [A | b], so Q is never formed.  The columns
+    of the support (the passive set) stay linearly independent, so the
+    solution is basic.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    k = A.shape[1]
+    tol = _NNLS_RTOL * np.linalg.norm(A) * np.linalg.norm(b)
+    if A.shape[0] > k:
+        Rb = np.linalg.qr(np.column_stack([A, b]), mode="r")
+        A, b = Rb[:k, :k], Rb[:k, k]
+    p = np.zeros(k)
+    passive = np.zeros(k, dtype=bool)
+    blocked = np.zeros(k, dtype=bool)  # columns that rounding kept from entering at this p
+
+    def solve():
+        z = np.zeros(k)
+        z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+        return z
+
+    for _ in range(_NNLS_MAX_ITER):
+        w = A.T @ (b - A @ p)
+        w[passive | blocked] = -np.inf
+        j = int(np.argmax(w))
+        if w[j] <= tol:
+            return p
+        passive[j] = True
+        z = solve()
+        if z[j] <= 0:
+            passive[j], blocked[j] = False, True
+            continue
+        blocked[:] = False
+        while (z[passive] <= 0).any():
+            # step from p towards z until the first support entry reaches 0
+            neg = np.flatnonzero(passive & (z <= 0))
+            ratio = p[neg] / (p[neg] - z[neg])
+            p += ratio.min() * (z - p)
+            p[neg[ratio.argmin()]] = 0.0
+            passive &= p > 0
+            z = solve()
+        p = z
+    raise RuntimeError(f"NNLS did not converge in {_NNLS_MAX_ITER} steps")
+
+
 def _partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
     """Trace of rho, on factors of sizes dims, over every factor not in keep."""
     k = len(dims)
@@ -320,7 +373,7 @@ def anti_definetti_check(source: SymmetricInput, s: int) -> dict:
     basis = (V[:, :, None] * V.conj()[:, None, :]).reshape(len(V), -1)
     A = np.vstack([basis.real.T, basis.imag.T])
     b = np.concatenate([rho.reshape(-1).real, rho.reshape(-1).imag])
-    p, _ = nnls(A, b)
+    p = _nnls(A, b)
     if p.sum() <= 0:
         p = np.ones(len(p))
     p = p / p.sum()

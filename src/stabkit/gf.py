@@ -301,11 +301,17 @@ def subspaces(stack, d: int) -> tuple[Subspace, ...]:
     a read-only view of it, with the pivots and key a single `Subspace`
     call computes, and is not reduced again.
     """
-    import gc
-
     if not is_prime(d):
         raise ValueError(f"d={d} is not prime")
-    reduced = rref_stack(stack, d).astype(np.int64, copy=False)
+    return _subspaces_from_rref(rref_stack(stack, d), d)
+
+
+def _subspaces_from_rref(reduced, d: int) -> tuple[Subspace, ...]:
+    """A Subspace for every matrix of an (m, r, c) stack of canonical RREF
+    bases (the rows of the RREF, then zero rows), without reducing it."""
+    import gc
+
+    reduced = reduced.astype(np.int64, copy=False)
     reduced.setflags(write=False)
     c = reduced.shape[2]
     out = []
@@ -435,6 +441,8 @@ def echelon_subspaces(gram: np.ndarray, d: int, k: int, admissible) -> tuple[Sub
     """
     from .phase_space import check_dim  # phase_space imports gf
 
+    if not is_prime(d):
+        raise ValueError(f"d={d} is not prime")
     ambient = gram.shape[0]
     place = _place_values(ambient, d)
     narrow = np.min_scalar_type(d - 1)
@@ -455,7 +463,8 @@ def echelon_subspaces(gram: np.ndarray, d: int, k: int, admissible) -> tuple[Sub
     rows = extend_tuples(np.zeros((1, 0)), follows, np.ones((k, k), dtype=bool), slot_ok)[:, ::-1]
     if k:  # lexsort needs a key; the zero subspace is one tuple
         rows = rows[np.lexsort(rows.T[::-1])]
-    return subspaces(cand[rows], d)
+    # each tuple is already a canonical RREF basis
+    return _subspaces_from_rref(cand[rows], d)
 
 
 # --- cosets and orbits ---------------------------------------------------

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .definetti import gram
+from .definetti import _nnls, gram
 from .gf import Subspace, image_indices, orbits
 from .phase_space import kron_power_rows, kron_power_vec
 from .stabilizer import all_stabilizer_states
@@ -43,11 +43,27 @@ __all__ = [
     "class_coefficients",
     "design_gap",
     "find_design_weights",
+    "InfeasibleDesign",
     "qutrit_fiducial_angle",
     "minimal_projector",
     "mixture_design_gap",
     "stab_tensor_rank",
 ]
+
+# largest residual ||A p - b|| of the design constraints counted as feasible
+_DESIGN_ATOL = 1e-9
+# width of the bracket at which the fiducial-angle bisection stops
+_ANGLE_XTOL = 1e-13
+
+
+class InfeasibleDesign(ValueError):
+    """No weights over the given fiducials make a t-design; `residual` is
+    the least constraint residual over non-negative weights."""
+
+    def __init__(self, residual: float):
+        super().__init__(f"no design weights exist for the given fiducials "
+                         f"(constraint residual {residual:.3g})")
+        self.residual = residual
 
 
 def permutation_subspaces(t: int, d: int) -> dict[Subspace, tuple[int, ...]]:
@@ -193,9 +209,9 @@ def find_design_weights(fiducials, t: int, n: int, d: int) -> np.ndarray:
     constant on equivalence classes, so one constraint per class beyond the
     permutation class suffices (that one is implied by normalization).  A
     basic feasible solution then has support at most the number of classes.
+    The weights are the basic non-negative least-squares solution of those
+    constraints; a residual above `_DESIGN_ATOL` raises `InfeasibleDesign`.
     """
-    from scipy.optimize import linprog
-
     Ts = stochastic_lagrangians(t, d)
     classes = sigma_classes(t, d)
     reps = [cls[0] for cls in classes]
@@ -207,11 +223,10 @@ def find_design_weights(fiducials, t: int, n: int, d: int) -> np.ndarray:
     K = len(fiducials)
     A_eq = np.vstack([moments[:, 1:].T, np.ones((1, K))])
     b_eq = np.concatenate([m_haar[reps][1:], [1.0]])
-    res = linprog(np.zeros(K), A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * K)
-    if not res.success:
-        raise ValueError("no design weights exist for the given fiducials")
-    p = res.x
-    p[p < 1e-12] = 0.0
+    p = _nnls(A_eq, b_eq)
+    residual = float(np.linalg.norm(A_eq @ p - b_eq))
+    if residual > _DESIGN_ATOL:
+        raise InfeasibleDesign(residual)
     return p / p.sum()
 
 
@@ -233,20 +248,22 @@ def qutrit_fiducial_angle(n: int) -> float:
 
     The overlap <psi^{x 3}| r(T) |psi^{x 3}> with T the CSS subspace of
     span{1_3} decreases from 1 to 0 on [0, pi/4]; the design condition is
-    that it equals (3 / (3^n + 2))^{1/n}.
+    that it equals (3 / (3^n + 2))^{1/n}, found by bisection to
+    `_ANGLE_XTOL`.
     """
-    from scipy.optimize import brentq
-
     N = Subspace(np.ones((1, 3), dtype=np.int64), 3)
     r = r_matrix(css_subspace(N), dense=True)
     target = (3.0 / (3**n + 2)) ** (1.0 / n)
-
-    def f(theta):
-        psi = np.array([np.cos(theta), -np.sin(theta), 0.0])
+    lo, hi = 0.0, np.pi / 4
+    while hi - lo > _ANGLE_XTOL:
+        mid = 0.5 * (lo + hi)
+        psi = np.array([np.cos(mid), -np.sin(mid), 0.0])
         v = np.kron(np.kron(psi, psi), psi)
-        return float(v @ r @ v) - target
-
-    return float(brentq(f, 0.0, np.pi / 4))
+        if v @ r @ v > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,20 @@ def test_design_command_qutrit(capsys):
     assert gaps and float(gaps[0]["measured"]) < 1e-8
 
 
+def test_design_command_without_weights_is_one_failed_record(capsys):
+    # the eight Haar fiducials of seed 0 admit no qutrit 4-design (linprog
+    # agrees, see test_definetti_routes): one failed record, no traceback
+    code = main(["design", "--t", "4", "--n", "1", "--d", "3", "--seed", "0"])
+    out, err = capsys.readouterr()
+    assert code != 0
+    assert "Traceback" not in err
+    records = json.loads(out)["records"]
+    assert [(r["name"], r["check_id"], r["status"]) for r in records] == [
+        ("design", "weighted-orbit-design", "fail")
+    ]
+    assert records[0]["measured"] > records[0]["tolerance"] == 1e-9
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -9,6 +9,10 @@ and partial traces by an einsum spec built from letters and by a loop of
 `np.trace` calls.  The library averages the input over the orbits of
 basis indices (or index pairs) under a generating set, and has one
 `_partial_trace`.
+
+scipy.optimize is the oracle of the numpy solvers: `scipy.optimize.nnls`
+of `_nnls`, `linprog` of the feasibility of `find_design_weights`, and
+`brentq` of the bisection in `qutrit_fiducial_angle`.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import nnls
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq, linprog, nnls
 
 import stabkit.definetti as df
 from stabkit.commutant import anti_identity_matrix, orthogonal_stochastic_group, permutation_matrix
@@ -34,8 +40,19 @@ from stabkit.definetti import (
     stab_power_decompose,
     trace_distance,
 )
-from stabkit.gf import all_vectors
-from stabkit.phase_space import kron_power_rows, linear_index_map
+from stabkit.cli import _haar_state
+from stabkit.commutant import R_gram, css_subspace, r_matrix, stochastic_lagrangians
+from stabkit.gf import Subspace, all_vectors
+from stabkit.moments import (
+    InfeasibleDesign,
+    find_design_weights,
+    haar_moment_coefficients,
+    orbit_moment_vector,
+    qutrit_fiducial_angle,
+    sigma_classes,
+)
+from stabkit.phase_space import kron_power_rows, kron_power_vec, linear_index_map
+from stabkit.stabilizer import all_stabilizer_states
 
 
 # --- oracles ----------------------------------------------------------------
@@ -282,3 +299,144 @@ def test_anti_definetti_distance_matches_earlier_route(t, seed, pure):
     assert abs(rep["distance"] - oracle) < 1e-12
     purity = np.sum(src.state * src.state.T).real  # tr rho^2
     assert rep["bound"] == df.anti_bound(1, t, 6, mixed=purity < 1.0 - 1e-9)
+
+
+# --- NNLS, design weights and the fiducial angle against scipy.optimize ----
+
+def _nnls_case(kind, m, k, seed):
+    """A (A, b) pair of one kind: tall, wide, rank-deficient, b in the cone
+    of the columns, or b with A^T b < 0 (so p = 0 is optimal)."""
+    rng = np.random.default_rng(seed)
+    if kind == "tall":
+        m = max(m, k + 1)
+    elif kind == "wide":
+        k = max(k, m + 1)
+    A = rng.normal(size=(m, k))
+    if kind == "rank-deficient":
+        r = max(1, min(m, k) - 2)
+        A = rng.normal(size=(m, r)) @ rng.normal(size=(r, k))
+    b = rng.normal(size=m)
+    if kind == "cone":
+        b = A @ (np.abs(rng.normal(size=k)) * (rng.random(k) < 0.6))
+    elif kind == "negative-gradient":
+        A = np.abs(A)
+        b = -np.abs(b) - 0.1
+    return A, b
+
+
+_NNLS_KINDS = ["tall", "wide", "rank-deficient", "cone", "negative-gradient"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(_NNLS_KINDS),
+    st.integers(1, 24),
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+)
+def test_nnls_matches_scipy(kind, m, k, seed):
+    A, b = _nnls_case(kind, m, k, seed)
+    p = df._nnls(A, b)
+    q, _ = nnls(A, b)
+    assert p.shape == (A.shape[1],) and (p >= 0).all()
+    # KKT: the gradient A^T (b - A x) is <= 0 off the support and 0 on it
+    tol = 1e-9 * np.linalg.norm(A) * np.linalg.norm(b)
+    w = A.T @ (b - A @ p)
+    assert (w[p == 0] <= tol).all()
+    assert np.abs(w[p > 0]).max(initial=0.0) <= tol
+    # on about one exactly rank-deficient A in a thousand scipy returns
+    # entries near 1e14 whose residual is rounding noise: compare the
+    # objectives where the oracle meets the KKT conditions
+    wq = A.T @ (b - A @ q)
+    oracle_ok = (wq[q == 0] <= tol).all() and np.abs(wq[q > 0]).max(initial=0.0) <= tol
+    assert oracle_ok or kind == "rank-deficient"
+    if oracle_ok:
+        f, g = np.sum((A @ p - b) ** 2), np.sum((A @ q - b) ** 2)
+        # relative to |b|^2 where the optimum is (numerically) zero
+        assert abs(f - g) <= 1e-10 * max(g, 1e-6 * (b @ b))
+    # basic solution: independent columns on the support
+    support = A[:, p > 0]
+    assert np.linalg.matrix_rank(support) == support.shape[1]
+    if kind == "negative-gradient":
+        assert not p.any()
+
+
+@pytest.mark.parametrize("kind", [k for k in _NNLS_KINDS if k != "wide"])
+def test_nnls_matches_scipy_on_the_anti_identity_shape(kind):
+    # the anti-identity fit at n = 1: 2 * 64^2 rows, 6 columns
+    A, b = _nnls_case(kind, 8192, 6, 17)
+    p, q = df._nnls(A, b), nnls(A, b)[0]
+    f, g = np.sum((A @ p - b) ** 2), np.sum((A @ q - b) ** 2)
+    assert abs(f - g) <= 1e-10 * max(g, 1e-6 * (b @ b))
+
+
+def _design_constraints(fiducials, t, n, d):
+    """The equality constraints A_eq p = b_eq of find_design_weights."""
+    reps = [cls[0] for cls in sigma_classes(t, d)]
+    G = R_gram(stochastic_lagrangians(t, d), n)
+    m_haar = G @ haar_moment_coefficients(t, n, d)
+    moments = np.array([orbit_moment_vector(psi, t, n, d)[reps] for psi in fiducials])
+    A_eq = np.vstack([moments[:, 1:].T, np.ones((1, len(fiducials)))])
+    return A_eq, np.concatenate([m_haar[reps][1:], [1.0]])
+
+
+def _fiducial(n):
+    theta = qutrit_fiducial_angle(n)
+    return kron_power_vec(np.array([np.cos(theta), -np.sin(theta), 0.0]), n)
+
+
+def _haar_fiducials(d, n, seed):
+    """The eight fiducials of `stabkit design` for this seed."""
+    rng = np.random.default_rng(seed)
+    return [_haar_state(rng, d**n) for _ in range(8)]
+
+
+def _t_state_fiducials():
+    rng = np.random.default_rng(0)
+    t_state = np.array([1.0, np.exp(1j * np.pi / 4)]) / math.sqrt(2)
+    return [all_stabilizer_states(3, 2)[0], kron_power_vec(t_state, 3), _haar_state(rng, 8)]
+
+
+# (fiducials, t, n, d, feasible): the design cases of the tests and the CLI
+DESIGN_CASES = {
+    "qutrit-n1": (lambda: [_fiducial(1), all_stabilizer_states(1, 3)[0]], 3, 1, 3, True),
+    "qutrit-n2": (lambda: [_fiducial(2), all_stabilizer_states(2, 3)[0]], 3, 2, 3, True),
+    "qutrit-cli": (lambda: [_fiducial(1)], 3, 1, 3, True),
+    "qubit-t-state": (_t_state_fiducials, 4, 3, 2, True),
+    "stabilizer-only": (lambda: [all_stabilizer_states(1, 2)[0]], 4, 1, 2, False),
+    "haar-t4-n1-d2": (lambda: _haar_fiducials(2, 1, 0), 4, 1, 2, True),
+    "haar-t3-n2-d2": (lambda: _haar_fiducials(2, 2, 0), 3, 2, 2, True),
+    "haar-t4-n1-d3": (lambda: _haar_fiducials(3, 1, 0), 4, 1, 3, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DESIGN_CASES))
+def test_design_feasibility_matches_linprog(case):
+    make, t, n, d, feasible = DESIGN_CASES[case]
+    fiducials = make()
+    A_eq, b_eq = _design_constraints(fiducials, t, n, d)
+    K = len(fiducials)
+    res = linprog(np.zeros(K), A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * K)
+    assert res.success == feasible
+    if feasible:
+        p = find_design_weights(fiducials, t, n, d)
+        assert (p >= 0).all() and abs(p.sum() - 1.0) < 1e-12
+        assert np.linalg.norm(A_eq @ p - b_eq) < 1e-9
+        assert int((p > 0).sum()) <= len(b_eq)
+    else:
+        with pytest.raises(InfeasibleDesign) as info:
+            find_design_weights(fiducials, t, n, d)
+        assert info.value.residual > 1e-9
+        assert info.value.residual == pytest.approx(nnls(A_eq, b_eq)[1], rel=1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_qutrit_fiducial_angle_matches_brentq(n):
+    r = r_matrix(css_subspace(Subspace(np.ones((1, 3), dtype=np.int64), 3)), dense=True)
+    target = (3.0 / (3**n + 2)) ** (1.0 / n)
+
+    def f(theta):
+        v = kron_power_vec(np.array([np.cos(theta), -np.sin(theta), 0.0]), 3)
+        return (v @ r @ v).real - target
+
+    assert abs(qutrit_fiducial_angle(n) - brentq(f, 0.0, np.pi / 4, xtol=1e-15)) < 1e-12

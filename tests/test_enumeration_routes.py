@@ -27,6 +27,7 @@ from stabkit.gf import (
     is_q_isotropic,
     quadratic_q,
     rref,
+    rref_stack,
 )
 from stabkit.stabilizer import lagrangians
 
@@ -182,6 +183,27 @@ def test_lagrangian_keys_unchanged(n, d):
     bases = np.array([M.basis for M in lagrangians(n, d)], dtype=np.int64)
     assert bases.shape[1:] == (n, 2 * n)
     assert hashlib.sha256(bases.tobytes()).hexdigest() == LAGRANGIAN_BASES[n, d]
+
+
+@pytest.mark.parametrize(
+    "families,d",
+    [
+        (lambda: [lagrangians(3, 2)], 2),
+        (lambda: [lagrangians(2, 3)], 3),
+        (lambda: [lagrangians(4, 2)], 2),
+        (lambda: [defect_subspaces(4, 3, k) for k in range(3)], 3),
+    ],
+    ids=["lagrangians-3-2", "lagrangians-2-3", "lagrangians-4-2", "defects-4-3"],
+)
+def test_echelon_leaves_are_canonical(families, d):
+    # the echelon search builds each Subspace from its leaf without reducing it
+    for spaces in families():
+        if not spaces:
+            continue
+        leaves = np.array([S.basis for S in spaces], dtype=np.int64)
+        assert np.array_equal(rref_stack(leaves, d), leaves)
+        for S in spaces:
+            assert Subspace(S.basis, d, S.ambient)._key == S._key
 
 
 def test_four_qubit_lagrangians():

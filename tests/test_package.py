@@ -60,13 +60,27 @@ def test_cap_guards_warm_cache(fn, args, monkeypatch):
         fn(*args)
 
 
-def test_cli_module_runs_without_runtime_warning():
+def _run_python(*args):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "stabkit.cli", "--help"],
-        env=env,
-        capture_output=True,
-        timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+
+
+def test_cli_module_runs_without_runtime_warning():
+    proc = _run_python("-W", "error::RuntimeWarning", "-m", "stabkit.cli", "--help")
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_import_and_verify_all_leave_scipy_optimize_unloaded(tmp_path):
+    # scipy.optimize is a test oracle only; the library uses numpy and scipy.sparse
+    code = (
+        "import sys\n"
+        "import stabkit, stabkit.cli\n"
+        "assert 'scipy.optimize' not in sys.modules, 'loaded by import'\n"
+        f"code = stabkit.cli.main(['verify-all', '--output', {str(tmp_path / 'out.json')!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy.optimize' not in sys.modules, 'loaded by verify-all'\n"
+    )
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert (tmp_path / "out.json").stat().st_size > 0
