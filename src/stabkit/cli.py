@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -405,9 +406,10 @@ def _key_text(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _json_text(obj, newline: str, out: list) -> None:
+def _json_text(obj, newline: str, out) -> None:
     """Append the text of `json.dumps(obj, indent=2, sort_keys=True,
-    default=str)` to out, nested at `newline` (a newline and the indent).
+    default=str)` to out (a list or `_ChunkWriter`), nested at `newline`
+    (a newline and the indent).
 
     The rules are those of json's pure-Python encoder, which json.dumps
     uses whenever an indent is given, but without a generator per
@@ -455,16 +457,47 @@ def _json_text(obj, newline: str, out: list) -> None:
         out.append(_escape(str(obj)))
 
 
+# pieces of JSON text joined, encoded and written at a time
+_CHUNK = 4096
+
+
+class _ChunkWriter:
+    """A sink for `_json_text`: every `_CHUNK` pieces are joined, encoded
+    and written to a binary stream, so the whole text is never held."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.pieces: list[str] = []
+
+    def append(self, piece: str) -> None:
+        self.pieces.append(piece)
+        if len(self.pieces) >= _CHUNK:
+            self.flush()
+
+    def flush(self) -> None:
+        self.stream.write("".join(self.pieces).encode())
+        self.pieces.clear()
+
+
+def _write_json(report: ReportBundle, stream) -> None:
+    """Write the JSON report to a binary stream, a chunk of text at a time.
+
+    The bytes are those of json.dumps(payload, indent=2, sort_keys=True,
+    default=str) plus a newline, with the wall clock dropped.
+    """
+    payload = report.to_json()
+    payload["wall_clock"] = None  # determinism: drop timing from the output
+    out = _ChunkWriter(stream)
+    _json_text(payload, "\n", out)
+    out.append("\n")
+    out.flush()
+
+
 def emit(report: ReportBundle, fmt: str = "json") -> bytes:
     if fmt == "json":
-        payload = report.to_json()
-        payload["wall_clock"] = None  # determinism: drop timing from the output
-        out: list[str] = []
-        _json_text(payload, "\n", out)
-        out.append("\n")
-        text = "".join(out)
-        del out  # drop the pieces before encoding, so they and the bytes never coexist
-        return text.encode()
+        buf = io.BytesIO()
+        _write_json(report, buf)
+        return buf.getvalue()
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(
@@ -512,16 +545,14 @@ def main(argv=None) -> int:
         emit_mode=args.emit_mode, check=args.check,
     )
     report = run(cfg)
-    if args.emit_mode == "count":
-        first = report.records[0]
-        out = f"{first['measured']}\n".encode()
-    else:
-        out = emit(report, args.emit_mode)
-    if args.output:
-        with open(args.output, "wb") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.buffer.write(out)
+    sink = open(args.output, "wb") if args.output else contextlib.nullcontext(sys.stdout.buffer)
+    with sink as fh:
+        if args.emit_mode == "json":
+            _write_json(report, fh)
+        elif args.emit_mode == "count":
+            fh.write(f"{report.records[0]['measured']}\n".encode())
+        else:
+            fh.write(emit(report, args.emit_mode))
     return 0 if report.ok else 1
 
 

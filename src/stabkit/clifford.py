@@ -13,11 +13,19 @@ qudit axis, CADD gathers rows and W scatters them through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .gf import all_vectors, flat_index, gram_symplectic, orbits
-from .phase_space import characteristic_function, check_dim, omega, phase_points, weyl_action
+from .phase_space import (
+    characteristic_function,
+    check_dim,
+    freeze,
+    omega,
+    phase_points,
+    weyl_action,
+)
 
 __all__ = [
     "fourier_gate",
@@ -34,19 +42,29 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
 def fourier_gate(d: int) -> np.ndarray:
-    """F|j> = d^{-1/2} sum_k omega^{jk} |k>; the Hadamard for d = 2."""
+    """F|j> = d^{-1/2} sum_k omega^{jk} |k>; the Hadamard for d = 2.
+
+    Built once per d and read-only, as every F letter uses it.
+    """
     j = np.arange(d)
-    return omega(d) ** np.outer(j, j) / np.sqrt(d)
+    return freeze(omega(d) ** np.outer(j, j) / np.sqrt(d))
+
+
+@lru_cache(maxsize=None)
+def _phase_diagonal(d: int) -> np.ndarray:
+    """The diagonal of the phase gate, built once per d and read-only."""
+    a = np.arange(d)
+    if d == 2:
+        return freeze(np.array([1.0, 1j]))
+    half = pow(2, -1, d)
+    return freeze(omega(d) ** ((half * a * (a - 1)) % d))
 
 
 def phase_gate(d: int) -> np.ndarray:
     """diag(1, i) for d = 2; diag(omega^{a(a-1)/2}) for odd d."""
-    a = np.arange(d)
-    if d == 2:
-        return np.diag([1.0, 1j])
-    half = pow(2, -1, d)
-    return np.diag(omega(d) ** ((half * a * (a - 1)) % d))
+    return np.diag(_phase_diagonal(d))
 
 
 def cadd_gate(d: int) -> np.ndarray:
@@ -70,7 +88,7 @@ def apply_letter(letter, V: np.ndarray, n: int, d: int) -> np.ndarray:
     rows = np.asarray(V, dtype=complex).reshape(d**n, -1)
     if kind in ("F", "P"):
         view = rows.reshape(d ** args[0], d, -1)
-        out = fourier_gate(d) @ view if kind == "F" else np.diag(phase_gate(d))[:, None] * view
+        out = fourier_gate(d) @ view if kind == "F" else _phase_diagonal(d)[:, None] * view
     elif kind == "CADD":
         i, j = args
         b = np.arange(d**n)

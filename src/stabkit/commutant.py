@@ -12,9 +12,11 @@ set Sigma_{t,t}(d) of such T is enumerated constructively: a T is a triple
 (N, M, J) of two defect subspaces and an isometry between their quotients.
 
 Every R(T) quantity comes from one integer table, `R_support`: the flat
-(row, column) indices of the nonzeros of each R(T).  Operators and weighted
-sums scatter it, expectations gather amplitudes through it, and the Gram
-matrix counts common elements through the incidence matrix it defines.
+(row, column) indices of the nonzeros of each R(T), and numpy alone.
+Operators and weighted sums are one `np.bincount` of it into a dense
+array, expectations gather amplitudes through it, the Gram matrix is one
+product of the incidence matrix it defines on the points that lie in two
+or more T, and the commutation check applies R(T) as a gather of its rows.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .gf import (
     Subspace,
@@ -45,7 +46,7 @@ from .gf import (
     solve,
     subspaces,
 )
-from .phase_space import check_dim, freeze, kron_power_vec
+from .phase_space import check_dim, freeze, kron_power_vec, square_side
 
 __all__ = [
     "defect_subspaces",
@@ -344,26 +345,32 @@ def R_support(Ts, n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def R_sum(Ts, weights, n: int) -> sp.csr_matrix:
-    """sum_i w_i R(T_i): one COO scatter of the support table, duplicates summed."""
+def R_sum(Ts, weights, n: int) -> np.ndarray:
+    """sum_i w_i R(T_i) as a dense (d^{tn}, d^{tn}) array.
+
+    One weighted `np.bincount` of the flat indices rows * d^{tn} + cols of
+    the support table, duplicates summed; the table has m d^{tn} entries,
+    which the cap guards as a square of as many.
+    """
     t, d = Ts[0].ambient // 2, Ts[0].d
-    rows, cols = R_support(Ts, n)
     dim = d ** (t * n)
+    check_dim(square_side(len(Ts) * dim))
+    rows, cols = R_support(Ts, n)
+    rows *= dim
+    rows += cols  # in place: the flat indices into the dim x dim output
+    del cols
     w = np.repeat(np.asarray(weights, dtype=float), rows.shape[1])
-    coo = sp.coo_matrix((w, (rows.ravel(), cols.ravel())), shape=(dim, dim))
-    del rows, cols  # coo holds its own, narrower index arrays
-    return coo.tocsr()
+    return np.bincount(rows.ravel(), weights=w, minlength=dim * dim).reshape(dim, dim)
 
 
-def R_matrix(T: Subspace, n: int, dense: bool = False):
+def R_matrix(T: Subspace, n: int) -> np.ndarray:
     """R(T) = r(T)^{x n} on (C^{d^n})^{x t}, copy-major factor ordering."""
-    mat = R_sum([T], [1.0], n)
-    return mat.toarray() if dense else mat
+    return R_sum([T], [1.0], n)
 
 
-def r_matrix(T: Subspace, dense: bool = False):
-    """r(T) = sum_{(x,y) in T} |x><y| on (C^d)^{x t}, sparse by default."""
-    return R_matrix(T, 1, dense)
+def r_matrix(T: Subspace) -> np.ndarray:
+    """r(T) = sum_{(x,y) in T} |x><y| on (C^d)^{x t}."""
+    return R_matrix(T, 1)
 
 
 def R_trace(T: Subspace, n: int) -> int:
@@ -375,18 +382,32 @@ def R_trace(T: Subspace, n: int) -> int:
 def R_gram(Ts, n: int) -> np.ndarray:
     """G[i, j] = tr[R(T_i)^dag R(T_j)] = |T_i cap T_j|^n.
 
-    With A the 0/1 incidence matrix of the T_i as subsets of Z_d^{2t},
-    |T_i cap T_j| = (A A^T)_ij, so G = (A A^T)^{o n} exactly.
+    |T_i cap T_j| counts the points of Z_d^{2t} in both T_i and T_j.  Off
+    the diagonal only the P points that lie in two or more of the T_i
+    count, so with A the m x P 0/1 incidence of the T_i on those points,
+    |T_i cap T_j| = (A A^T)_ij; the diagonal is |T| = d^t.  Every partial
+    sum of A A^T is an integer at most d^t, so the product is exact in
+    float32 while d^t < 2^24 (float64 above).  The cap guards the m x m
+    output and the m x P incidence, each as a square of as many entries.
     """
     t, d = Ts[0].ambient // 2, Ts[0].d
+    m, size = len(Ts), d**t
+    check_dim(m)
     rows, cols = R_support(Ts, 1)
-    m, size = rows.shape
-    A = sp.csr_matrix(
-        (np.ones(m * size, dtype=np.int64),
-         (np.repeat(np.arange(m), size), (rows * d**t + cols).ravel())),
-        shape=(m, d ** (2 * t)),
-    )
-    return (A @ A.T).toarray().astype(float) ** n
+    points = rows * size + cols  # (m, |T|) flat indices in Z_d^{2t}
+    del rows, cols
+    shared = np.bincount(points.ravel(), minlength=size * size) >= 2
+    P = int(shared.sum())
+    check_dim(square_side(max(m * P, 1)))
+    i, k = np.nonzero(shared[points])
+    A = np.zeros((m, P), dtype=np.float32 if size < 2**24 else np.float64)
+    A[i, (np.cumsum(shared) - 1)[points[i, k]]] = 1
+    del points, i, k
+    G = A @ A.T
+    np.fill_diagonal(G, size)
+    G = G.astype(float)
+    G **= n
+    return G
 
 
 def expectation_R(T: Subspace, psi: np.ndarray, n: int) -> complex:
@@ -623,23 +644,42 @@ def commutes_with_clifford(T: Subspace, n: int, d: int) -> dict:
     probes v and their images R v are moved by U^{x t}, the same letter on
     qudit c n + i of every copy c applied by `clifford.apply_letter`, and
     the residual is max |R U^{x t} v - U^{x t} R v|.
+
+    R(T) acts as a gather.  For x in the projection of T to its first
+    half, the y with (x, y) in T form a coset of the right defect, so with
+    the support sorted by row every nonzero row of R(T) holds the same
+    number k of ones: (R v)[x] is the sum of k gathered rows of v, placed
+    into the nonzero rows only.
     """
     from .clifford import apply_letter, generator_letters
 
     t = T.ambient // 2
-    R = R_matrix(T, n)
-    rng = np.random.default_rng(0)
+    rows, cols = R_support([T], n)
+    order = np.argsort(rows[0], kind="stable")
+    rows, cols = rows[0][order], cols[0][order]
+    k = int(np.searchsorted(rows, rows[0], side="right"))
+    targets, src = rows[::k], cols.reshape(-1, k).T  # src: (k, nonzero rows)
     dim = d ** (t * n)
+
+    def apply_R(V):
+        gathered = np.take(V, src, axis=0).sum(axis=0)
+        if len(targets) == dim:
+            return gathered
+        out = np.zeros_like(V)
+        out[targets] = gathered
+        return out
+
+    rng = np.random.default_rng(0)
     block = np.empty((dim, 6), dtype=complex)
     worst = 0.0
     for kind, *qudits in generator_letters(n):
         # three probes v, then R v: one pass of U^{x t} over all six
-        for k in range(3):
+        for j in range(3):
             v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            block[:, k] = v / np.linalg.norm(v)
-        block[:, 3:] = R @ block[:, :3]
+            block[:, j] = v / np.linalg.norm(v)
+        block[:, 3:] = apply_R(block[:, :3])
         moved = block
         for c in range(t):
             moved = apply_letter((kind, *[c * n + i for i in qudits]), moved, t * n, d)
-        worst = max(worst, float(np.abs(R @ moved[:, :3] - moved[:, 3:]).max()))
+        worst = max(worst, float(np.abs(apply_R(moved[:, :3]) - moved[:, 3:]).max()))
     return {"t": t, "n": n, "d": d, "max_norm": worst, "passed": worst < 1e-9}

@@ -95,14 +95,13 @@ def haar_moment_coefficients(t: int, n: int, d: int) -> np.ndarray:
     return np.array([c if T in perms else 0.0 for T in Ts])
 
 
-def moment_operator(gamma: np.ndarray, t: int, n: int, d: int, dense: bool = True):
+def moment_operator(gamma: np.ndarray, t: int, n: int, d: int) -> np.ndarray:
     """sum_T gamma_T R(T) as an explicit matrix."""
-    acc = R_sum(stochastic_lagrangians(t, d), gamma, n)
-    return acc.toarray() if dense else acc
+    return R_sum(stochastic_lagrangians(t, d), gamma, n)
 
 
-def stab_moment_operator(t: int, n: int, d: int, dense: bool = True):
-    return moment_operator(stab_moment_coefficients(t, n, d), t, n, d, dense)
+def stab_moment_operator(t: int, n: int, d: int) -> np.ndarray:
+    return moment_operator(stab_moment_coefficients(t, n, d), t, n, d)
 
 
 def empirical_stab_moment(t: int, n: int, d: int) -> np.ndarray:
@@ -252,7 +251,7 @@ def qutrit_fiducial_angle(n: int) -> float:
     `_ANGLE_XTOL`.
     """
     N = Subspace(np.ones((1, 3), dtype=np.int64), 3)
-    r = r_matrix(css_subspace(N), dense=True)
+    r = r_matrix(css_subspace(N))
     target = (3.0 / (3**n + 2)) ** (1.0 / n)
     lo, hi = 0.0, np.pi / 4
     while hi - lo > _ANGLE_XTOL:
@@ -273,7 +272,7 @@ def qutrit_fiducial_angle(n: int) -> float:
 def minimal_projector(t: int, n: int, d: int) -> np.ndarray:
     """Pi_min = |O_t(d)|^{-1} sum_{O in O_t(d)} R(T_O), densely."""
     Ts = [subspace_from_matrix(O, d) for O in orthogonal_stochastic_group(t, d)]
-    return R_sum(Ts, np.ones(len(Ts)), n).toarray() / len(Ts)
+    return R_sum(Ts, np.ones(len(Ts)), n) / len(Ts)
 
 
 def stab_tensor_rank(t: int, n: int, d: int) -> int:

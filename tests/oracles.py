@@ -1,8 +1,9 @@
-"""Dense second routes, kept as oracles for the library's single routes.
+"""Dense and sparse second routes, kept as oracles for the library's single routes.
 
 Each function here builds explicit operators (Weyl matrices, embedded
 Clifford gates, projectors, permutation and POVM operators on tensor
-powers) where the library gathers or uses a closed formula.  Tests compare the two.
+powers, R(T) as scipy sparse matrices) where the library gathers, counts
+with numpy or uses a closed formula.  Tests compare the two.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ import math
 from functools import reduce
 
 import numpy as np
+import scipy.sparse as sp
 
 from stabkit import stabilizer
 from stabkit.clifford import cadd_gate, fourier_gate, phase_gate
-from stabkit.commutant import permutation_matrix
+from stabkit.commutant import R_support, permutation_matrix
 from stabkit.gf import Subspace, all_vectors, coset_reps, flat_index, symplectic_form
 from stabkit.phase_space import (
     capped_cache,
@@ -62,6 +64,33 @@ def point_operators(n: int, d: int) -> np.ndarray:
     in flat index order."""
     adjoints = np.array([weyl(y, n, d).conj().T for y in phase_points(n, d)])
     return freeze(symplectic_fourier(adjoints, n, d) / d**n)
+
+
+# ---------------------------------------------------------------------------
+# R(T) as scipy sparse matrices, from the library's support table
+# ---------------------------------------------------------------------------
+
+def R_sum(Ts, weights, n: int) -> sp.csr_matrix:
+    """sum_i w_i R(T_i): one COO scatter of the support table, duplicates summed."""
+    t, d = Ts[0].ambient // 2, Ts[0].d
+    rows, cols = R_support(Ts, n)
+    dim = d ** (t * n)
+    w = np.repeat(np.asarray(weights, dtype=float), rows.shape[1])
+    coo = sp.coo_matrix((w, (rows.ravel(), cols.ravel())), shape=(dim, dim))
+    return coo.tocsr()
+
+
+def R_gram(Ts, n: int) -> np.ndarray:
+    """(A A^T)^{o n} with A the sparse 0/1 incidence of the T_i as subsets of Z_d^{2t}."""
+    t, d = Ts[0].ambient // 2, Ts[0].d
+    rows, cols = R_support(Ts, 1)
+    m, size = rows.shape
+    A = sp.csr_matrix(
+        (np.ones(m * size, dtype=np.int64),
+         (np.repeat(np.arange(m), size), (rows * d**t + cols).ravel())),
+        shape=(m, d ** (2 * t)),
+    )
+    return (A @ A.T).toarray().astype(float) ** n
 
 
 # ---------------------------------------------------------------------------

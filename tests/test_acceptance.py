@@ -252,9 +252,7 @@ def test_08_minimal_projector(t, n, d):
 @pytest.mark.parametrize("t,d", [(3, 3), (4, 2)])
 def test_09_semigroup_all_pairs(t, d):
     sigma = stochastic_lagrangians(t, d)
-    dense = {
-        T: np.asarray(r_matrix(T).todense()).astype(np.int64) for T in sigma
-    }
+    dense = {T: r_matrix(T).astype(np.int64) for T in sigma}
     for T1 in sigma:
         for T2 in sigma:
             T12, k = compose(T1, T2)
@@ -399,13 +397,11 @@ def test_13_icosahedron_membership():
 @pytest.mark.parametrize("n", [1, 2])
 def test_13_anti_identity_operator(n):
     V = anti_identity_operator(n)
-    Rsp = R_matrix(
-        subspace_from_matrix(anti_identity_matrix(6), 2), n
-    ).tocsc()
+    R = R_matrix(subspace_from_matrix(anti_identity_matrix(6), 2), n)
     dim = V.shape[0]
     worst = 0.0
     for c in range(0, dim, 512):
-        block = V[:, c : c + 512] - Rsp[:, c : c + 512].toarray()
+        block = V[:, c : c + 512] - R[:, c : c + 512]
         worst = max(worst, np.abs(block).max())
     assert worst < 1e-10
 
@@ -417,8 +413,8 @@ def test_13_qutrit_irrep_dimensions():
     T12 = left_right_act(
         permutation_matrix((1, 0, 2)), T, np.eye(3, dtype=np.int64)
     )
-    R1 = np.asarray(R_matrix(T, n).todense())
-    R2 = np.asarray(R_matrix(T12, n).todense())
+    R1 = R_matrix(T, n)
+    R2 = R_matrix(T12, n)
     for sign, want in [(1, (3**n + 1) // 2), (-1, (3**n - 1) // 2)]:
         P = (R1 + sign * R2) / (2 * 3**n)
         assert np.abs(P @ P - P).max() < 1e-10

@@ -6,8 +6,8 @@ matrix) and multiply; the library applies a letter to a block of vectors
 by a contraction on one qudit axis, a row gather or a row scatter.  The
 commutant residual, which applies U^{x t} letter by letter on the tn
 qudits, is checked against the earlier route, which applied the dense
-U^{x t} to each probe vector and to its image under R(T) separately, and
-against the dense commutator at n = 1.
+U^{x t} to each probe vector and to its image under R(T), a scipy sparse
+matrix, separately, and against the dense commutator at n = 1.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from stabkit.clifford import apply_letter, generator_letters, random_clifford
-from stabkit.commutant import R_matrix, commutes_with_clifford, stochastic_lagrangians
+from stabkit.commutant import R_matrix, commutes_with_clifford, right_defect, stochastic_lagrangians
 from stabkit.gf import Subspace
 from stabkit.phase_space import phase_points
 
@@ -84,7 +84,7 @@ def test_apply_tensor_power_on_a_block_matches_each_column():
 def _residual_per_vector(T, n, d):
     """max |R U^{x t} v - U^{x t} R v| with U^{x t} applied to one vector at a time."""
     t = T.ambient // 2
-    R = R_matrix(T, n)
+    R = oracles.R_sum([T], [1.0], n)
     rng = np.random.default_rng(0)
     dim = d ** (t * n)
     worst = 0.0
@@ -126,9 +126,19 @@ def test_dense_commutator_vanishes_at_one_qudit(t, d):
     """[R(T), U^{x t}] = 0 exactly, as dense matrices, for every T and generator U."""
     powers = [reduce(np.kron, [U] * t) for U in oracles.clifford_generators(1, d)]
     for T in stochastic_lagrangians(t, d):
-        R = R_matrix(T, 1, dense=True)
+        R = R_matrix(T, 1)
         for Ut in powers:
             assert np.abs(R @ Ut - Ut @ R).max() < 1e-9
+
+
+@pytest.mark.parametrize("t,n,d", [(6, 2, 2), (4, 3, 2)])
+def test_residual_with_defects_matches_per_vector_route(t, n, d):
+    """T with a nonzero right defect: each nonzero row of R(T) sums k > 1 gathered rows."""
+    with_defects = [T for T in stochastic_lagrangians(t, d) if right_defect(T).dim > 0]
+    for T in with_defects[:2] + with_defects[-2:]:
+        got = commutes_with_clifford(T, n, d)["max_norm"]
+        assert got < 1e-9
+        assert abs(got - _residual_per_vector(T, n, d)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -110,7 +110,7 @@ def test_r_trace_counts_diagonal_pairs():
     for t, d in [(3, 3), (4, 2)]:
         delta = diagonal_subspace(t, d)
         for T in stochastic_lagrangians(t, d):
-            dense = np.asarray(r_matrix(T).todense())
+            dense = r_matrix(T)
             k = T.intersect(delta).dim
             assert abs(np.trace(dense) - d**k) < 1e-12
             assert R_trace(T, 1) == d**k
@@ -120,7 +120,7 @@ def test_r_gram_matches_dense():
     t, d, n = 3, 3, 1
     sigma = stochastic_lagrangians(t, d)
     G = R_gram(sigma, n)
-    dense = [np.asarray(R_matrix(T, n).todense()) for T in sigma]
+    dense = [R_matrix(T, n) for T in sigma]
     for i in range(len(sigma)):
         for j in range(len(sigma)):
             want = np.trace(dense[i].conj().T @ dense[j]).real
@@ -137,7 +137,7 @@ def test_linear_independence_ranks(t, d, n, rank):
 def test_semigroup_exact_identity_sample():
     t, d = 3, 3
     sigma = stochastic_lagrangians(t, d)
-    dense = {T: np.asarray(r_matrix(T).todense()).astype(np.int64) for T in sigma}
+    dense = {T: r_matrix(T).astype(np.int64) for T in sigma}
     for T1 in sigma[:4]:
         for T2 in sigma[:4]:
             T12, k = compose(T1, T2)
@@ -161,7 +161,7 @@ def test_css_projector_properties():
     assert np.abs(P @ P - P).max() < 1e-12
     assert np.abs(P - P.conj().T).max() < 1e-12
     assert abs(np.trace(P).real - 2 ** (4 - 2)) < 1e-9
-    r = np.asarray(r_matrix(css_subspace(ones)).todense())
+    r = r_matrix(css_subspace(ones))
     assert np.abs(P - r / 2).max() < 1e-12
 
 
@@ -170,7 +170,7 @@ def test_css_projector_trivial_and_qutrit():
     assert np.abs(css_projector(z, 3, 3) - np.eye(27)).max() < 1e-12
     ones = Subspace(np.ones((1, 3), dtype=np.int64), 3)
     P = css_projector(ones, 3, 3)
-    r = np.asarray(r_matrix(css_subspace(ones)).todense())
+    r = r_matrix(css_subspace(ones))
     assert np.abs(P - r / 3).max() < 1e-12
 
 
@@ -185,11 +185,11 @@ def test_left_right_act_matches_operators():
         O = group[rng.integers(len(group))]
         Op = group[rng.integers(len(group))]
         lhs = (
-            np.asarray(r_matrix(subspace_from_matrix(O, d)).todense())
-            @ np.asarray(r_matrix(T).todense())
-            @ np.asarray(r_matrix(subspace_from_matrix(Op, d)).todense())
+            r_matrix(subspace_from_matrix(O, d))
+            @ r_matrix(T)
+            @ r_matrix(subspace_from_matrix(Op, d))
         )
-        rhs = np.asarray(r_matrix(left_right_act(O, T, Op)).todense())
+        rhs = r_matrix(left_right_act(O, T, Op))
         assert np.abs(lhs - rhs).max() < 1e-9
         assert left_right_act(ident, T, ident) == T
 

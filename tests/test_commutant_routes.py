@@ -3,8 +3,12 @@
 The oracles below are the earlier implementations: R(T) built per T as a
 scipy sparse matrix from an (|T|^n, 2t, n) digit tensor, moment operators
 and minimal projectors summed one sparse R(T) at a time, the Gram matrix
-from one `Subspace.intersect` per pair, and expectations as R(T) @ v.  The
-library derives all of these from one integer support table.
+from one `Subspace.intersect` per pair, and expectations as R(T) @ v.
+`oracles.R_sum` and `oracles.R_gram` are the sparse routes the library
+took from the support table before it used numpy alone: a COO scatter
+and a sparse incidence product.  The library derives all of these from
+one integer support table, and its dense bincount and shared-point
+product must equal the sparse routes exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from hypothesis import strategies as st
 from stabkit.commutant import (
     R_gram,
     R_matrix,
+    R_sum,
     R_support,
     expectation_R,
     orthogonal_stochastic_group,
@@ -36,6 +41,8 @@ from stabkit.moments import (
     stab_moment_operator,
 )
 from stabkit.phase_space import ResourceCapError, kron_power_vec
+
+import oracles
 
 
 def _R_oracle(T, n):
@@ -91,6 +98,14 @@ def test_gram_equals_intersection_loop(t, d, n):
     want = _gram_oracle(sigma, n)
     assert G.dtype == want.dtype and G.shape == want.shape
     assert np.array_equal(G, want)
+    assert np.array_equal(G, oracles.R_gram(sigma, n))
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_gram_equals_sparse_product_at_sigma_6_2(n):
+    # the largest Sigma the float32 product reaches here: m = 4590, |T| = 64
+    sigma = stochastic_lagrangians(6, 2)
+    assert np.array_equal(R_gram(sigma, n), oracles.R_gram(sigma, n))
 
 
 @pytest.mark.parametrize("t,n,d", [(2, 1, 2), (3, 1, 3), (4, 1, 2), (4, 2, 2), (6, 1, 2), (2, 2, 3)])
@@ -99,9 +114,12 @@ def test_moment_operators_match_per_T_sum(t, n, d):
     for gamma in (stab_moment_coefficients(t, n, d), haar_moment_coefficients(t, n, d)):
         got = moment_operator(gamma, t, n, d)
         assert np.abs(got - _sum_oracle(sigma, gamma, n)).max() <= 1e-15
+        assert np.array_equal(got, oracles.R_sum(sigma, gamma, n).toarray())
     Ts = [subspace_from_matrix(O, d) for O in orthogonal_stochastic_group(t, d)]
     want = _sum_oracle(Ts, np.ones(len(Ts)), n) / len(Ts)
-    assert np.abs(minimal_projector(t, n, d) - want).max() <= 1e-15
+    got = minimal_projector(t, n, d)
+    assert np.abs(got - want).max() <= 1e-15
+    assert np.array_equal(got, oracles.R_sum(Ts, np.ones(len(Ts)), n).toarray() / len(Ts))
 
 
 @pytest.mark.parametrize("t,n,d", [(4, 3, 2), (3, 2, 3), (4, 2, 2), (3, 1, 5)])
@@ -134,7 +152,8 @@ def test_support_matches_digit_tensor(Tn):
     assert rows.shape == cols.shape == (1, len(want_rows))
     assert np.array_equal(rows[0], want_rows) and np.array_equal(cols[0], want_cols)
     got = R_matrix(T, n)
-    assert (got != want).nnz == 0
+    assert isinstance(got, np.ndarray) and np.array_equal(got, want.toarray())
+    assert np.array_equal(got, oracles.R_sum([T], [1.0], n).toarray())
     nz_rows, nz_cols = want.nonzero()
     assert set(zip(rows[0].tolist(), cols[0].tolist())) == set(zip(nz_rows.tolist(), nz_cols.tolist()))
 
@@ -155,6 +174,27 @@ def test_cap_guards_gathers_and_scatters(monkeypatch):
         orbit_moment_vector(psi, 4, 3, 2)
     with pytest.raises(ResourceCapError):
         stab_moment_operator(4, 2, 2)
+
+
+def test_cap_guards_gram_output_incidence_and_sum_index(monkeypatch):
+    sigma_2, sigma_3 = stochastic_lagrangians(4, 2), stochastic_lagrangians(4, 3)
+    # the 80 x 80 Gram output of Sigma_{4,4}(3)
+    monkeypatch.setenv("STABKIT_DIM_CAP", "64")
+    with pytest.raises(ResourceCapError):
+        R_gram(sigma_3, 1)
+    # 80 <= 100 and d^t = 81 <= 100, but the 80 x 783 incidence is a square of side 251
+    monkeypatch.setenv("STABKIT_DIM_CAP", "100")
+    with pytest.raises(ResourceCapError):
+        R_gram(sigma_3, 1)
+    # d^{tn} = 16 <= 20, but the 30 x 16 flat index is a square of side 22
+    monkeypatch.setenv("STABKIT_DIM_CAP", "20")
+    with pytest.raises(ResourceCapError):
+        R_sum(sigma_2, np.ones(len(sigma_2)), 1)
+    monkeypatch.setenv("STABKIT_DIM_CAP", "251")
+    assert np.array_equal(R_gram(sigma_3, 1), oracles.R_gram(sigma_3, 1))
+    monkeypatch.setenv("STABKIT_DIM_CAP", "22")
+    want = oracles.R_sum(sigma_2, np.ones(30), 1).toarray()
+    assert np.array_equal(R_sum(sigma_2, np.ones(30), 1), want)
 
 
 def _peak_mb(fn, *args):

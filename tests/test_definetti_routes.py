@@ -432,7 +432,7 @@ def test_design_feasibility_matches_linprog(case):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_qutrit_fiducial_angle_matches_brentq(n):
-    r = r_matrix(css_subspace(Subspace(np.ones((1, 3), dtype=np.int64), 3)), dense=True)
+    r = r_matrix(css_subspace(Subspace(np.ones((1, 3), dtype=np.int64), 3)))
     target = (3.0 / (3**n + 2)) ** (1.0 / n)
 
     def f(theta):

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from stabkit.clifford import enumerate_sp, sp_orbit_count
 from stabkit.commutant import (
+    R_gram,
     _quotient_images,
     _quotient_sources,
     compose,
@@ -52,6 +53,7 @@ from stabkit.gf import (
     subspaces,
 )
 from stabkit.moments import permutation_subspaces, sigma_classes
+from stabkit.phase_space import DEFAULT_DIM_CAP, ResourceCapError
 from stabkit.stabilizer import lagrangians
 
 
@@ -381,6 +383,13 @@ def test_sigma_classes_7_2(sigma_7_2):
     assert sorted(len(c) for c in classes) == [900, 5040, 22050, 35280, 44100, 44100]
     assert len(classes[0]) == 5040  # the permutation class comes first
     assert hashlib.sha256(repr(classes).encode()).hexdigest() == CLASSES_7_2
+
+
+def test_gram_of_sigma_7_2_is_refused_by_the_cap(sigma_7_2, monkeypatch):
+    # the 151470 x 151470 output would take 92 GB as float32
+    monkeypatch.setenv("STABKIT_DIM_CAP", str(DEFAULT_DIM_CAP))
+    with pytest.raises(ResourceCapError, match="151470"):
+        R_gram(sigma_7_2, 1)
 
 
 @pytest.mark.parametrize("t,d", [(6, 2), (5, 3)])

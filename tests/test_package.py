@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import stabkit
-from stabkit import commutant, stabilizer
+from stabkit import clifford, commutant, stabilizer
 from stabkit.phase_space import ResourceCapError
 
 
@@ -28,11 +28,15 @@ def test_all_names_resolve(module):
         lambda: stabilizer.all_stabilizer_states(1, 2),
         lambda: commutant.orthogonal_stochastic_group(4, 2)[0],
         lambda: commutant.stochastic_lagrangians(4, 2)[-1].basis,
+        lambda: clifford.fourier_gate(3),
+        lambda: clifford._phase_diagonal(3),
     ],
     ids=[
         "all_stabilizer_states",
         "orthogonal_stochastic_group",
         "stochastic_lagrangians",
+        "fourier_gate",
+        "phase_diagonal",
     ],
 )
 def test_cached_arrays_are_read_only(get):
@@ -71,15 +75,17 @@ def test_cli_module_runs_without_runtime_warning():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
-def test_import_and_verify_all_leave_scipy_optimize_unloaded(tmp_path):
-    # scipy.optimize is a test oracle only; the library uses numpy and scipy.sparse
+def test_import_and_verify_all_leave_scipy_unloaded(tmp_path):
+    # scipy is a test oracle only; the library uses numpy alone
     code = (
         "import sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         "import stabkit, stabkit.cli\n"
-        "assert 'scipy.optimize' not in sys.modules, 'loaded by import'\n"
+        "assert not scipy_modules(), ('loaded by import', scipy_modules())\n"
         f"code = stabkit.cli.main(['verify-all', '--output', {str(tmp_path / 'out.json')!r}])\n"
         "assert code == 0, code\n"
-        "assert 'scipy.optimize' not in sys.modules, 'loaded by verify-all'\n"
+        "assert not scipy_modules(), ('loaded by verify-all', scipy_modules())\n"
     )
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr.decode()
