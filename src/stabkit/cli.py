@@ -79,16 +79,71 @@ def _haar_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _cmd_enumerate_sigma(cfg: RunConfig, rep: ReportBundle) -> None:
+# ---------------------------------------------------------------------------
+# checks shared by the commands and verify-all: each returns
+# (ok, measured, threshold)
+# ---------------------------------------------------------------------------
+
+def _check_sigma_count(t: int, d: int):
+    """|Sigma_{t,t}(d)| as enumerated against prod_{k=0}^{t-2} (d^k + 1)."""
     from .commutant import sigma_count_formula, stochastic_lagrangians
 
-    sigma = stochastic_lagrangians(cfg.t, cfg.d)
-    want = sigma_count_formula(cfg.t, cfg.d)
-    rep.add("sigma-count", "count-identity",
-            "pass" if len(sigma) == want else "fail",
-            measured=len(sigma), bound=want)
+    got = len(stochastic_lagrangians(t, d))
+    want = sigma_count_formula(t, d)
+    return got == want, got, want
+
+
+def _check_commutator(t: int, d: int, n: int):
+    """The largest residual of [R(T), U^{x t}] over Sigma_{t,t}(d) and the
+    Clifford generators U on n qudits."""
+    from .commutant import commutes_with_clifford, stochastic_lagrangians
+
+    worst = max(
+        commutes_with_clifford(T, n, d)["max_norm"] for T in stochastic_lagrangians(t, d)
+    )
+    return worst < 1e-9, worst, 1e-9
+
+
+def _check_moment_gap(t: int, n: int, d: int):
+    """Frobenius distance of the stabilizer moment formula to the average
+    over all stabilizer states."""
+    from .moments import empirical_stab_moment, stab_moment_operator
+
+    gap = float(np.linalg.norm(stab_moment_operator(t, n, d) - empirical_stab_moment(t, n, d)))
+    return gap < 1e-10, gap, 1e-10
+
+
+def _check_completeness(n: int, d: int):
+    """The largest |p_accept - 1| of the stabilizer test over all stabilizer
+    states: the qubit test for d = 2, the s = 2 qudit test otherwise."""
+    from . import protocols as pr
+    from .stabilizer import all_stabilizer_states
+
+    worst = 0.0
+    for psi in all_stabilizer_states(n, d):
+        if d == 2:
+            p = pr.qubit_accept_probability(psi)
+        else:
+            p = pr.qudit_accept_probability(psi, 2, d)
+        worst = max(worst, abs(p - 1.0))
+    return worst < 1e-12, worst, 1e-12
+
+
+def _status(ok: bool) -> str:
+    return "pass" if ok else "fail"
+
+
+# ---------------------------------------------------------------------------
+# commands
+# ---------------------------------------------------------------------------
+
+def _cmd_enumerate_sigma(cfg: RunConfig, rep: ReportBundle) -> None:
+    from .commutant import stochastic_lagrangians
+
+    ok, count, want = _check_sigma_count(cfg.t, cfg.d)
+    rep.add("sigma-count", "count-identity", _status(ok), measured=count, bound=want)
     if cfg.emit_mode == "json":
-        rep.config["sigma"] = [T.to_json() for T in sigma]
+        rep.config["sigma"] = [T.to_json() for T in stochastic_lagrangians(cfg.t, cfg.d)]
 
 
 def _cmd_enumerate_o(cfg: RunConfig, rep: ReportBundle) -> None:
@@ -101,14 +156,8 @@ def _cmd_enumerate_o(cfg: RunConfig, rep: ReportBundle) -> None:
 
 
 def _cmd_verify_commutant(cfg: RunConfig, rep: ReportBundle) -> None:
-    from .commutant import commutes_with_clifford, stochastic_lagrangians
-
-    worst = 0.0
-    for T in stochastic_lagrangians(cfg.t, cfg.d):
-        out = commutes_with_clifford(T, cfg.n, cfg.d)
-        worst = max(worst, out["max_norm"])
-    rep.add("commutant", "clifford-commutator", "pass" if worst < 1e-9 else "fail",
-            measured=worst, tolerance=1e-9)
+    ok, worst, tol = _check_commutator(cfg.t, cfg.d, cfg.n)
+    rep.add("commutant", "clifford-commutator", _status(ok), measured=worst, tolerance=tol)
 
 
 def _cmd_double_cosets(cfg: RunConfig, rep: ReportBundle) -> None:
@@ -116,21 +165,18 @@ def _cmd_double_cosets(cfg: RunConfig, rep: ReportBundle) -> None:
 
     cosets = double_cosets(cfg.t, cfg.d)
     sizes = [c["size"] for c in cosets]
-    rep.add("double-cosets", "orbit-closure",
-            "pass" if len(cosets) <= cfg.t else "fail",
+    rep.add("double-cosets", "orbit-closure", _status(len(cosets) <= cfg.t),
             measured=sizes, bound=cfg.t)
 
 
 def _cmd_moments(cfg: RunConfig, rep: ReportBundle) -> None:
-    from .moments import empirical_stab_moment, stab_moment_operator
+    from .moments import stab_moment_operator
 
-    formula = stab_moment_operator(cfg.t, cfg.n, cfg.d)
     if cfg.check:
-        brute = empirical_stab_moment(cfg.t, cfg.n, cfg.d)
-        gap = float(np.linalg.norm(formula - brute))
-        rep.add("moment-formula", "ensemble-average",
-                "pass" if gap < 1e-10 else "fail", measured=gap, tolerance=1e-10)
+        ok, gap, tol = _check_moment_gap(cfg.t, cfg.n, cfg.d)
+        rep.add("moment-formula", "ensemble-average", _status(ok), measured=gap, tolerance=tol)
     else:
+        formula = stab_moment_operator(cfg.t, cfg.n, cfg.d)
         rep.add("moment-formula", "formula-evaluation", "pass",
                 measured=float(np.trace(formula).real))
 
@@ -160,47 +206,37 @@ def _cmd_design(cfg: RunConfig, rep: ReportBundle) -> None:
                 measured=exc.residual, tolerance=_DESIGN_ATOL)
         return
     gap = mixture_design_gap(fiducials, weights, cfg.t, cfg.n, cfg.d)
-    rep.add("design", "weighted-orbit-design",
-            "pass" if gap < 1e-8 else "fail",
+    rep.add("design", "weighted-orbit-design", _status(gap < 1e-8),
             measured=gap, bound=int((weights > 0).sum()), tolerance=1e-8)
 
 
 def _cmd_test(cfg: RunConfig, rep: ReportBundle) -> None:
     from . import protocols as pr
 
-    if cfg.seed is None:
-        raise SystemExit("--seed is required for sampling commands")
-    if cfg.protocol in ("qubit6", "mc") and cfg.d != 2:
-        raise SystemExit(f"protocol {cfg.protocol!r} is a qubit test and needs --d 2")
     psi = _haar_state(np.random.default_rng(cfg.seed), cfg.d**cfg.n)
     if cfg.protocol == "qubit6":
-        p = pr.qubit_accept_probability(psi)
         from .stabilizer import max_stabilizer_overlap
 
+        p = pr.qubit_accept_probability(psi)
         _, ov = max_stabilizer_overlap(psi, cfg.n, cfg.d)
         bound = 1 - (1 - ov) ** 2 / 4
-        rep.add("qubit-test", "soundness-bound",
-                "pass" if p <= bound + 1e-12 else "fail", measured=p, bound=bound)
+        rep.add("qubit-test", "soundness-bound", _status(p <= bound + 1e-12),
+                measured=p, bound=bound)
     elif cfg.protocol == "qudit":
         p = pr.qudit_accept_probability(psi, cfg.s, cfg.d)
         rep.add("qudit-test", "accept-probability", "pass", measured=p)
     elif cfg.protocol == "three-copy":
         p = pr.three_copy_accept_probability(psi, cfg.d)
         rep.add("three-copy-test", "accept-probability", "pass", measured=p)
-    elif cfg.protocol == "mc":
+    else:  # mc
         out = pr.simulate_algorithm1(psi, cfg.shots, cfg.seed)
-        rep.add("qubit-mc", "monte-carlo",
-                "pass" if out.passed else "fail",
+        rep.add("qubit-mc", "monte-carlo", _status(out.passed),
                 measured=out.p_accept, bound=out.details["p_analytic"])
-    else:
-        raise SystemExit(f"unknown protocol {cfg.protocol!r}")
 
 
 def _cmd_hudson(cfg: RunConfig, rep: ReportBundle) -> None:
     from . import protocols as pr
 
-    if cfg.seed is None:
-        raise SystemExit("--seed is required for sampling commands")
     rng = np.random.default_rng(cfg.seed)
     worst = -np.inf
     for _ in range(100):
@@ -223,120 +259,83 @@ def _cmd_definetti(cfg: RunConfig, rep: ReportBundle) -> None:
         data = df.gram(cfg.n, cfg.d, cfg.t)
         alpha = df.random_span_coefficients(data, seed)
         out = df.exp_definetti_check(alpha, cfg.s, t=cfg.t, n=cfg.n, d=cfg.d)
-    elif cfg.variant == "anti":
+    else:  # anti
         inp = df.make_invariant_state(cfg.t, cfg.n, cfg.d, "perm+anti", seed)
         out = df.anti_definetti_check(inp, cfg.s)
-    else:
-        raise SystemExit(f"unknown variant {cfg.variant!r}")
-    status = "pass" if out["passed"] else "fail"
-    rep.add(f"definetti-{cfg.variant}",
-            "reduced-state-distance", status,
+    rep.add(f"definetti-{cfg.variant}", "reduced-state-distance", _status(out["passed"]),
             measured=out["distance"], bound=out["bound"])
     rep.config["vacuous_bound"] = out["vacuous"]
 
 
-def _verify_all_checks(profile: str):
-    """(name, check_id, callable) triples for the verification pipeline."""
-    checks = []
-
-    def sigma_check(t, d):
-        from .commutant import sigma_count_formula, stochastic_lagrangians
-
-        got = len(stochastic_lagrangians(t, d))
-        want = sigma_count_formula(t, d)
-        return got == want, got, want
-
-    def commutant_check(t, d, n):
-        from .commutant import commutes_with_clifford, stochastic_lagrangians
-
-        worst = max(
-            commutes_with_clifford(T, n, d)["max_norm"]
-            for T in stochastic_lagrangians(t, d)
-        )
-        return worst < 1e-9, worst, 1e-9
-
-    def moment_check(t, n, d):
-        from .moments import empirical_stab_moment, stab_moment_operator
-
-        gap = float(
-            np.linalg.norm(
-                stab_moment_operator(t, n, d) - empirical_stab_moment(t, n, d)
-            )
-        )
-        return gap < 1e-10, gap, 1e-10
-
-    def completeness_check(n, d):
-        from . import protocols as pr
-        from .stabilizer import all_stabilizer_states
-
-        worst = 0.0
-        for psi in all_stabilizer_states(n, d):
-            if d == 2:
-                p = pr.qubit_accept_probability(psi)
-            else:
-                p = pr.qudit_accept_probability(psi, 2, d)
-            worst = max(worst, abs(p - 1.0))
-        return worst < 1e-12, worst, 1e-12
-
-    checks.append(("sigma-count-(3,3)", "count-identity",
-                   lambda: sigma_check(3, 3)))
-    checks.append(("sigma-count-(4,2)", "count-identity",
-                   lambda: sigma_check(4, 2)))
-    checks.append(("commutant-(3,3,1)", "clifford-commutator",
-                   lambda: commutant_check(3, 3, 1)))
-    checks.append(("moment-(3,1,3)", "ensemble-average",
-                   lambda: moment_check(3, 1, 3)))
-    checks.append(("completeness-qubit-n1", "perfect-completeness",
-                   lambda: completeness_check(1, 2)))
-    checks.append(("completeness-qutrit-n1", "perfect-completeness",
-                   lambda: completeness_check(1, 3)))
-    if profile == "full":
-        checks.append(("sigma-count-(4,3)", "count-identity",
-                       lambda: sigma_check(4, 3)))
-        checks.append(("sigma-count-(6,2)", "count-identity",
-                       lambda: sigma_check(6, 2)))
-        checks.append(("commutant-(4,2,1)", "clifford-commutator",
-                       lambda: commutant_check(4, 2, 1)))
-        checks.append(("commutant-(4,2,2)", "clifford-commutator",
-                       lambda: commutant_check(4, 2, 2)))
-        checks.append(("moment-(4,1,2)", "ensemble-average",
-                       lambda: moment_check(4, 1, 2)))
-        checks.append(("moment-(4,2,2)", "ensemble-average",
-                       lambda: moment_check(4, 2, 2)))
-        checks.append(("moment-(6,1,2)", "ensemble-average",
-                       lambda: moment_check(6, 1, 2)))
-        checks.append(("completeness-qubit-n2", "perfect-completeness",
-                       lambda: completeness_check(2, 2)))
-    return checks
+# (name, check_id, check, arguments) of verify-all, in order; the full
+# profile runs the quick checks, then these
+_QUICK_CHECKS = (
+    ("sigma-count-(3,3)", "count-identity", _check_sigma_count, (3, 3)),
+    ("sigma-count-(4,2)", "count-identity", _check_sigma_count, (4, 2)),
+    ("commutant-(3,3,1)", "clifford-commutator", _check_commutator, (3, 3, 1)),
+    ("moment-(3,1,3)", "ensemble-average", _check_moment_gap, (3, 1, 3)),
+    ("completeness-qubit-n1", "perfect-completeness", _check_completeness, (1, 2)),
+    ("completeness-qutrit-n1", "perfect-completeness", _check_completeness, (1, 3)),
+)
+_FULL_CHECKS = _QUICK_CHECKS + (
+    ("sigma-count-(4,3)", "count-identity", _check_sigma_count, (4, 3)),
+    ("sigma-count-(6,2)", "count-identity", _check_sigma_count, (6, 2)),
+    ("commutant-(4,2,1)", "clifford-commutator", _check_commutator, (4, 2, 1)),
+    ("commutant-(4,2,2)", "clifford-commutator", _check_commutator, (4, 2, 2)),
+    ("moment-(4,1,2)", "ensemble-average", _check_moment_gap, (4, 1, 2)),
+    ("moment-(4,2,2)", "ensemble-average", _check_moment_gap, (4, 2, 2)),
+    ("moment-(6,1,2)", "ensemble-average", _check_moment_gap, (6, 1, 2)),
+    ("completeness-qubit-n2", "perfect-completeness", _check_completeness, (2, 2)),
+)
+_PROFILES = {"quick": _QUICK_CHECKS, "full": _FULL_CHECKS}
 
 
 def _cmd_verify_all(cfg: RunConfig, rep: ReportBundle) -> None:
-    for name, check_id, fn in _verify_all_checks(cfg.profile):
+    """Every check of the profile; the threshold goes into `bound`, and a
+    check that hits the dimension cap is skipped."""
+    for name, check_id, check, args in _PROFILES[cfg.profile]:
         try:
-            ok, measured, bound = fn()
+            ok, measured, bound = check(*args)
         except ResourceCapError as exc:
             rep.add(name, check_id, "skip", measured=str(exc))
             continue
-        rep.add(name, check_id, "pass" if ok else "fail",
-                measured=measured, bound=bound)
+        rep.add(name, check_id, _status(ok), measured=measured, bound=bound)
 
 
+# each command and the RunConfig fields it reads, which are its options
+# besides --emit and --output
 _COMMANDS = {
-    "enumerate-sigma": _cmd_enumerate_sigma,
-    "enumerate-o": _cmd_enumerate_o,
-    "verify-commutant": _cmd_verify_commutant,
-    "double-cosets": _cmd_double_cosets,
-    "moments": _cmd_moments,
-    "design": _cmd_design,
-    "test": _cmd_test,
-    "hudson": _cmd_hudson,
-    "definetti": _cmd_definetti,
-    "verify-all": _cmd_verify_all,
+    "enumerate-sigma": (_cmd_enumerate_sigma, ("t", "d")),
+    "enumerate-o": (_cmd_enumerate_o, ("t", "d")),
+    "verify-commutant": (_cmd_verify_commutant, ("t", "d", "n")),
+    "double-cosets": (_cmd_double_cosets, ("t", "d")),
+    "moments": (_cmd_moments, ("t", "n", "d", "check")),
+    "design": (_cmd_design, ("t", "n", "d", "seed")),
+    "test": (_cmd_test, ("protocol", "d", "n", "s", "seed", "shots")),
+    "hudson": (_cmd_hudson, ("d", "n", "seed")),
+    "definetti": (_cmd_definetti, ("variant", "t", "n", "d", "s", "seed")),
+    "verify-all": (_cmd_verify_all, ("profile",)),
+}
+_PROTOCOLS = ("qubit6", "qudit", "three-copy", "mc")
+_VARIANTS = ("exp", "anti")
+
+# argparse settings of each option; every default is that of RunConfig
+_OPTIONS = {
+    "t": {"type": int},
+    "d": {"type": int},
+    "n": {"type": int},
+    "s": {"type": int},
+    "seed": {"type": int},
+    "shots": {"type": int},
+    "profile": {"choices": tuple(_PROFILES)},
+    "variant": {"choices": _VARIANTS},
+    "protocol": {"choices": _PROTOCOLS},
+    "check": {"action": "store_true"},
 }
 
 
 def _invalid_argument(cfg: RunConfig) -> str | None:
-    """Why the sizes in cfg are out of range, or None if they are valid."""
+    """Why the arguments in cfg are invalid, or None if they are valid."""
     if not is_prime(cfg.d):
         return f"d={cfg.d} is not prime"
     for name in ("t", "n", "s"):
@@ -356,6 +355,16 @@ def _invalid_argument(cfg: RunConfig) -> str | None:
         return f"d={cfg.d}: the three-copy test needs d = 1, 5 mod 6"
     if cfg.command == "hudson" and cfg.d == 2:
         return f"d={cfg.d}: robust Hudson needs odd d"
+    if cfg.command in ("test", "hudson") and cfg.seed is None:
+        return f"seed is missing: the {cfg.command} command samples states and needs --seed"
+    if cfg.command == "test" and cfg.protocol in ("qubit6", "mc") and cfg.d != 2:
+        return f"d={cfg.d}: protocol {cfg.protocol!r} is a qubit test and needs d = 2"
+    if cfg.command == "test" and cfg.protocol not in _PROTOCOLS:
+        return f"protocol={cfg.protocol!r} is not one of {', '.join(_PROTOCOLS)}"
+    if cfg.command == "definetti" and cfg.variant not in _VARIANTS:
+        return f"variant={cfg.variant!r} is not one of {', '.join(_VARIANTS)}"
+    if cfg.command == "verify-all" and cfg.profile not in _PROFILES:
+        return f"profile={cfg.profile!r} is not one of {', '.join(_PROFILES)}"
     return None
 
 
@@ -369,7 +378,7 @@ def run(cfg: RunConfig) -> ReportBundle:
         rep.add(cfg.command, "invalid-argument", "fail", measured=invalid)
     else:
         try:
-            _COMMANDS[cfg.command](cfg, rep)
+            _COMMANDS[cfg.command][0](cfg, rep)
         except ResourceCapError as exc:
             rep.add(cfg.command, "resource-cap", "fail", measured=str(exc))
     rep.wall_clock = time.time() - start
@@ -519,40 +528,27 @@ def emit(report: ReportBundle, fmt: str = "json") -> bytes:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="stabkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--d", type=int, default=2)
-        p.add_argument("--t", type=int, default=3)
-        p.add_argument("--n", type=int, default=1)
-        p.add_argument("--s", type=int, default=2)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--shots", type=int, default=10000)
-        p.add_argument("--profile", choices=["quick", "full"], default="quick")
-        p.add_argument("--variant", choices=["exp", "anti"], default="exp")
-        p.add_argument("--protocol",
-                       choices=["qubit6", "qudit", "three-copy", "mc"],
-                       default="qubit6")
-        p.add_argument("--emit", dest="emit_mode",
-                       choices=["json", "csv", "text-table", "count"],
-                       default="json")
-        p.add_argument("--check", action="store_true")
+    for name, (_, options) in _COMMANDS.items():
+        # no abbreviations: --s must not stand for --seed where there is no --s
+        p = sub.add_parser(name, allow_abbrev=False)
+        # an option left out keeps its RunConfig default
+        for option in options:
+            p.add_argument(f"--{option}", default=argparse.SUPPRESS, **_OPTIONS[option])
+        p.add_argument("--emit", dest="emit_mode", default=argparse.SUPPRESS,
+                       choices=["json", "csv", "text-table", "count"])
         p.add_argument("--output", default=None)
-    args = parser.parse_args(argv)
-    cfg = RunConfig(
-        command=args.command, d=args.d, t=args.t, n=args.n, s=args.s,
-        seed=args.seed, shots=args.shots, profile=args.profile,
-        variant=args.variant, protocol=args.protocol,
-        emit_mode=args.emit_mode, check=args.check,
-    )
+    args = vars(parser.parse_args(argv))
+    output = args.pop("output")
+    cfg = RunConfig(**args)
     report = run(cfg)
-    sink = open(args.output, "wb") if args.output else contextlib.nullcontext(sys.stdout.buffer)
+    sink = open(output, "wb") if output else contextlib.nullcontext(sys.stdout.buffer)
     with sink as fh:
-        if args.emit_mode == "json":
+        if cfg.emit_mode == "json":
             _write_json(report, fh)
-        elif args.emit_mode == "count":
+        elif cfg.emit_mode == "count":
             fh.write(f"{report.records[0]['measured']}\n".encode())
         else:
-            fh.write(emit(report, args.emit_mode))
+            fh.write(emit(report, cfg.emit_mode))
     return 0 if report.ok else 1
 
 

@@ -24,6 +24,7 @@ from .phase_space import (
     freeze,
     omega,
     phase_points,
+    square_side,
     weyl_action,
 )
 
@@ -154,26 +155,26 @@ def _random_letter(n: int, d: int, rng: np.random.Generator):
     return ("W", tuple(int(v) for v in rng.integers(0, d, size=2 * n)))
 
 
-def random_clifford(
-    n: int, d: int, rng: np.random.Generator, length: int | None = None
-) -> tuple[CliffordWord, np.ndarray]:
-    """Random word of generator letters; not uniform over the group."""
-    if length is None:
-        length = 40 * n
-    word = CliffordWord(n, d, tuple(_random_letter(n, d, rng) for _ in range(length)))
+def random_clifford(n: int, d: int, rng: np.random.Generator) -> tuple[CliffordWord, np.ndarray]:
+    """Random word of 40 n generator letters; not uniform over the group."""
+    word = CliffordWord(n, d, tuple(_random_letter(n, d, rng) for _ in range(40 * n)))
     return word, word.matrix()
 
 
-def is_clifford(U: np.ndarray, n: int, d: int, atol: float = 1e-9) -> bool:
+# tolerance on the moduli and phases read off U W_x U^dag
+_ATOL = 1e-9
+
+
+def is_clifford(U: np.ndarray, n: int, d: int) -> bool:
     """Check U W_x U^dag is a phase times a Weyl operator for basis x."""
     try:
-        conjugate_weyl_check(U, n, d, atol=atol)
+        conjugate_weyl_check(U, n, d)
     except ValueError:
         return False
     return True
 
 
-def conjugate_weyl_check(U: np.ndarray, n: int, d: int, atol: float = 1e-8):
+def conjugate_weyl_check(U: np.ndarray, n: int, d: int):
     """Symplectic action of a Clifford unitary on Weyl operators.
 
     Returns (Gamma, phases) with U W_x U^dag = phases[i] W_{Gamma x} for
@@ -192,7 +193,7 @@ def conjugate_weyl_check(U: np.ndarray, n: int, d: int, atol: float = 1e-8):
     for k, (targets, phases) in enumerate(zip(*basis)):
         mods = np.abs(characteristic_function(conjugate(targets, phases), n, d)) * d ** (-n / 2)
         top = int(np.argmax(mods))
-        if abs(mods[top] - 1.0) > atol or np.delete(mods, top).max() > atol:
+        if abs(mods[top] - 1.0) > _ATOL or np.delete(mods, top).max() > _ATOL:
             raise ValueError(f"not Clifford: no unique Weyl image for basis point {k}")
         images[:, k] = pts[top]
     Gamma = images % d
@@ -210,7 +211,7 @@ def conjugate_weyl_check(U: np.ndarray, n: int, d: int, atol: float = 1e-8):
     for i, x in enumerate(pts):
         conj = conjugate(sources[i], source_phases[i])
         val = np.vdot(target_phases[i], conj[targets[i], cols]) / d**n
-        if abs(abs(val) - 1.0) > atol:
+        if abs(abs(val) - 1.0) > _ATOL:
             raise ValueError(f"conjugation not linear at point {x}")
         phases[i] = val
     return Gamma, phases
@@ -229,12 +230,11 @@ def enumerate_sp(d: int) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def sp_orbit_count(d: int, t: int, cap: int = 10**7) -> int:
+def sp_orbit_count(d: int, t: int) -> int:
     """Orbits of SL(2, d) acting diagonally on (Z_d^2)^{t-1}."""
     k = t - 1
     npoints = d ** (2 * k)
-    if npoints > cap:
-        raise ValueError("orbit enumeration exceeds cap")
+    check_dim(square_side(npoints * 2 * k))  # the point table
     # the two elementary shears generate SL(2, d)
     gens = np.array([[[1, 1], [0, 1]], [[1, 0], [1, 1]]], dtype=np.int64)
     pts = all_vectors(2 * k, d).reshape(-1, k, 2)

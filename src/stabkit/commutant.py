@@ -28,6 +28,7 @@ import numpy as np
 
 from .gf import (
     Subspace,
+    _subspaces_from_rref,
     all_vectors,
     coset_reps,
     dot,
@@ -43,8 +44,8 @@ from .gf import (
     quadratic_q,
     quotient_basis,
     rref,
+    rref_stack,
     solve,
-    subspaces,
 )
 from .phase_space import check_dim, freeze, kron_power_vec, square_side
 
@@ -210,11 +211,11 @@ def stochastic_lagrangians(t: int, d: int) -> tuple[Subspace, ...]:
                     continue
                 rows = _defect_rows(N, M, _quotient_isometries(image, source), source[0])
                 blocks.append(rows.astype(narrow))
-    Ts = subspaces(np.concatenate(blocks), d)
-    assert all(T.dim == t for T in Ts)
+    reduced = rref_stack(np.concatenate(blocks), d)
+    assert reduced[:, -1].any(axis=1).all()  # every T has dimension t
     # with equal dimensions the key order is the order of the flattened bases
-    flat = np.array([T.basis for T in Ts], dtype=narrow).reshape(len(Ts), -1)
-    out = tuple(Ts[i] for i in np.lexsort(flat.T[::-1]))
+    flat = reduced.reshape(len(reduced), -1)
+    out = _subspaces_from_rref(reduced[np.lexsort(flat.T[::-1])], d)
     assert len(out) == sigma_count_formula(t, d)
     return out
 
@@ -640,10 +641,10 @@ def linear_independence_check(t: int, d: int, n: int) -> int:
 def commutes_with_clifford(T: Subspace, n: int, d: int) -> dict:
     """Residuals of [R(T), U^{x t}] over the Clifford generators U.
 
-    Matrix-free, at every n: for each generator letter, three seeded unit
-    probes v and their images R v are moved by U^{x t}, the same letter on
-    qudit c n + i of every copy c applied by `clifford.apply_letter`, and
-    the residual is max |R U^{x t} v - U^{x t} R v|.
+    Matrix-free, at every n: three seeded unit probes v, drawn once, and
+    their images R v are moved by U^{x t} for each generator letter, the
+    same letter on qudit c n + i of every copy c applied by
+    `clifford.apply_letter`, and the residual is max |R U^{x t} v - U^{x t} R v|.
 
     R(T) acts as a gather.  For x in the projection of T to its first
     half, the y with (x, y) in T form a coset of the right defect, so with
@@ -669,15 +670,13 @@ def commutes_with_clifford(T: Subspace, n: int, d: int) -> dict:
         out[targets] = gathered
         return out
 
+    # three probes v, then R v: one pass of U^{x t} over all six per letter
     rng = np.random.default_rng(0)
-    block = np.empty((dim, 6), dtype=complex)
+    probes = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    probes /= np.linalg.norm(probes, axis=0)
+    block = np.hstack([probes, apply_R(probes)])
     worst = 0.0
     for kind, *qudits in generator_letters(n):
-        # three probes v, then R v: one pass of U^{x t} over all six
-        for j in range(3):
-            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            block[:, j] = v / np.linalg.norm(v)
-        block[:, 3:] = apply_R(block[:, :3])
         moved = block
         for c in range(t):
             moved = apply_letter((kind, *[c * n + i for i in qudits]), moved, t * n, d)

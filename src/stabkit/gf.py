@@ -463,8 +463,13 @@ def echelon_subspaces(gram: np.ndarray, d: int, k: int, admissible) -> tuple[Sub
     rows = extend_tuples(np.zeros((1, 0)), follows, np.ones((k, k), dtype=bool), slot_ok)[:, ::-1]
     if k:  # lexsort needs a key; the zero subspace is one tuple
         rows = rows[np.lexsort(rows.T[::-1])]
-    # each tuple is already a canonical RREF basis
-    return _subspaces_from_rref(cand[rows], d)
+    # each tuple is already a canonical RREF basis of admissible rows,
+    # pairwise orthogonal: checked on the whole stack at once
+    stack = cand[rows]
+    wide = stack.astype(np.int64)
+    assert admissible(wide.reshape(-1, ambient)).all()
+    assert not ((wide @ gram @ wide.transpose(0, 2, 1)) % d * ~np.eye(k, dtype=bool)).any()
+    return _subspaces_from_rref(stack, d)
 
 
 # --- cosets and orbits ---------------------------------------------------

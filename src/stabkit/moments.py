@@ -165,28 +165,26 @@ def orbit_moment_vector(psi: np.ndarray, t: int, n: int, d: int) -> np.ndarray:
     return m.real
 
 
-def orbit_coefficients(psi: np.ndarray, t: int, n: int, d: int, G=None) -> np.ndarray:
+def orbit_coefficients(psi: np.ndarray, t: int, n: int, d: int) -> np.ndarray:
     """gamma with E_U[(U|psi><psi|U^dag)^{x t}] = sum_T gamma_T R(T).
 
     Solves the Gram system tr[R(T)^dag R(T')] gamma = m in the least-squares
     sense; below n = t - 1 the R(T) are linearly dependent and the returned
     gamma is the minimum-norm representative.
     """
-    Ts = stochastic_lagrangians(t, d)
-    if G is None:
-        G = R_gram(Ts, n)
+    G = R_gram(stochastic_lagrangians(t, d), n)
     m = orbit_moment_vector(psi, t, n, d)
     gamma, *_ = np.linalg.lstsq(G, m, rcond=None)
     return gamma
 
 
-def class_coefficients(gamma: np.ndarray, t: int, d: int, atol: float = 1e-9) -> np.ndarray:
-    """Collapse a coefficient vector that is constant on each class."""
+def class_coefficients(gamma: np.ndarray, t: int, d: int) -> np.ndarray:
+    """Collapse a coefficient vector that is constant on each class, to 1e-9."""
     classes = sigma_classes(t, d)
     out = np.empty(len(classes))
     for i, cls in enumerate(classes):
         vals = gamma[list(cls)]
-        if np.ptp(vals) > atol:
+        if np.ptp(vals) > 1e-9:
             raise ValueError("coefficients are not constant on a class")
         out[i] = vals.mean()
     return out

@@ -3,7 +3,8 @@
 Each function here builds explicit operators (Weyl matrices, embedded
 Clifford gates, projectors, permutation and POVM operators on tensor
 powers, R(T) as scipy sparse matrices) where the library gathers, counts
-with numpy or uses a closed formula.  Tests compare the two.
+with numpy or uses a closed formula, or enumerates Sigma_{t,t}(d) by
+another construction.  Tests compare the two.
 """
 
 from __future__ import annotations
@@ -18,7 +19,16 @@ import scipy.sparse as sp
 from stabkit import stabilizer
 from stabkit.clifford import cadd_gate, fourier_gate, phase_gate
 from stabkit.commutant import R_support, permutation_matrix
-from stabkit.gf import Subspace, all_vectors, coset_reps, flat_index, symplectic_form
+from stabkit.gf import (
+    Subspace,
+    all_vectors,
+    coset_reps,
+    echelon_subspaces,
+    flat_index,
+    form_modulus,
+    rref_stack,
+    symplectic_form,
+)
 from stabkit.phase_space import (
     capped_cache,
     check_dim,
@@ -91,6 +101,39 @@ def R_gram(Ts, n: int) -> np.ndarray:
         shape=(m, d ** (2 * t)),
     )
     return (A @ A.T).toarray().astype(float) ** n
+
+
+# ---------------------------------------------------------------------------
+# Sigma_{t,t}(d) through the all-ones vector
+# ---------------------------------------------------------------------------
+
+def stochastic_lagrangians(t: int, d: int) -> tuple[Subspace, ...]:
+    """Sigma_{t,t}(d) as span(T' + {1}), with no defect subspaces or isometries.
+
+    T' = T cap {last coordinate 0} has dimension t - 1 and determines T,
+    since the all-ones vector 1 of Z_d^{2t} lies in T outside it.  The T'
+    are the (t - 1)-dim subspaces with an echelon basis of rows that have
+    last coordinate 0, are orthogonal to 1 (sum x - sum y = 0 mod d) and
+    Q-isotropic (x.x - y.y = 0 mod D), pairwise orthogonal for the form
+    diag(1, ..., 1, -1, ..., -1); Q(1) = 0 and 1 is orthogonal to T', so
+    every span(T' + {1}) is a stochastic Lagrangian.  Each basis with 1
+    appended is reduced again, and the bases are sorted by key.
+    """
+    D = form_modulus(d)
+    gram = np.diag([1] * t + [-1] * t) % d
+
+    def admissible(vecs):
+        x, y = vecs[:, :t], vecs[:, t:]
+        return ((vecs[:, -1] == 0)
+                & ((x.sum(axis=1) - y.sum(axis=1)) % d == 0)
+                & (((x * x).sum(axis=1) - (y * y).sum(axis=1)) % D == 0))
+
+    primes = echelon_subspaces(gram, d, t - 1, admissible)
+    stack = np.ones((len(primes), t, 2 * t), dtype=np.int64)
+    stack[:, :-1] = [T.basis for T in primes]
+    reduced = rref_stack(stack, d)
+    order = np.lexsort(reduced.reshape(len(reduced), -1).T[::-1])
+    return tuple(Subspace(basis, d) for basis in reduced[order])
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -70,9 +71,21 @@ def test_text_table_format():
     assert len(text.splitlines()) == len(rep.records) + 1
 
 
+def _invalid_record(cfg):
+    """The one record of run(cfg), which must be an invalid-argument failure."""
+    rep = run(cfg)
+    assert [(r["name"], r["check_id"], r["status"]) for r in rep.records] == [
+        (cfg.command, "invalid-argument", "fail")
+    ]
+    return rep.records[0]["measured"]
+
+
 def test_test_command_requires_seed():
-    with pytest.raises(SystemExit):
-        run(RunConfig(command="test", protocol="mc", seed=None))
+    assert "--seed" in _invalid_record(RunConfig(command="test", protocol="mc", seed=None))
+
+
+def test_hudson_command_requires_seed():
+    assert "--seed" in _invalid_record(RunConfig(command="hudson", d=3, seed=None))
 
 
 def test_unknown_emit_format():
@@ -163,8 +176,107 @@ def test_verify_all_skips_cap_hits(monkeypatch):
 
 @pytest.mark.parametrize("protocol", ["qubit6", "mc"])
 def test_qubit_protocols_reject_qudits(protocol):
-    with pytest.raises(SystemExit, match="--d 2"):
-        run(RunConfig(command="test", protocol=protocol, d=3, seed=1))
+    assert "d=3" in _invalid_record(RunConfig(command="test", protocol=protocol, d=3, seed=1))
+
+
+@pytest.mark.parametrize(
+    "cfg,value",
+    [
+        (RunConfig(command="test", protocol="bell", seed=1), "protocol='bell'"),
+        (RunConfig(command="definetti", variant="linear"), "variant='linear'"),
+        (RunConfig(command="verify-all", profile="medium"), "profile='medium'"),
+    ],
+)
+def test_unknown_choice_is_one_failed_record(cfg, value):
+    # argparse refuses these; run() is the only way in
+    assert value in _invalid_record(cfg)
+
+
+# each command's options besides --emit and --output
+OPTIONS = {
+    "enumerate-sigma": {"t", "d"},
+    "enumerate-o": {"t", "d"},
+    "double-cosets": {"t", "d"},
+    "verify-commutant": {"t", "d", "n"},
+    "moments": {"t", "n", "d", "check"},
+    "design": {"t", "n", "d", "seed"},
+    "test": {"protocol", "d", "n", "s", "seed", "shots"},
+    "hudson": {"d", "n", "seed"},
+    "definetti": {"variant", "t", "n", "d", "s", "seed"},
+    "verify-all": {"profile"},
+}
+# a valid value of every option, or None for a flag
+VALUES = {"t": "3", "d": "2", "n": "1", "s": "2", "seed": "1", "shots": "10",
+          "protocol": "mc", "variant": "exp", "profile": "quick", "check": None}
+
+
+def test_options_cover_every_command():
+    assert set(OPTIONS) == set(_COMMANDS)
+    assert set().union(*OPTIONS.values()) == set(VALUES)
+    assert sum(len(options) + 2 for options in OPTIONS.values()) == 53
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_help_lists_the_command_options(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--([a-z]+)", capsys.readouterr().out))
+    assert listed == OPTIONS[command] | {"help", "emit", "output"}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_options_the_command_does_not_read_exit_2(capsys, command):
+    for option in sorted(set(VALUES) - OPTIONS[command]):
+        value = VALUES[option]
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--{option}"] + ([] if value is None else [value]))
+        assert exc.value.code == 2, option
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# (name, check_id, status, fields set, integer fields) of every verify-all
+# record; the threshold of each check is its bound
+_QUICK = [
+    ("sigma-count-(3,3)", "count-identity", "pass", ("measured", "bound"),
+     {"measured": 8, "bound": 8}),
+    ("sigma-count-(4,2)", "count-identity", "pass", ("measured", "bound"),
+     {"measured": 30, "bound": 30}),
+    ("commutant-(3,3,1)", "clifford-commutator", "pass", ("measured", "bound"), {}),
+    ("moment-(3,1,3)", "ensemble-average", "pass", ("measured", "bound"), {}),
+    ("completeness-qubit-n1", "perfect-completeness", "pass", ("measured", "bound"), {}),
+    ("completeness-qutrit-n1", "perfect-completeness", "pass", ("measured", "bound"), {}),
+]
+_FULL = _QUICK + [
+    ("sigma-count-(4,3)", "count-identity", "pass", ("measured", "bound"),
+     {"measured": 80, "bound": 80}),
+    ("sigma-count-(6,2)", "count-identity", "pass", ("measured", "bound"),
+     {"measured": 4590, "bound": 4590}),
+    ("commutant-(4,2,1)", "clifford-commutator", "pass", ("measured", "bound"), {}),
+    ("commutant-(4,2,2)", "clifford-commutator", "pass", ("measured", "bound"), {}),
+    ("moment-(4,1,2)", "ensemble-average", "pass", ("measured", "bound"), {}),
+    ("moment-(4,2,2)", "ensemble-average", "pass", ("measured", "bound"), {}),
+    ("moment-(6,1,2)", "ensemble-average", "pass", ("measured", "bound"), {}),
+    ("completeness-qubit-n2", "perfect-completeness", "pass", ("measured", "bound"), {}),
+]
+_THRESHOLDS = {"clifford-commutator": 1e-9, "ensemble-average": 1e-10,
+               "perfect-completeness": 1e-12}
+
+
+@pytest.mark.parametrize("profile,want", [("quick", _QUICK), ("full", _FULL)])
+def test_verify_all_records_are_pinned(profile, want):
+    rep = run(RunConfig(command="verify-all", profile=profile))
+    got = [
+        (r["name"], r["check_id"], r["status"],
+         tuple(k for k in ("measured", "bound", "tolerance") if r[k] is not None),
+         {k: v for k, v in r.items() if type(v) is int})
+        for r in rep.records
+    ]
+    assert got == want
+    for r in rep.records:
+        if r["check_id"] in _THRESHOLDS:
+            assert r["bound"] == _THRESHOLDS[r["check_id"]]
+            assert 0.0 <= r["measured"] < r["bound"]
 
 
 def test_config_has_only_command_line_fields(capsys):

@@ -21,6 +21,7 @@ from stabkit.clifford import (
     random_clifford,
     sp_orbit_count,
 )
+from stabkit.phase_space import ResourceCapError
 
 
 def test_gate_conventions():
@@ -85,3 +86,12 @@ def test_enumerate_sp_order(d):
 )
 def test_sp_orbit_counts(d, t, count):
     assert sp_orbit_count(d, t) == count
+
+
+def test_sp_orbit_count_point_table_is_capped(monkeypatch):
+    # (3, 3): 81 points of (Z_3^2)^2, a 324-entry table of side 18
+    monkeypatch.setenv("STABKIT_DIM_CAP", "17")
+    with pytest.raises(ResourceCapError, match="exceeds cap 17"):
+        sp_orbit_count(3, 3)
+    monkeypatch.setenv("STABKIT_DIM_CAP", "18")
+    assert sp_orbit_count(3, 3) == 7

@@ -87,11 +87,12 @@ def _residual_per_vector(T, n, d):
     R = oracles.R_sum([T], [1.0], n)
     rng = np.random.default_rng(0)
     dim = d ** (t * n)
+    # the library's three probes, drawn once for every generator
+    probes = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    probes /= np.linalg.norm(probes, axis=0)
     worst = 0.0
     for U in oracles.clifford_generators(n, d):
-        for _ in range(3):
-            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            v /= np.linalg.norm(v)
+        for v in probes.T:
             lhs = R @ oracles.apply_tensor_power(U, v, t)
             rhs = oracles.apply_tensor_power(U, R @ v, t)
             worst = max(worst, float(np.abs(lhs - rhs).max()))

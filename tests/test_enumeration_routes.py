@@ -31,6 +31,8 @@ from stabkit.gf import (
 )
 from stabkit.stabilizer import lagrangians
 
+import oracles
+
 
 def _rref_rowloop(matrix, d):
     """Row reduction with numpy element access, one row operation at a time."""
@@ -166,6 +168,14 @@ SIGMA_KEYS = {
 def test_stochastic_lagrangian_keys_unchanged(t, d):
     keys = [T._key for T in stochastic_lagrangians(t, d)]
     assert hashlib.sha256(repr(keys).encode()).hexdigest() == SIGMA_KEYS[t, d]
+
+
+@pytest.mark.parametrize(
+    "t,d", [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (2, 3), (3, 3), (4, 3), (5, 3),
+            (3, 5), (4, 5), (3, 7)]
+)
+def test_stochastic_lagrangians_match_all_ones_route(t, d):
+    assert oracles.stochastic_lagrangians(t, d) == stochastic_lagrangians(t, d)
 
 
 # sha256 of the (count, n, 2n) int64 stack of the bases of lagrangians(n, d),
