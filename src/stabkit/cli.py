@@ -336,6 +336,8 @@ _OPTIONS = {
 
 def _invalid_argument(cfg: RunConfig) -> str | None:
     """Why the arguments in cfg are invalid, or None if they are valid."""
+    if cfg.command not in _COMMANDS:
+        return f"command={cfg.command!r} is not one of {', '.join(_COMMANDS)}"
     if not is_prime(cfg.d):
         return f"d={cfg.d} is not prime"
     for name in ("t", "n", "s"):

@@ -237,6 +237,6 @@ def sp_orbit_count(d: int, t: int) -> int:
     check_dim(square_side(npoints * 2 * k))  # the point table
     # the two elementary shears generate SL(2, d)
     gens = np.array([[[1, 1], [0, 1]], [[1, 0], [1, 1]]], dtype=np.int64)
-    pts = all_vectors(2 * k, d).reshape(-1, k, 2)
+    pts = all_vectors(2 * k, d).reshape(npoints, k, 2)
     images = [flat_index((pts @ g.T % d).reshape(npoints, -1), d) for g in gens]
     return len(orbits(images))

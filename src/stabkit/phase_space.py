@@ -4,12 +4,16 @@ Phase points x = (p, q) live in Z_d^{2n}.  Phase-space functions are
 indexed by the flat index of the digit row (p, q) (see `gf.flat_index`),
 i.e. index = int(p, base d) * d^n + int(q, base d).
 
-Every Weyl expansion comes from `characteristic_function` (tr[W_x^dag B]
-at all x: one DFT over the shifted diagonals of B) and `symplectic_fourier`
-(one DFT over the 2n digits), each O(n d^{2n} log d) time and d^{2n}
-memory.  `weyl_action` is the one home of the Weyl formula: W_x as a
-permutation of basis states times phases, which callers gather through.
-Nothing here builds a Weyl matrix or stacks operators.
+Every Weyl expansion comes from the rows of a characteristic function and
+`symplectic_fourier`.  Row q of c_B is one DFT over b of the q-shifted
+diagonal B[b + q, b] times a phase; for a pure state that diagonal is a
+gather psi[b + q] conj(psi[b]), so no outer product is formed, and rows
+come in blocks of bounded size (`_char_rows`), so a sum over c_psi can be
+taken block by block.  Every transform is one digit-block DFT
+(`_digit_dft`): GEMMs against the DFT matrix of a few digits at a time.
+`weyl_action` is the one home of the Weyl formula: W_x as a permutation of
+basis states times phases, which callers gather through.  Nothing here
+builds a Weyl matrix or stacks operators.
 """
 
 from __future__ import annotations
@@ -20,9 +24,15 @@ import os
 
 import numpy as np
 
-from .gf import all_vectors, flat_index, sum_index
+from .gf import all_vectors, flat_index
 
 DEFAULT_DIM_CAP = 2**13
+
+# the DFT of Z_d^k works on blocks of c digits with d^c <= _DFT_BLOCK
+_DFT_BLOCK = 16
+# bytes of one block of characteristic-function rows; a block's gathers
+# and DFT scratch take a small multiple of it
+_ROW_BLOCK_BYTES = 2**20
 
 
 class ResourceCapError(RuntimeError):
@@ -48,7 +58,7 @@ def check_dim(dim: int):
 def square_side(entries: int) -> int:
     """Side of the smallest square operator with at least `entries` entries,
     the dimension `check_dim` is given for a table that is not square."""
-    return math.isqrt(entries - 1) + 1
+    return math.isqrt(entries - 1) + 1 if entries else 0
 
 
 def capped_cache(dim, maxsize: int = 16):
@@ -114,6 +124,119 @@ def weyl_action(xs, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return flat_index(shifted, d), np.exp(1j * np.pi * k / d)
 
 
+def _block_digits(d: int) -> int:
+    """Digits per DFT block: the most c with d^c <= _DFT_BLOCK, at least 1."""
+    c = 1
+    while d ** (c + 1) <= _DFT_BLOCK:
+        c += 1
+    return c
+
+
+@functools.lru_cache(maxsize=None)
+def _dft_matrix(c: int, d: int) -> np.ndarray:
+    """F[j, l] = omega^{-j.l} for j, l in Z_d^c, read-only."""
+    v = all_vectors(c, d)
+    return freeze(np.exp(-2j * np.pi * (v @ v.T % d) / d))
+
+
+def _digit_dft(a, k: int, d: int) -> np.ndarray:
+    """(Fa)[..., l] = sum_j omega^{-l.j} a[..., j] over j, l in Z_d^k.
+
+    The DFT of Z_d^k over the last axis of a (length d^k, flat digit
+    order), keeping the leading axes.  The digits are transformed a block
+    of c at a time (see `_block_digits`): one GEMM against the DFT matrix
+    of Z_d^c over the trailing untransformed digits, whose output puts the
+    finished block at the front of the digit axes.  Once all k digits are
+    done they are back in their original order.
+    """
+    shape = np.shape(a)
+    # `a` is rebound at each step, so a temporary input is freed early
+    a = np.asarray(a, dtype=complex).reshape(-1, d**k)
+    m, done = len(a), 0
+    while done < k:
+        c = min(_block_digits(d), k - done)
+        rest = d ** (k - c)
+        # F is symmetric: out[i, l, r] = sum_j F[l, j] a[i, r, j]
+        a = np.matmul(_dft_matrix(c, d), a.reshape(m, rest, d**c).transpose(0, 2, 1))
+        a = a.reshape(m, d**k)
+        done += c
+    return a.reshape(shape)
+
+
+def _digit_sum(tables: np.ndarray) -> np.ndarray:
+    """out[i, b] = sum_j tables[j, i, b_j] for b in Z_d^n, in flat order.
+
+    tables has shape (n, rows, d).  out is built one digit at a time from
+    the last, each new digit the most significant, so that the inner loop
+    of every sum runs over the digits already placed.
+    """
+    out = np.zeros((tables.shape[1], 1), dtype=tables.dtype)
+    for t in tables[::-1]:
+        out = (t[:, :, None] + out[:, None, :]).reshape(len(out), -1)
+    return out
+
+
+def _char_rows(diagonals, n: int, d: int):
+    """Yield (q0, rows) with rows[i, p] = c(p, q0 + i), over blocks of q.
+
+    diagonals(shift) returns d^{-n/2} B[shift[i, b], b] for the q-shifted
+    index shift[i, b] = flat index of b + q_i.  Row q of c_B is a DFT over
+    b of that diagonal times tau^{-p.q}, tau = e^{i pi (d^2+1)/d}.  Each
+    block holds at most _ROW_BLOCK_BYTES of rows (at least one row).
+    """
+    dim = d**n
+    step = max(1, _ROW_BLOCK_BYTES // (16 * dim))
+    digit = np.arange(d)
+    place = (d ** np.arange(n - 1, -1, -1, dtype=np.int64))[:, None, None]
+    # tau^{-k}; the exponent (d^2 + 1) p.q is taken mod 2d by the lookup
+    tau_powers = np.exp(-1j * np.pi * np.arange(2 * d) / d)
+    qdigits = all_vectors(n, d)
+    for q0 in range(0, dim, step):
+        qs = qdigits[q0 : q0 + step].T[:, :, None]
+        rows = _digit_dft(diagonals(_digit_sum((qs + digit) % d * place)), n, d)
+        rows *= np.take(tau_powers, _digit_sum((d * d + 1) * qs * digit), mode="wrap")
+        yield q0, rows
+
+
+def _stack_rows(blocks, n: int, d: int) -> np.ndarray:
+    """The flat phase-space array c[(p, q)] from the row blocks of `_char_rows`."""
+    c = np.empty((d**n, d**n), dtype=complex)
+    for q0, rows in blocks:
+        c[:, q0 : q0 + len(rows)] = rows.T
+    return c.reshape(-1)
+
+
+def _pure_char_rows(psi: np.ndarray, n: int, d: int):
+    """`_char_rows` of B = |psi><psi|: the diagonals psi[b + q] conj(psi[b]).
+
+    The cap is checked here, before any row is made, for the d^n x d^n
+    table the rows make up.
+    """
+    check_dim(d**n)
+    psi = np.asarray(psi, dtype=complex)
+    scaled = psi.conj() * d ** (-n / 2)
+
+    def diagonals(shift):
+        diag = psi[shift]
+        diag *= scaled
+        return diag
+
+    return _char_rows(diagonals, n, d)
+
+
+def _pure_char(psi: np.ndarray, n: int, d: int) -> np.ndarray:
+    """c_psi as a complex flat array."""
+    return _stack_rows(_pure_char_rows(psi, n, d), n, d)
+
+
+def _unit_state(psi) -> np.ndarray:
+    """psi as a complex vector; ValueError unless it has norm 1."""
+    psi = np.asarray(psi, dtype=complex)
+    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+        raise ValueError("state vector is not normalized")
+    return psi
+
+
 def characteristic_function(B: np.ndarray, n: int, d: int) -> np.ndarray:
     """c_B(x) = d^{-n/2} tr[W_x^dag B], as a complex flat array.
 
@@ -122,13 +245,9 @@ def characteristic_function(B: np.ndarray, n: int, d: int) -> np.ndarray:
     q-shifted diagonals of B and take one DFT over the n digits of b.
     """
     check_dim(d**n)
-    # diags[q, b] = B[b + q, b]
-    diags = np.asarray(B, dtype=complex)[sum_index(n, d), np.arange(d**n)]
-    spectrum = np.fft.fftn(diags.reshape((d**n,) + (d,) * n), axes=range(1, n + 1))
-    # tau^{-p.q}, with the exponent reduced mod 2d (tau^{2d} = 1) for accuracy
-    digits = all_vectors(n, d)
-    phase = np.exp(-1j * np.pi * ((d * d + 1) * (digits @ digits.T) % (2 * d)) / d)
-    return (spectrum.reshape(d**n, d**n).T * phase).reshape(-1) * d ** (-n / 2)
+    B = np.asarray(B, dtype=complex) * d ** (-n / 2)
+    cols = np.arange(d**n)
+    return _stack_rows(_char_rows(lambda shift: B[shift, cols], n, d), n, d)
 
 
 def symplectic_fourier(f: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -138,25 +257,20 @@ def symplectic_fourier(f: np.ndarray, n: int, d: int) -> np.ndarray:
     since [x, y] = p.q' - q.p', (Ff)(p, q) = g(-q, p).
     """
     f = np.asarray(f)
-    g = np.fft.fftn(f.reshape((d,) * (2 * n) + f.shape[1:]), axes=range(2 * n))
-    g = g.reshape((d**n, d**n) + f.shape[1:])
+    g = _digit_dft(f.reshape(d ** (2 * n), -1).T, 2 * n, d)
+    g = g.reshape(-1, d**n, d**n)
     neg = flat_index(-all_vectors(n, d) % d, d)
-    return g[neg].swapaxes(0, 1).reshape(f.shape)
+    return g[:, neg].swapaxes(1, 2).reshape(-1, d ** (2 * n)).T.reshape(f.shape)
 
 
 def char_distribution(psi: np.ndarray, n: int, d: int) -> np.ndarray:
     """p_psi(x) = |c_psi(x)|^2 = |<psi|W_x|psi>|^2 / d^n for a pure state vector psi."""
-    psi = np.asarray(psi, dtype=complex)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise ValueError("state vector is not normalized")
-    return np.abs(characteristic_function(np.outer(psi, psi.conj()), n, d)) ** 2
+    return np.abs(_pure_char(_unit_state(psi), n, d)) ** 2
 
 
 def wigner_state(psi: np.ndarray, n: int, d: int) -> np.ndarray:
     """w_psi(x) = d^{-n} <psi|A_x|psi> = d^{-3n/2} Re (F c_psi)(x)."""
-    psi = np.asarray(psi, dtype=complex)
-    c = characteristic_function(np.outer(psi, psi.conj()), n, d)
-    return symplectic_fourier(c, n, d).real * d ** (-1.5 * n)
+    return symplectic_fourier(_pure_char(psi, n, d), n, d).real * d ** (-1.5 * n)
 
 
 def kron_power_rows(vs: np.ndarray, k: int) -> np.ndarray:

@@ -3,8 +3,10 @@
 Acceptance probabilities come from one moment formula over the
 characteristic distribution p_psi (or the Wigner function w_psi); no dense
 POVM element on tensor powers of the state is built.  Weyl expectations
-are gathers (`characteristic_function`, `weyl_action`), never dense Weyl
-matrices.
+are gathers (the rows of c_psi, `weyl_action`), never dense Weyl
+matrices.  Each protocol call transforms its state once: p_psi, the qubit
+<psi|W_x|psi> and the Bell convolution come from one c_psi, and moment
+sums over p_psi are taken block by block of rows.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .phase_space import (
+    _digit_dft,
+    _pure_char,
+    _pure_char_rows,
+    _unit_state,
     char_distribution,
-    characteristic_function,
     point_index,
     symplectic_fourier,
     weyl_action,
@@ -81,33 +86,40 @@ def _infer_n(psi: np.ndarray, d: int) -> int:
 # Bell difference sampling and the qubit test
 # ---------------------------------------------------------------------------
 
-def bell_difference_distribution(psi: np.ndarray, check: bool = True) -> np.ndarray:
-    """q(a) = sum_x p_psi(x) p_psi(x + a) for a qubit state.
+def _qubit_char(psi: np.ndarray) -> tuple[int, np.ndarray]:
+    """(n, c_psi) for a normalized qubit state."""
+    n = _infer_n(psi, 2)
+    return n, _pure_char(_unit_state(psi), n, 2)
 
-    The convolution over Z_2^{2n} is one DFT over the 2n binary digits,
-    squared and inverted; rounding below zero is clipped.  When check is set
-    the distribution is recomputed as tr[Pi_a psi^{x 4}] with
-    Pi_a = 2^{-2n} sum_x (-1)^{[a,x]} W_x^{x 4}, i.e. 4^{-n} F(e^4) for the
-    Weyl expectations e_x = <psi|W_x|psi>; the two routes must agree.
-    """
-    d = 2
-    n = _infer_n(psi, d)
-    p = char_distribution(psi, n, d).reshape((2,) * (2 * n))
-    conv = np.fft.ifftn(np.fft.fftn(p) ** 2).real.reshape(-1)
+
+def _bell_convolution(p: np.ndarray, n: int) -> np.ndarray:
+    """q(a) = sum_x p(x) p(x + a) over Z_2^{2n}: one DFT over the 2n binary
+    digits, squared and transformed back (over Z_2 the inverse DFT is the
+    DFT over 4^n); rounding below zero is clipped."""
+    conv = _digit_dft(_digit_dft(p, 2 * n, 2) ** 2, 2 * n, 2).real / 4**n
     np.maximum(conv, 0.0, out=conv)
-    if check:
-        e = _qubit_weyl_expectations(psi, n)
-        operator_route = symplectic_fourier(e**4, n, d).real / 4**n
-        if np.abs(conv - operator_route).max() > 1e-10:
-            raise AssertionError("Bell difference routes disagree")
     if abs(conv.sum() - 1.0) > 1e-10:
         raise AssertionError("Bell difference distribution does not normalize")
     return conv
 
 
-def _qubit_weyl_expectations(psi: np.ndarray, n: int) -> np.ndarray:
-    """e_x = <psi|W_x|psi> = 2^{n/2} c_psi(x), real since qubit W_x are Hermitian."""
-    return characteristic_function(np.outer(psi, np.conj(psi)), n, 2).real * 2 ** (n / 2)
+def bell_difference_distribution(psi: np.ndarray, check: bool = True) -> np.ndarray:
+    """q(a) = sum_x p_psi(x) p_psi(x + a) for a qubit state.
+
+    When check is set the distribution is recomputed as tr[Pi_a psi^{x 4}]
+    with Pi_a = 2^{-2n} sum_x (-1)^{[a,x]} W_x^{x 4}, i.e. 4^{-n} F(e^4) for
+    the Weyl expectations e_x = <psi|W_x|psi> = 2^{n/2} c_psi(x) (real,
+    since qubit W_x are Hermitian); the two routes must agree.  Both come
+    from one c_psi.
+    """
+    n, c = _qubit_char(psi)
+    conv = _bell_convolution(np.abs(c) ** 2, n)
+    if check:
+        e = c.real * 2 ** (n / 2)
+        operator_route = symplectic_fourier(e**4, n, 2).real / 4**n
+        if np.abs(conv - operator_route).max() > 1e-10:
+            raise AssertionError("Bell difference routes disagree")
+    return conv
 
 
 def qubit_accept_probability(psi: np.ndarray) -> float:
@@ -122,19 +134,21 @@ def simulate_algorithm1(psi: np.ndarray, shots: int, seed: int) -> ProtocolRepor
     measures the Hermitian Weyl operator W_a twice on two fresh copies; the
     round accepts when both outcomes agree, which happens with probability
     (1 + <W_a>^2)/2.  Each measurement is one uniform draw against the
-    outcome probability (1 + <W_a>)/2.
+    outcome probability (1 + <W_a>)/2.  The distribution, the <W_a> and
+    the analytic p_accept all come from one c_psi.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
     rng = np.random.default_rng(seed)
-    n = _infer_n(psi, 2)
-    q = bell_difference_distribution(psi, check=False)
+    n, c = _qubit_char(psi)
+    p = np.abs(c) ** 2
+    q = _bell_convolution(p, n)
     draws = rng.choice(len(q), size=shots, p=q)
-    p_plus = (1.0 + _qubit_weyl_expectations(psi, n)[draws]) / 2
+    p_plus = (1.0 + c.real[draws] * 2 ** (n / 2)) / 2
     u = rng.random((shots, 2))
     accepted = int(((u[:, 0] < p_plus) == (u[:, 1] < p_plus)).sum())
     p_emp = accepted / shots
-    p_true = qubit_accept_probability(psi)
+    p_true = float(0.5 * (1.0 + 4**n * (p**3).sum()))
     sigma = math.sqrt(max(p_true * (1 - p_true), 1e-12) / shots)
     return ProtocolReport(
         protocol="qubit6-mc",
@@ -152,12 +166,17 @@ def simulate_algorithm1(psi: np.ndarray, shots: int, seed: int) -> ProtocolRepor
 # ---------------------------------------------------------------------------
 
 def qudit_accept_probability(psi: np.ndarray, s: int, d: int) -> float:
-    """p_accept of the 2s-copy qudit test: (1 + d^{(s-1)n} sum_x p^s) / 2."""
+    """p_accept of the 2s-copy qudit test: (1 + d^{(s-1)n} sum_x p^s) / 2.
+
+    The sum runs over blocks of rows of c_psi; p_psi is never held whole.
+    """
     if math.gcd(s, d) != 1:
         raise ValueError("s must be invertible mod d")
     n = _infer_n(psi, d)
-    p = char_distribution(psi, n, d)
-    return float(0.5 * (1.0 + d ** ((s - 1) * n) * (p**s).sum()))
+    total = 0.0
+    for _, rows in _pure_char_rows(_unit_state(psi), n, d):
+        total += ((np.abs(rows) ** 2) ** s).sum()
+    return float(0.5 * (1.0 + d ** ((s - 1) * n) * total))
 
 
 def qudit_soundness_constant(d: int, s: int) -> float:
@@ -217,20 +236,16 @@ def uncertainty_points(psi: np.ndarray, x, y, z, n: int, d: int) -> dict:
 # negativity and the robust Hudson theorem
 # ---------------------------------------------------------------------------
 
-def wigner_norm(psi: np.ndarray, d: int) -> float:
-    """||psi||_W = sum_x |w_psi(x)|."""
+def _odd_wigner(psi: np.ndarray, d: int) -> tuple[int, np.ndarray]:
+    """(n, w_psi), refusing even d."""
     if d % 2 == 0:
         raise ValueError("Wigner quantities need odd d")
     n = _infer_n(psi, d)
-    return float(np.abs(wigner_state(psi, n, d)).sum())
+    return n, wigner_state(psi, n, d)
 
 
-def sum_negativity(psi: np.ndarray, d: int) -> float:
-    """sn = sum over negative Wigner values of |w|; equals (||psi||_W - 1)/2."""
-    if d % 2 == 0:
-        raise ValueError("Wigner quantities need odd d")
-    n = _infer_n(psi, d)
-    w = wigner_state(psi, n, d)
+def _sum_negativity(w: np.ndarray) -> float:
+    """-sum of the negative values of w, checked against (||w||_1 - sum w)/2."""
     direct = float(-w[w < 0].sum())
     via_norm = 0.5 * (np.abs(w).sum() - w.sum())
     if abs(direct - via_norm) > 1e-12:
@@ -238,21 +253,33 @@ def sum_negativity(psi: np.ndarray, d: int) -> float:
     return direct
 
 
+def wigner_norm(psi: np.ndarray, d: int) -> float:
+    """||psi||_W = sum_x |w_psi(x)|."""
+    return float(np.abs(_odd_wigner(psi, d)[1]).sum())
+
+
+def sum_negativity(psi: np.ndarray, d: int) -> float:
+    """sn = sum over negative Wigner values of |w|; equals (||psi||_W - 1)/2."""
+    return _sum_negativity(_odd_wigner(psi, d)[1])
+
+
 def mana(psi: np.ndarray, d: int) -> float:
     return float(np.log(2 * sum_negativity(psi, d) + 1.0))
 
 
 def robust_hudson_check(psi: np.ndarray, d: int) -> ProtocolReport:
-    """1 - max_S |<S|psi>|^2 <= 9 d^2 sn(psi), plus the Hoelder chain."""
+    """1 - max_S |<S|psi>|^2 <= 9 d^2 sn(psi), plus the Hoelder chain.
+
+    The negativity, the Wigner norm and the Hoelder sum share one w_psi.
+    """
     from .stabilizer import max_stabilizer_overlap
 
-    n = _infer_n(psi, d)
-    sn = sum_negativity(psi, d)
+    n, w = _odd_wigner(psi, d)
+    sn = _sum_negativity(w)
     _, overlap = max_stabilizer_overlap(psi, n, d)
     bound = 9 * d * d * sn
-    w = wigner_state(psi, n, d)
     q = d**n * w**2
-    holder_ok = (q**2).sum() >= 1.0 / (d**n * wigner_norm(psi, d) ** 2) - 1e-12
+    holder_ok = (q**2).sum() >= 1.0 / (d**n * np.abs(w).sum() ** 2) - 1e-12
     passed = (1.0 - overlap) <= bound + 1e-10 and holder_ok
     return ProtocolReport(
         protocol="robust-hudson",

@@ -2,7 +2,8 @@
 
 Each function here builds explicit operators (Weyl matrices, embedded
 Clifford gates, projectors, permutation and POVM operators on tensor
-powers, R(T) as scipy sparse matrices) where the library gathers, counts
+powers, R(T) as scipy sparse matrices, phase-space functions from the
+outer product of a state and np.fft) where the library gathers, counts
 with numpy or uses a closed formula, or enumerates Sigma_{t,t}(d) by
 another construction.  Tests compare the two.
 """
@@ -27,6 +28,7 @@ from stabkit.gf import (
     flat_index,
     form_modulus,
     rref_stack,
+    sum_index,
     symplectic_form,
 )
 from stabkit.phase_space import (
@@ -74,6 +76,60 @@ def point_operators(n: int, d: int) -> np.ndarray:
     in flat index order."""
     adjoints = np.array([weyl(y, n, d).conj().T for y in phase_points(n, d)])
     return freeze(symplectic_fourier(adjoints, n, d) / d**n)
+
+
+# ---------------------------------------------------------------------------
+# phase-space functions through the outer product, sum_index and np.fft
+# ---------------------------------------------------------------------------
+
+def characteristic_function(B: np.ndarray, n: int, d: int) -> np.ndarray:
+    """c_B(p, q) = d^{-n/2} tau^{-p.q} sum_b omega^{-p.b} B[b+q, b], flat.
+
+    The q-shifted diagonals of B come from one gather through the
+    d^{2n} `sum_index` table; the DFT over b is `np.fft.fftn` over n axes.
+    """
+    diags = np.asarray(B, dtype=complex)[sum_index(n, d), np.arange(d**n)]
+    spectrum = np.fft.fftn(diags.reshape((d**n,) + (d,) * n), axes=range(1, n + 1))
+    digits = all_vectors(n, d)
+    phase = np.exp(-1j * np.pi * ((d * d + 1) * (digits @ digits.T) % (2 * d)) / d)
+    return (spectrum.reshape(d**n, d**n).T * phase).reshape(-1) * d ** (-n / 2)
+
+
+def symplectic_fourier_fft(f: np.ndarray, n: int, d: int) -> np.ndarray:
+    """(Ff)(p, q) = g(-q, p) for g the `np.fft.fftn` over the 2n digits of y."""
+    f = np.asarray(f)
+    g = np.fft.fftn(f.reshape((d,) * (2 * n) + f.shape[1:]), axes=range(2 * n))
+    g = g.reshape((d**n, d**n) + f.shape[1:])
+    neg = flat_index(-all_vectors(n, d) % d, d)
+    return g[neg].swapaxes(0, 1).reshape(f.shape)
+
+
+def pure_characteristic_function(psi: np.ndarray, n: int, d: int) -> np.ndarray:
+    """c_psi from the d^n x d^n outer product |psi><psi|."""
+    psi = np.asarray(psi, dtype=complex)
+    return characteristic_function(np.outer(psi, psi.conj()), n, d)
+
+
+def char_distribution(psi: np.ndarray, n: int, d: int) -> np.ndarray:
+    return np.abs(pure_characteristic_function(psi, n, d)) ** 2
+
+
+def wigner_state(psi: np.ndarray, n: int, d: int) -> np.ndarray:
+    c = pure_characteristic_function(psi, n, d)
+    return symplectic_fourier_fft(c, n, d).real * d ** (-1.5 * n)
+
+
+def bell_convolution(p: np.ndarray, n: int) -> np.ndarray:
+    """sum_x p(x) p(x + a) over Z_2^{2n} by `np.fft.fftn` and `np.fft.ifftn`,
+    clipped at zero."""
+    p = np.asarray(p).reshape((2,) * (2 * n))
+    return np.maximum(np.fft.ifftn(np.fft.fftn(p) ** 2).real.reshape(-1), 0.0)
+
+
+def accept_probability(psi: np.ndarray, s: int, d: int) -> float:
+    """(1 + d^{(s-1)n} sum_x p^s) / 2 over the whole p_psi."""
+    n = round(math.log(len(psi), d))
+    return float(0.5 * (1.0 + d ** ((s - 1) * n) * (char_distribution(psi, n, d) ** s).sum()))
 
 
 # ---------------------------------------------------------------------------

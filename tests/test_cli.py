@@ -185,6 +185,7 @@ def test_qubit_protocols_reject_qudits(protocol):
         (RunConfig(command="test", protocol="bell", seed=1), "protocol='bell'"),
         (RunConfig(command="definetti", variant="linear"), "variant='linear'"),
         (RunConfig(command="verify-all", profile="medium"), "profile='medium'"),
+        (RunConfig(command="bogus"), "command='bogus'"),
     ],
 )
 def test_unknown_choice_is_one_failed_record(cfg, value):

@@ -82,7 +82,7 @@ def test_enumerate_sp_order(d):
 
 
 @pytest.mark.parametrize(
-    "d,t,count", [(2, 2, 2), (3, 2, 2), (2, 3, 5), (3, 3, 7)]
+    "d,t,count", [(2, 2, 2), (3, 2, 2), (2, 3, 5), (3, 3, 7), (2, 1, 1), (3, 1, 1), (5, 1, 1)]
 )
 def test_sp_orbit_counts(d, t, count):
     assert sp_orbit_count(d, t) == count
