@@ -5,9 +5,14 @@ controlled addition CADD, and Weyl operators.  Every Clifford unitary U
 acts on Weyl operators by U W_x U^dag = phase(x) W_{Gamma x} for a
 symplectic matrix Gamma over Z_d.
 
-`apply_letter` is the one route by which a gate acts: F and P contract one
-qudit axis, CADD gathers rows and W scatters them through
-`phase_space.weyl_action`, so no gate is embedded as a dense matrix.
+A word acts by one route, of which `apply_letter` is the word of one
+letter: F contracts one qudit axis, and P, CADD and W are monomial,
+gate|b> = phases[b] |targets[b]>.  P and CADD read cached tables, and the
+W letters of a word take their pairs from one `phase_space.weyl_action`
+call.  Each maximal run of monomial letters is composed on length-d^n
+vectors and scatters the rows once, so no gate is embedded as a dense
+matrix.  `random_clifford` draws the kinds, qudits, CADD offsets and W
+points of its 40 n letters in four vectorized draws.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from .phase_space import (
 __all__ = [
     "fourier_gate",
     "phase_gate",
-    "cadd_gate",
     "apply_letter",
     "CliffordWord",
     "generator_letters",
@@ -68,40 +72,71 @@ def phase_gate(d: int) -> np.ndarray:
     return np.diag(_phase_diagonal(d))
 
 
-def cadd_gate(d: int) -> np.ndarray:
-    """CADD|a, b> = |a, a + b mod d> on two qudits (CNOT for d = 2)."""
-    g = np.zeros((d * d, d * d))
-    for a in range(d):
-        for b in range(d):
-            g[a * d + (a + b) % d, a * d + b] = 1.0
-    return g
+@lru_cache(maxsize=128)
+def _cadd_pair(i: int, j: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """CADD on qudits (i, j) as (targets, phases): |b> -> |b with b_j <- b_i + b_j>, read-only."""
+    b = np.arange(d**n)
+    b_i, b_j = b // d ** (n - 1 - i) % d, b // d ** (n - 1 - j) % d
+    targets = b + ((b_i + b_j) % d - b_j) * d ** (n - 1 - j)
+    return freeze(targets), freeze(np.ones(d**n, dtype=complex))
+
+
+@lru_cache(maxsize=128)
+def _phase_pair(pos: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """P on qudit pos as (targets, phases): the identity and the diagonal, read-only."""
+    phases = np.repeat(np.tile(_phase_diagonal(d), d**pos), d ** (n - 1 - pos))
+    return freeze(np.arange(d**n)), freeze(phases)
+
+
+def _apply_letters(letters, rows: np.ndarray, n: int, d: int) -> np.ndarray:
+    """gate_k ... gate_1 . rows for letters (gate_1, ..., gate_k); rows has shape (d^n, m).
+
+    F contracts the axis of qudit `pos` of rows viewed as (d^pos, d, m).
+    P, CADD and W are monomial, gate|b> = phases[b] |targets[b]>: P and
+    CADD read cached pairs, and the W letters take theirs from one
+    `weyl_action` call on the stack of their points.  A maximal run of
+    monomial letters is composed on length-d^n vectors, t <- t_L[t] and
+    phi <- phi . phi_L[t], and then scatters the rows once:
+    out[t[b]] = phi[b] rows[b].
+    """
+    points = [letter[1] for letter in letters if letter[0] == "W"]
+    weyl = zip(*weyl_action(points, n, d)) if points else None
+    run = None
+
+    def scatter(rows, targets, phases):
+        out = np.empty_like(rows)
+        out[targets] = phases[:, None] * rows
+        return out
+
+    for kind, *args in letters:
+        if kind == "F":
+            if run is not None:
+                rows, run = scatter(rows, *run), None
+            rows = (fourier_gate(d) @ rows.reshape(d ** args[0], d, -1)).reshape(d**n, -1)
+            continue
+        if kind == "P":
+            targets, phases = _phase_pair(args[0], n, d)
+        elif kind == "CADD":
+            targets, phases = _cadd_pair(*args, n, d)
+        elif kind == "W":
+            targets, phases = next(weyl)
+        else:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        if run is not None:
+            targets, phases = targets[run[0]], run[1] * phases[run[0]]
+        run = targets, phases
+    return rows if run is None else scatter(rows, *run)
 
 
 def apply_letter(letter, V: np.ndarray, n: int, d: int) -> np.ndarray:
     """gate . V for one letter (kind, *args), kind in F/P/CADD/W, without the gate.
 
-    V has shape (d^n, ...).  F and P act on the axis of qudit `pos` of V
-    viewed as (d^pos, d, rest); CADD gathers the rows with b_j <- b_j - b_i,
-    the preimage of b under |b_i, b_j> -> |b_i, b_i + b_j>; W scatters the
-    rows through `weyl_action`.
+    V has shape (d^n, ...).  The letter is a word of one letter for
+    `_apply_letters`: F contracts one qudit axis, P, CADD and W scatter
+    the rows.
     """
-    kind, *args = letter
     rows = np.asarray(V, dtype=complex).reshape(d**n, -1)
-    if kind in ("F", "P"):
-        view = rows.reshape(d ** args[0], d, -1)
-        out = fourier_gate(d) @ view if kind == "F" else _phase_diagonal(d)[:, None] * view
-    elif kind == "CADD":
-        i, j = args
-        b = np.arange(d**n)
-        b_i, b_j = b // d ** (n - 1 - i) % d, b // d ** (n - 1 - j) % d
-        out = rows[b + ((b_j - b_i) % d - b_j) * d ** (n - 1 - j)]
-    elif kind == "W":
-        targets, phases = weyl_action(args[0], n, d)
-        out = np.empty_like(rows)
-        out[targets[0]] = phases[0][:, None] * rows
-    else:
-        raise ValueError(f"unknown gate kind {kind!r}")
-    return out.reshape(np.shape(V))
+    return _apply_letters((letter,), rows, n, d).reshape(np.shape(V))
 
 
 @dataclass(frozen=True)
@@ -112,10 +147,7 @@ class CliffordWord:
 
     def matrix(self) -> np.ndarray:
         check_dim(self.d**self.n)
-        U = np.eye(self.d**self.n, dtype=complex)
-        for letter in self.letters:
-            U = apply_letter(letter, U, self.n, self.d)
-        return U
+        return _apply_letters(self.letters, np.eye(self.d**self.n, dtype=complex), self.n, self.d)
 
     def to_json(self) -> dict:
         letters = []
@@ -143,21 +175,29 @@ def generator_letters(n: int) -> list:
     return letters + [("CADD", i, j) for i in range(n) for j in range(n) if i != j]
 
 
-def _random_letter(n: int, d: int, rng: np.random.Generator):
-    kinds = ["F", "P", "W"] + (["CADD"] if n > 1 else [])
-    kind = kinds[rng.integers(len(kinds))]
-    if kind in ("F", "P"):
-        return (kind, int(rng.integers(n)))
-    if kind == "CADD":
-        i = int(rng.integers(n))
-        j = int((i + 1 + rng.integers(n - 1)) % n)
-        return ("CADD", i, j)
-    return ("W", tuple(int(v) for v in rng.integers(0, d, size=2 * n)))
-
-
 def random_clifford(n: int, d: int, rng: np.random.Generator) -> tuple[CliffordWord, np.ndarray]:
-    """Random word of 40 n generator letters; not uniform over the group."""
-    word = CliffordWord(n, d, tuple(_random_letter(n, d, rng) for _ in range(40 * n)))
+    """Random word of 40 n generator letters; not uniform over the group.
+
+    Each letter is F, P, W or (for n > 1) CADD with equal probability, on a
+    uniform qudit i; CADD targets j = i + 1 + U(n - 1) mod n, and W a
+    uniform point of Z_d^{2n}.  The four draws are made once for the word.
+    """
+    m = 40 * n
+    kinds = rng.integers(4 if n > 1 else 3, size=m).tolist()
+    positions = rng.integers(n, size=m).tolist()
+    # at n = 1 there is no CADD, and the offsets (all 0) are unused
+    offsets = rng.integers(max(n - 1, 1), size=m).tolist()
+    points = rng.integers(0, d, size=(m, 2 * n)).tolist()
+    letters = []
+    for kind, i, off, x in zip(kinds, positions, offsets, points):
+        name = ("F", "P", "W", "CADD")[kind]
+        if name == "W":
+            letters.append(("W", tuple(x)))
+        elif name == "CADD":
+            letters.append(("CADD", i, (i + 1 + off) % n))
+        else:
+            letters.append((name, i))
+    word = CliffordWord(n, d, tuple(letters))
     return word, word.matrix()
 
 

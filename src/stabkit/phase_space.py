@@ -108,20 +108,33 @@ def linear_index_map(O: np.ndarray, t: int, n: int, d: int) -> np.ndarray:
     return flat_index(Y.reshape(-1, t * n), d)
 
 
+@functools.lru_cache(maxsize=16)
+def _digit_table(n: int, d: int) -> np.ndarray:
+    """all_vectors(n, d), read-only."""
+    return freeze(all_vectors(n, d))
+
+
+@functools.lru_cache(maxsize=None)
+def _tau_powers(d: int) -> np.ndarray:
+    """tau^k = e^{i pi k / d} for k in Z_{2d}, read-only."""
+    return freeze(np.exp(1j * np.pi * np.arange(2 * d) / d))
+
+
 def weyl_action(xs, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(targets, phases) with W_x|b> = phases[i, b] |targets[i, b]> for x = xs[i].
 
     W_x = tau^{-p.q} (X) Z^{p_i} X^{q_i} sends |b> to
     tau^{-p.q} omega^{p.(b+q)} |b+q>; with tau = e^{i pi (d^2+1)/d} and
-    omega = tau^2 each phase is e^{i pi k / d}, k reduced mod 2d.  xs is one
-    point (p, q) or a stack of them; both outputs have shape (len(xs), d^n).
+    omega = tau^2 each phase is e^{i pi k / d}, k reduced mod 2d, read from
+    the table of the 2d powers.  xs is one point (p, q) or a stack of them;
+    both outputs have shape (len(xs), d^n).
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.int64)) % d
     p, q = xs[:, :n], xs[:, n:]
-    shifted = (all_vectors(n, d) + q[:, None, :]) % d
-    pq = np.einsum("ij,ij->i", p, q)[:, None]
-    k = (2 * np.einsum("ibj,ij->ib", shifted, p) - (d * d + 1) * pq) % (2 * d)
-    return flat_index(shifted, d), np.exp(1j * np.pi * k / d)
+    shifted = (_digit_table(n, d) + q[:, None, :]) % d
+    pq = (p * q).sum(axis=1)[:, None]
+    k = (2 * (shifted @ p[:, :, None])[:, :, 0] - (d * d + 1) * pq) % (2 * d)
+    return flat_index(shifted, d), _tau_powers(d)[k]
 
 
 def _block_digits(d: int) -> int:
@@ -270,7 +283,7 @@ def char_distribution(psi: np.ndarray, n: int, d: int) -> np.ndarray:
 
 def wigner_state(psi: np.ndarray, n: int, d: int) -> np.ndarray:
     """w_psi(x) = d^{-n} <psi|A_x|psi> = d^{-3n/2} Re (F c_psi)(x)."""
-    return symplectic_fourier(_pure_char(psi, n, d), n, d).real * d ** (-1.5 * n)
+    return symplectic_fourier(_pure_char(_unit_state(psi), n, d), n, d).real * d ** (-1.5 * n)
 
 
 def kron_power_rows(vs: np.ndarray, k: int) -> np.ndarray:

@@ -3,9 +3,10 @@
 Each function here builds explicit operators (Weyl matrices, embedded
 Clifford gates, projectors, permutation and POVM operators on tensor
 powers, R(T) as scipy sparse matrices, phase-space functions from the
-outer product of a state and np.fft) where the library gathers, counts
-with numpy or uses a closed formula, or enumerates Sigma_{t,t}(d) by
-another construction.  Tests compare the two.
+outer product of a state and np.fft, the Weyl action by einsums and a
+complex exp) where the library gathers, counts with numpy, reads tables
+or uses a closed formula, or enumerates Sigma_{t,t}(d) by another
+construction.  Tests compare the two.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from functools import reduce
 import numpy as np
 import scipy.sparse as sp
 
-from stabkit import stabilizer
-from stabkit.clifford import cadd_gate, fourier_gate, phase_gate
+from stabkit import phase_space, stabilizer
+from stabkit.clifford import fourier_gate, phase_gate
 from stabkit.commutant import R_support, permutation_matrix
 from stabkit.gf import (
     Subspace,
@@ -39,7 +40,6 @@ from stabkit.phase_space import (
     linear_index_map,
     phase_points,
     symplectic_fourier,
-    weyl_action,
 )
 
 
@@ -62,9 +62,23 @@ def weyl(x, n: int, d: int) -> np.ndarray:
     return op
 
 
+def weyl_action(xs, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The library's `weyl_action` by its formula: two einsums and a complex exp.
+
+    targets[i, b] is the flat index of b + q and phases[i, b] =
+    e^{i pi k / d} with k = 2 p.(b+q) - (d^2+1) p.q mod 2d, for x = xs[i].
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.int64)) % d
+    p, q = xs[:, :n], xs[:, n:]
+    shifted = (all_vectors(n, d) + q[:, None, :]) % d
+    pq = np.einsum("ij,ij->i", p, q)[:, None]
+    k = (2 * np.einsum("ibj,ij->ib", shifted, p) - (d * d + 1) * pq) % (2 * d)
+    return flat_index(shifted, d), np.exp(1j * np.pi * k / d)
+
+
 def weyl_scatter(x, n: int, d: int) -> np.ndarray:
     """W_x as a dense matrix: the library's `weyl_action` scattered into d^n x d^n."""
-    targets, phases = weyl_action(x, n, d)
+    targets, phases = phase_space.weyl_action(x, n, d)
     op = np.zeros((d**n, d**n), dtype=complex)
     op[targets[0], np.arange(d**n)] = phases[0]
     return op
@@ -195,6 +209,15 @@ def stochastic_lagrangians(t: int, d: int) -> tuple[Subspace, ...]:
 # ---------------------------------------------------------------------------
 # Clifford gates embedded as dense matrices
 # ---------------------------------------------------------------------------
+
+def cadd_gate(d: int) -> np.ndarray:
+    """CADD|a, b> = |a, a + b mod d> on two qudits (CNOT for d = 2)."""
+    g = np.zeros((d * d, d * d))
+    for a in range(d):
+        for b in range(d):
+            g[a * d + (a + b) % d, a * d + b] = 1.0
+    return g
+
 
 def embed_single(g: np.ndarray, pos: int, n: int, d: int) -> np.ndarray:
     """A one-qudit gate on qudit pos of n, as a Kronecker product with identities."""

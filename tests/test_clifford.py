@@ -11,7 +11,6 @@ import pytest
 from stabkit.clifford import (
     CliffordWord,
     apply_letter,
-    cadd_gate,
     conjugate_weyl_check,
     enumerate_sp,
     fourier_gate,
@@ -22,6 +21,8 @@ from stabkit.clifford import (
     sp_orbit_count,
 )
 from stabkit.phase_space import ResourceCapError
+
+from oracles import cadd_gate
 
 
 def test_gate_conventions():
@@ -58,6 +59,43 @@ def test_random_clifford_word(n, d):
     J[n:, :n] = (-np.eye(n, dtype=np.int64)) % d
     assert not ((gamma.T @ J @ gamma - J) % d).any()
     assert np.abs(np.abs(phases) - 1).max() < 1e-9
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (2, 3), (3, 2), (6, 2)])
+def test_random_word_draw_contract(n, d):
+    kinds = {"F", "P", "W"} | ({"CADD"} if n > 1 else set())
+    for seed in range(5):
+        word, _ = random_clifford(n, d, np.random.default_rng(seed))
+        assert (word.n, word.d, len(word.letters)) == (n, d, 40 * n)
+        for kind, *args in word.letters:
+            assert kind in kinds
+            if kind == "W":
+                (x,) = args
+                assert len(x) == 2 * n and all(type(v) is int and 0 <= v < d for v in x)
+            else:
+                assert all(type(v) is int and 0 <= v < n for v in args)
+                assert len(args) == (2 if kind == "CADD" else 1)
+                assert kind != "CADD" or args[0] != args[1]
+        if n == 3:
+            assert {letter[0] for letter in word.letters} == kinds
+
+
+def test_random_word_letter_frequencies():
+    """Kinds, qudits and CADD offsets j - i = 1 + U(n - 1) mod n are uniform.
+
+    50 seeded words at n = 3 give 6000 letters, about 1500 of each kind
+    (standard deviation about 34).
+    """
+    words = [random_clifford(3, 2, np.random.default_rng(seed))[0] for seed in range(50)]
+    letters = [letter for word in words for letter in word.letters]
+    kinds = [letter[0] for letter in letters]
+    for kind in ("F", "P", "CADD", "W"):
+        assert abs(kinds.count(kind) - 1500) < 150, kind
+    positions = [letter[1] for letter in letters if letter[0] != "W"]
+    for i in range(3):
+        assert abs(positions.count(i) - len(positions) / 3) < 150, i
+    offsets = [(j - i) % 3 for kind, *ij in letters if kind == "CADD" for i, j in [ij]]
+    assert abs(offsets.count(1) - len(offsets) / 2) < 150
 
 
 def test_clifford_word_json_round_trip():

@@ -3,7 +3,8 @@
 The oracles embed each gate letter as a dense d^n x d^n matrix (Kronecker
 products with identities, a scattered two-qudit gate, the dense Weyl
 matrix) and multiply; the library applies a letter to a block of vectors
-by a contraction on one qudit axis, a row gather or a row scatter.  The
+by a contraction on one qudit axis or a row scatter, and a word by one
+row scatter per run of monomial letters.  The
 commutant residual, which applies U^{x t} letter by letter on the tn
 qudits, is checked against the earlier route, which applied the dense
 U^{x t} to each probe vector and to its image under R(T), a scipy sparse
@@ -24,7 +25,7 @@ from stabkit.phase_space import phase_points
 
 import oracles
 
-SIZES = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (2, 5)]
+SIZES = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (2, 5), (4, 2), (6, 2), (3, 3)]
 
 # not isotropic ((e_1, 0) has x.x - y.y = 1), so not a stochastic Lagrangian
 NOT_COMMUTANT = Subspace(
@@ -50,12 +51,16 @@ def test_each_letter_matches_dense_gate(n, d):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("n,d", SIZES)
 def test_word_matrix_matches_dense_product(n, d, seed):
+    """The fused runs of `matrix` and the word applied letter by letter, against dense gates."""
     word, U = random_clifford(n, d, np.random.default_rng(seed))
     want = np.eye(d**n, dtype=complex)
+    V = np.eye(d**n, dtype=complex)
     for letter in word.letters:
         want = oracles.gate_matrix(letter, n, d) @ want
+        V = apply_letter(letter, V, n, d)
     assert np.abs(U - want).max() < 1e-12
     assert np.abs(word.matrix() - want).max() < 1e-12
+    assert np.abs(V - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("n,d", SIZES)

@@ -14,6 +14,7 @@ from stabkit.phase_space import (
     kron_power_vec,
     phase_points,
     point_index,
+    weyl_action,
     wigner_state,
 )
 
@@ -79,6 +80,19 @@ def test_weyl_entries_are_exact_roots_of_unity(n, d):
 def test_weyl_equals_dense_oracle(n, d):
     for x in phase_points(n, d):
         assert np.array_equal(weyl_scatter(x, n, d), oracles.weyl(x, n, d))
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (6, 2), (1, 3), (3, 3), (2, 5), (1, 7)])
+def test_weyl_action_bitwise_equals_formula_oracle(n, d):
+    pts = phase_points(n, d)
+    if len(pts) > 729:
+        pts = pts[np.random.default_rng(n).choice(len(pts), 729, replace=False)]
+    for xs in [pts, pts[:1], pts[-3:]] + list(pts[::37]):
+        targets, phases = weyl_action(xs, n, d)
+        want_targets, want_phases = oracles.weyl_action(xs, n, d)
+        assert targets.shape == phases.shape == (len(np.atleast_2d(xs)), d**n)
+        assert np.array_equal(targets, want_targets)
+        assert phases.tobytes() == want_phases.tobytes()
 
 
 def test_char_distribution_normalized_and_bounded():

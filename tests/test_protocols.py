@@ -23,7 +23,7 @@ from stabkit.protocols import (
     uncertainty_weyl,
     wigner_norm,
 )
-from stabkit.phase_space import kron_power_vec, phase_points
+from stabkit.phase_space import kron_power_vec, phase_points, wigner_state
 from stabkit.stabilizer import all_stabilizer_states
 
 import oracles
@@ -303,3 +303,29 @@ def test_report_json_round_trip():
     data = json.loads(json.dumps(rep.to_json()))
     assert data["protocol"] == "robust-hudson"
     assert data["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "call,d",
+    [
+        pytest.param(lambda psi: wigner_state(psi, 2, 3), 3, id="wigner_state"),
+        pytest.param(lambda psi: three_copy_accept_probability(psi, 5), 5, id="three_copy"),
+        pytest.param(lambda psi: sum_negativity(psi, 3), 3, id="sum_negativity"),
+        pytest.param(lambda psi: wigner_norm(psi, 3), 3, id="wigner_norm"),
+        pytest.param(lambda psi: mana(psi, 3), 3, id="mana"),
+        pytest.param(lambda psi: robust_hudson_check(psi, 3), 3, id="robust_hudson"),
+        pytest.param(
+            lambda psi: uncertainty_points(psi, [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], 2, 3),
+            3,
+            id="uncertainty_points",
+        ),
+    ],
+)
+def test_wigner_quantities_refuse_unnormalized_states(call, d):
+    """2|00> has norm 2: every route through w_psi refuses it, as char_distribution does."""
+    psi = np.zeros(d * d, dtype=complex)
+    psi[0] = 2.0
+    with pytest.raises(ValueError, match="not normalized"):
+        call(psi)
+    psi[0] = 1.0
+    call(psi)
