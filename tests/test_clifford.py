@@ -98,6 +98,17 @@ def test_random_word_letter_frequencies():
     assert abs(offsets.count(1) - len(offsets) / 2) < 150
 
 
+def test_word_matrix_is_capped(monkeypatch):
+    word, _ = random_clifford(3, 2, np.random.default_rng(0))
+    monkeypatch.setenv("STABKIT_DIM_CAP", "7")
+    with pytest.raises(ResourceCapError, match="exceeds cap 7"):
+        word.matrix()
+    with pytest.raises(ResourceCapError, match="exceeds cap 7"):
+        random_clifford(3, 2, np.random.default_rng(0))
+    monkeypatch.setenv("STABKIT_DIM_CAP", "8")
+    assert word.matrix().shape == (8, 8)
+
+
 def test_clifford_word_json_round_trip():
     word, _ = random_clifford(2, 3, np.random.default_rng(1))
     blob = json.dumps(word.to_json())
