@@ -24,6 +24,7 @@ import numpy as np
 
 from .gf import all_vectors, flat_index, gram_symplectic, orbits
 from .phase_space import (
+    _ROW_BLOCK_BYTES,
     characteristic_function,
     check_dim,
     freeze,
@@ -243,17 +244,23 @@ def conjugate_weyl_check(U: np.ndarray, n: int, d: int):
         raise ValueError("conjugation action is not symplectic")
 
     # linearity: each point maps to Gamma x with a unit phase, read off as
-    # tr[W_{Gamma x}^dag U W_x U^dag] / d^n on the support of W_{Gamma x}
-    sources, source_phases = weyl_action(pts, n, d)
-    targets, target_phases = weyl_action(pts @ Gamma.T, n, d)
+    # tr[W_{Gamma x}^dag U W_x U^dag] / d^n on the support of W_{Gamma x};
+    # the Weyl actions are taken for blocks of points, each block's int64
+    # digit table (n + 6 words per basis state covers it and the outputs)
+    # within _ROW_BLOCK_BYTES
     cols = np.arange(d**n)
     phases = np.zeros(len(pts), dtype=complex)
-    for i, x in enumerate(pts):
-        conj = conjugate(sources[i], source_phases[i])
-        val = np.vdot(target_phases[i], conj[targets[i], cols]) / d**n
-        if abs(abs(val) - 1.0) > _ATOL:
-            raise ValueError(f"conjugation not linear at point {x}")
-        phases[i] = val
+    step = max(1, _ROW_BLOCK_BYTES // (8 * (n + 6) * d**n))
+    for lo in range(0, len(pts), step):
+        block = pts[lo:lo + step]
+        sources, source_phases = weyl_action(block, n, d)
+        targets, target_phases = weyl_action(block @ Gamma.T, n, d)
+        for i, x in enumerate(block):
+            conj = conjugate(sources[i], source_phases[i])
+            val = np.vdot(target_phases[i], conj[targets[i], cols]) / d**n
+            if abs(abs(val) - 1.0) > _ATOL:
+                raise ValueError(f"conjugation not linear at point {x}")
+            phases[lo + i] = val
     return Gamma, phases
 
 

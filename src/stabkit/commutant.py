@@ -327,11 +327,14 @@ def R_support(Ts, n: int) -> tuple[np.ndarray, np.ndarray]:
     flat index k in base |T_i| (qudit slot 0 most significant).  Copy c of
     the row index carries the digits (x^{(0)}_c ... x^{(n-1)}_c) of the
     chosen elements in base d, so slot j adds flat_index(x, d^n) d^{n-1-j}.
+    The cap guards d^{tn} and the two tables, as a square of 2 m |T|^n
+    entries, before they are allocated.
     """
     t, d, k = Ts[0].ambient // 2, Ts[0].d, Ts[0].dim
     check_dim(d ** (t * n))
-    coeffs = all_vectors(k, d)
     m, size = len(Ts), d ** (k * n)
+    check_dim(square_side(2 * m * size))
+    coeffs = all_vectors(k, d)
     rows = np.empty((m, size), dtype=np.int64)
     cols = np.empty((m, size), dtype=np.int64)
     for lo in range(0, m, _SUPPORT_BLOCK):
@@ -643,8 +646,10 @@ def commutes_with_clifford(T: Subspace, n: int, d: int) -> dict:
 
     Matrix-free, at every n: three seeded unit probes v, drawn once, and
     their images R v are moved by U^{x t} for each generator letter, the
-    same letter on qudit c n + i of every copy c applied by
-    `clifford.apply_letter`, and the residual is max |R U^{x t} v - U^{x t} R v|.
+    same letter on qudit c n + i of every copy c applied as one word by
+    `clifford._apply_letters` (the t copies of a P or CADD letter form one
+    monomial run, so one row scatter), and the residual is
+    max |R U^{x t} v - U^{x t} R v|.
 
     R(T) acts as a gather.  For x in the projection of T to its first
     half, the y with (x, y) in T form a coset of the right defect, so with
@@ -652,7 +657,7 @@ def commutes_with_clifford(T: Subspace, n: int, d: int) -> dict:
     number k of ones: (R v)[x] is the sum of k gathered rows of v, placed
     into the nonzero rows only.
     """
-    from .clifford import apply_letter, generator_letters
+    from .clifford import _apply_letters, generator_letters
 
     t = T.ambient // 2
     rows, cols = R_support([T], n)
@@ -677,8 +682,7 @@ def commutes_with_clifford(T: Subspace, n: int, d: int) -> dict:
     block = np.hstack([probes, apply_R(probes)])
     worst = 0.0
     for kind, *qudits in generator_letters(n):
-        moved = block
-        for c in range(t):
-            moved = apply_letter((kind, *[c * n + i for i in qudits]), moved, t * n, d)
+        copies = [(kind, *[c * n + i for i in qudits]) for c in range(t)]
+        moved = _apply_letters(copies, block, t * n, d)
         worst = max(worst, float(np.abs(apply_R(moved[:, :3]) - moved[:, 3:]).max()))
     return {"t": t, "n": n, "d": d, "max_norm": worst, "passed": worst < 1e-9}

@@ -11,6 +11,8 @@ significant digit first (`all_vectors`, `flat_index`).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -88,6 +90,62 @@ def _rref_rows(rows: list[list[int]], cols: int, d: int) -> tuple[list[list[int]
     return rows[:r], pivot_cols
 
 
+# '0'/'1' characters to digit bytes, to unpack a formatted word
+_BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+@lru_cache(maxsize=128)
+def _bit_places(cols: int) -> np.ndarray:
+    """2^(cols-1-j) for column j < cols < 64: the place value of each column in a word."""
+    return 1 << np.arange(cols - 1, -1, -1, dtype=np.int64)
+
+
+@lru_cache(maxsize=4096)
+def _bit_row(word: int, cols: int) -> tuple[int, ...]:
+    """The digit tuple of a row packed into `word`, column 0 the most significant bit."""
+    return tuple(format(word, f"0{cols}b").encode().translate(_BIT_DIGITS))
+
+
+def _rref_bits(a: np.ndarray) -> tuple[list[tuple[int, ...]], list[int]]:
+    """`_rref_rows` for d = 2 on a 2-D array with entries in [0, 2).
+
+    Each row is packed into one Python int, column 0 the most significant
+    bit, so integer order is key order and a row's pivot column is
+    cols - bit_length.  A row is reduced by the basis rows in decreasing
+    order, each XORed in iff that lowers the row (iff the row holds the
+    basis row's leading bit), and kept if anything is left; then each
+    pivot is cleared from the rows above it.  Returns the digit tuples of
+    the reduced rows and their pivot columns.
+    """
+    cols = a.shape[1]
+    if cols < 64:
+        words = (a @ _bit_places(cols)).tolist()
+    else:
+        words = [int("".join(map(str, row)), 2) for row in a.tolist()]
+    basis: list[int] = []  # distinct leading bits, in decreasing order
+    for w in words:
+        for b in basis:
+            if w ^ b < w:
+                w ^= b
+        if w:
+            basis.append(w)
+            basis.sort(reverse=True)
+    for i in range(1, len(basis)):
+        b = basis[i]
+        for j in range(i):
+            if basis[j] ^ b < basis[j]:
+                basis[j] ^= b
+    return [_bit_row(b, cols) for b in basis], [cols - b.bit_length() for b in basis]
+
+
+def _reduce(a: np.ndarray, d: int) -> tuple[list, list[int]]:
+    """The rows and pivot columns of the canonical RREF of a 2-D array with
+    entries in [0, d): packed XOR rows for d = 2, Python int lists otherwise."""
+    if d == 2:
+        return _rref_bits(a)
+    return _rref_rows(a.tolist(), a.shape[1], d)
+
+
 def rref(matrix, d: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over Z_d.
 
@@ -97,7 +155,7 @@ def rref(matrix, d: int) -> tuple[np.ndarray, list[int]]:
     a = np.atleast_2d(np.array(matrix, dtype=np.int64)) % d
     if a.shape[0] == 0 or a.shape[1] == 0:
         return a.reshape(0, a.shape[1] if a.ndim == 2 else 0), []
-    rows, pivot_cols = _rref_rows(a.tolist(), a.shape[1], d)
+    rows, pivot_cols = _reduce(a, d)
     return np.array(rows, dtype=np.int64).reshape(len(rows), a.shape[1]), pivot_cols
 
 
@@ -153,7 +211,7 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         self.d = d
         self.ambient = int(rows.shape[1])
-        reduced, pivots = _rref_rows(rows.tolist(), self.ambient, d)
+        reduced, pivots = _reduce(rows, d)
         self.pivots = tuple(pivots)
         self.basis = np.array(reduced, dtype=np.int64).reshape(len(reduced), self.ambient)
         self.basis.setflags(write=False)
@@ -239,6 +297,21 @@ class Subspace:
 # matrices per block of the batched reduction in `rref_stack`
 _RREF_BLOCK = 4096
 
+# the most columns whose rows `rref_stack` packs into one unsigned word for d = 2
+_WORD_COLUMNS = 64
+
+
+# the largest d whose pivots `_rref_block` inverts by a table lookup
+_INVERSE_TABLE_MAX = 2**16
+
+
+@lru_cache(maxsize=16)
+def _inverses(d: int) -> np.ndarray:
+    """x^{-1} mod d at index x in [1, d) (0 at index 0), read-only."""
+    table = np.array([0] + [pow(x, -1, d) for x in range(1, d)], dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
 
 def _rref_block(a: np.ndarray, d: int) -> None:
     """Reduce each matrix of an (m, r, c) stack with entries in [0, d), in place.
@@ -247,11 +320,14 @@ def _rref_block(a: np.ndarray, d: int) -> None:
     `_rref_rows`, so every matrix ends in its canonical RREF with the zero
     rows last.  A pivot row is zero left of its pivot column, so each step
     touches only the columns from the pivot on.  Residues are taken as
-    x - (x // d) d, which numpy computes far faster than x % d.
+    x - (x // d) d, which numpy computes far faster than x % d.  Pivots
+    are inverted by a lookup in the table of inverses mod d, or one by
+    one past _INVERSE_TABLE_MAX.
     """
     m, r, c = a.shape
     rank = np.zeros(m, dtype=np.int64)
     row = np.arange(r)
+    table = _inverses(d).astype(a.dtype) if d <= _INVERSE_TABLE_MAX else None
     for col in range(c):
         free = (a[:, :, col] != 0) & (row >= rank[:, None])
         sel = np.flatnonzero(free.any(axis=1))
@@ -260,9 +336,11 @@ def _rref_block(a: np.ndarray, d: int) -> None:
         src, dst = free[sel].argmax(axis=1), rank[sel]
         prow = a[sel, src, col:]
         a[sel, src, col:] = a[sel, dst, col:]
-        lead = np.unique(prow[:, 0])
-        inverse = np.array([pow(x, -1, d) for x in lead.tolist()], dtype=a.dtype)
-        prow *= inverse[np.searchsorted(lead, prow[:, 0])][:, None]
+        if table is not None:
+            inverse = table[prow[:, 0]]
+        else:
+            inverse = np.array([pow(x, -1, d) for x in prow[:, 0].tolist()], dtype=a.dtype)
+        prow *= inverse[:, None]
         prow -= prow // d * d
         a[sel, dst, col:] = prow
         factor = a[sel, :, col]
@@ -272,24 +350,64 @@ def _rref_block(a: np.ndarray, d: int) -> None:
         rank[sel] += 1
 
 
+def _rref_words(a: np.ndarray, c: int) -> None:
+    """`_rref_block` for d = 2 on an (m, r) stack of rows packed into
+    unsigned words, column 0 the most significant of c bits, in place.
+
+    After the columns left of col are done, a row that is no pivot row is
+    zero left of col, so the rows whose leading bit is col are exactly the
+    candidates for its pivot.  The first of them is XORed into every row
+    of its matrix that holds the bit, itself excepted.  The pivot rows
+    then have distinct leading bits and every other row is zero, so
+    sorting the rows of each matrix in decreasing order gives its RREF.
+    """
+    if not a.size:
+        return
+    matrix = np.arange(len(a))
+    one = a.dtype.type(1)
+    for col in range(c):
+        high = a >> a.dtype.type(c - 1 - col)
+        lead = high == one
+        src = lead.argmax(axis=1)
+        # zero where a matrix has no pivot in this column: XOR does nothing
+        prow = a[matrix, src] * lead[matrix, src]
+        a ^= (high & one) * prow[:, None]
+        a[matrix, src] ^= prow
+    a[:] = np.sort(a, axis=1)[:, ::-1]
+
+
 def rref_stack(stack, d: int) -> np.ndarray:
     """The canonical RREF of every matrix of an (m, r, c) stack over Z_d.
 
     Returns an (m, r, c) array: the rows of rref(stack[i], d), then zero
     rows, in the integer type of the stack (widened if it cannot hold
-    every residue).  Blocks of matrices are reduced at once in a narrow
-    integer type.
+    every residue).  Blocks of matrices are reduced at once: for d = 2
+    with at most 64 columns each row is packed into one unsigned word and
+    reduced by XOR (`_rref_words`), otherwise the digits are swept in a
+    narrow integer type (`_rref_block`).
     """
     if (d - 1) ** 2 + d >= 2**63:
         raise ValueError(f"d={d} is too large for int64 row operations")
     stack = np.asarray(stack)
+    c = stack.shape[-1]
     # products of two residues must fit the working type
     work = np.int16 if (d - 1) ** 2 + d < 2**15 else np.int64
+    packed = d == 2 and c <= _WORD_COLUMNS
+    if packed:
+        word = np.min_scalar_type(2**c - 1)
+        shifts = np.arange(c - 1, -1, -1).astype(word)
+        places = np.uint64(1) << shifts.astype(np.uint64)
     out = np.empty(stack.shape, dtype=np.result_type(stack.dtype, np.min_scalar_type(d - 1)))
     for lo in range(0, len(stack), _RREF_BLOCK):
         a = np.asarray(stack[lo:lo + _RREF_BLOCK], dtype=np.int64)
-        a = (a - a // d * d).astype(work)
-        _rref_block(a, d)
+        a = a - a // d * d
+        if packed:
+            words = (a.astype(np.uint64) @ places).astype(word)
+            _rref_words(words, c)
+            a = words[:, :, None] >> shifts & word.type(1)
+        else:
+            a = a.astype(work)
+            _rref_block(a, d)
         out[lo:lo + len(a)] = a
     return out
 

@@ -61,6 +61,28 @@ def test_random_clifford_word(n, d):
     assert np.abs(np.abs(phases) - 1).max() < 1e-9
 
 
+def test_conjugate_weyl_check_memory_is_bounded(monkeypatch):
+    """The linearity pass takes the Weyl actions of blocks of points within
+    a 1 MB budget: at n = 6 the traced peak stays near 2 MB (31 MB when all
+    4096 points were taken at once), and the result equals the one from
+    blocks of a single point."""
+    import tracemalloc
+
+    from stabkit import clifford
+
+    _, U = random_clifford(6, 2, np.random.default_rng(6))
+    tracemalloc.start()
+    try:
+        gamma, phases = conjugate_weyl_check(U, 6, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    monkeypatch.setattr(clifford, "_ROW_BLOCK_BYTES", 1)
+    one_gamma, one_phases = conjugate_weyl_check(U, 6, 2)
+    assert np.array_equal(gamma, one_gamma) and np.array_equal(phases, one_phases)
+
+
 @pytest.mark.parametrize("n,d", [(1, 2), (2, 3), (3, 2), (6, 2)])
 def test_random_word_draw_contract(n, d):
     kinds = {"F", "P", "W"} | ({"CADD"} if n > 1 else set())

@@ -5,8 +5,8 @@ products with identities, a scattered two-qudit gate, the dense Weyl
 matrix) and multiply; the library applies a letter to a block of vectors
 by a contraction on one qudit axis or a row scatter, and a word by one
 row scatter per run of monomial letters.  The
-commutant residual, which applies U^{x t} letter by letter on the tn
-qudits, is checked against the earlier route, which applied the dense
+commutant residual, which applies the t copies of each generator letter
+on the tn qudits as one word, is checked against the earlier route, which applied the dense
 U^{x t} to each probe vector and to its image under R(T), a scipy sparse
 matrix, separately, and against the dense commutator at n = 1.
 """

@@ -190,11 +190,34 @@ def test_cap_guards_gram_output_incidence_and_sum_index(monkeypatch):
     monkeypatch.setenv("STABKIT_DIM_CAP", "20")
     with pytest.raises(ResourceCapError):
         R_sum(sigma_2, np.ones(len(sigma_2)), 1)
+    # its two 30 x 16 support tables, rows and cols, are a square of side 31
+    monkeypatch.setenv("STABKIT_DIM_CAP", "30")
+    with pytest.raises(ResourceCapError):
+        R_sum(sigma_2, np.ones(len(sigma_2)), 1)
     monkeypatch.setenv("STABKIT_DIM_CAP", "251")
     assert np.array_equal(R_gram(sigma_3, 1), oracles.R_gram(sigma_3, 1))
-    monkeypatch.setenv("STABKIT_DIM_CAP", "22")
+    monkeypatch.setenv("STABKIT_DIM_CAP", "31")
     want = oracles.R_sum(sigma_2, np.ones(30), 1).toarray()
     assert np.array_equal(R_sum(sigma_2, np.ones(30), 1), want)
+
+
+def test_cap_guards_support_tables_before_allocation(monkeypatch):
+    """d^{tn} = 64 is under the cap, but the two 4590 x 64 tables of R_support
+    over Sigma_{6,6}(2) are a square of side 767: refused before any
+    allocation."""
+    sigma = stochastic_lagrangians(6, 2)
+    monkeypatch.setenv("STABKIT_DIM_CAP", "766")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="767"):
+            R_support(sigma, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16  # the tables would take 4.7 MB
+    monkeypatch.setenv("STABKIT_DIM_CAP", "767")
+    rows, cols = R_support(sigma, 1)
+    assert rows.shape == cols.shape == (len(sigma), 64)
 
 
 def _peak_mb(fn, *args):

@@ -25,6 +25,7 @@ from stabkit.gf import (
     quadratic_Q_vec,
     quadratic_q,
     rref,
+    rref_stack,
     solve,
     sum_index,
     symplectic_form,
@@ -262,3 +263,42 @@ def test_extend_tuples_empty_level_and_given_start():
     slot_ok[1] = False
     assert extend_tuples(chosen, values, want, slot_ok).shape == (0, 3)
     _check_extend(chosen, values, want, slot_ok, 2)
+
+
+def _list_route(mat):
+    """The d = 2 canonical basis by the Python-list route `_rref_rows`:
+    (basis, pivots, key) as `Subspace` stores them."""
+    cols = mat.shape[1]
+    rows, pivots = gf._rref_rows((mat % 2).tolist(), cols, 2)
+    basis = np.array(rows, dtype=np.int64).reshape(len(rows), cols)
+    return basis, tuple(pivots), (2, cols, tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("cols", [1, 12, 14, 16, 17, 63, 64, 65])
+def test_packed_routes_match_list_route(cols):
+    """The XOR routes for d = 2 (one int per row in `Subspace` and `rref`,
+    one unsigned word per row in `rref_stack` up to 64 columns, the int16
+    sweep past them) against the list route, on random stacks with zero
+    rows, all-zero matrices, repeated rows and negative entries."""
+    rng = np.random.default_rng(cols)
+    for r in (0, 1, 3, 7):
+        stack = rng.integers(-3, 3, size=(40, r, cols))
+        stack[:4] = 0
+        if r > 1:
+            stack[4:12, -1] = stack[4:12, 0]
+            stack[12:16, 0] = 0
+        if r > 2:  # the first row the sum of the next two: a dependent row
+            stack[16:24, 0] = stack[16:24, 1] + stack[16:24, 2]
+        reduced = rref_stack(stack, 2)
+        assert reduced.shape == stack.shape and reduced.dtype == np.int64
+        for mat, red, S in zip(stack, reduced, gf.subspaces(stack, 2)):
+            basis, pivots, key = _list_route(mat)
+            k = len(basis)
+            assert np.array_equal(red[:k], basis) and not red[k:].any()
+            for got in (Subspace(mat, 2, cols), S):
+                assert got.basis.dtype == np.int64 and not got.basis.flags.writeable
+                assert np.array_equal(got.basis, basis) and got.basis.shape == basis.shape
+                assert got.pivots == pivots and got._key == key
+            R, piv = rref(mat, 2)
+            assert R.dtype == np.int64 and np.array_equal(R, basis) and tuple(piv) == pivots
+

@@ -267,6 +267,21 @@ def test_rref_stack_matches_rref(sd):
         assert not reduced[len(want):].any()
 
 
+@pytest.mark.parametrize("d", [191, 65537, 2**31 - 1])
+def test_rref_stack_matches_rref_past_int16(d):
+    """Primes whose residue products need int64; past 2^16 the pivots are
+    inverted one by one instead of from the table of inverses."""
+    rng = np.random.default_rng(d % 1000)
+    stack = rng.integers(-(2**40), 2**40, size=(30, 4, 6))
+    stack[:3] = 0
+    stack[3:9, 1] = 5 * stack[3:9, 0]
+    out = rref_stack(stack, d)
+    for reduced, mat in zip(out, stack):
+        want, _ = rref(mat, d)
+        assert np.array_equal(reduced[:len(want)], want)
+        assert not reduced[len(want):].any()
+
+
 def test_rref_stack_keeps_a_narrow_type():
     stack = np.array([[[1, 1], [1, 0]], [[0, 0], [0, 0]]], dtype=np.uint8)
     out = rref_stack(stack, 2)

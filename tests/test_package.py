@@ -90,3 +90,19 @@ def test_import_and_verify_all_leave_scipy_unloaded(tmp_path):
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr.decode()
     assert (tmp_path / "out.json").stat().st_size > 0
+
+
+def test_reductions_import_no_numpy_ma():
+    """Pivots are inverted from a table, not through `np.unique`, so no lazy
+    `numpy.ma` import (about 10 ms and 5 MB) lands inside a reduction."""
+    code = (
+        "import sys, numpy as np\n"
+        "from stabkit import gf\n"
+        "gf.rref_stack(np.array([[[1, 2], [2, 1]], [[0, 3], [4, 0]]]), 5)\n"
+        "gf.rref_stack(np.ones((2, 2, 70), dtype=np.int64), 2)\n"
+        "gf.Subspace([[1, 2], [2, 4]], 3), gf.Subspace([[1, 1]], 2)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "False"
