@@ -35,6 +35,23 @@ class RunConfig:
     check: bool = False
 
 
+@dataclass(frozen=True)
+class _BasisStack:
+    """Canonical bases of subspaces of Z_d^c as one (m, k, c) integer stack.
+
+    In a report it stands for the list of the subspaces' `to_json` dicts:
+    `to_json` gives that list, and `_write_json` writes its text from the
+    stack a block of elements at a time.
+    """
+
+    stack: np.ndarray
+    d: int
+
+    def to_json(self) -> list[dict]:
+        c = self.stack.shape[2]
+        return [{"ambient": c, "basis": basis, "d": self.d} for basis in self.stack.tolist()]
+
+
 @dataclass
 class ReportBundle:
     config: dict
@@ -60,12 +77,11 @@ class ReportBundle:
         return all(r["status"] in ("pass", "skip") for r in self.records)
 
     def to_json(self) -> dict:
-        return {
-            "config": self.config,
-            "records": self.records,
-            "wall_clock": self.wall_clock,
-            "versions": self.versions,
-        }
+        """The fields as plain data: a basis stack in the config becomes its
+        list of dicts."""
+        config = {k: v.to_json() if isinstance(v, _BasisStack) else v
+                  for k, v in self.config.items()}
+        return dict(vars(self), config=config)
 
 
 def _new_bundle(cfg: RunConfig) -> ReportBundle:
@@ -86,9 +102,9 @@ def _haar_state(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def _check_sigma_count(t: int, d: int):
     """|Sigma_{t,t}(d)| as enumerated against prod_{k=0}^{t-2} (d^k + 1)."""
-    from .commutant import sigma_count_formula, stochastic_lagrangians
+    from .commutant import sigma_count_formula, sigma_stack
 
-    got = len(stochastic_lagrangians(t, d))
+    got = len(sigma_stack(t, d))
     want = sigma_count_formula(t, d)
     return got == want, got, want
 
@@ -138,12 +154,12 @@ def _status(ok: bool) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_enumerate_sigma(cfg: RunConfig, rep: ReportBundle) -> None:
-    from .commutant import stochastic_lagrangians
+    from .commutant import sigma_stack
 
     ok, count, want = _check_sigma_count(cfg.t, cfg.d)
     rep.add("sigma-count", "count-identity", _status(ok), measured=count, bound=want)
     if cfg.emit_mode == "json":
-        rep.config["sigma"] = [T.to_json() for T in stochastic_lagrangians(cfg.t, cfg.d)]
+        rep.config["sigma"] = _BasisStack(sigma_stack(cfg.t, cfg.d), cfg.d)
 
 
 def _cmd_enumerate_o(cfg: RunConfig, rep: ReportBundle) -> None:
@@ -417,10 +433,10 @@ def _key_text(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _json_text(obj, newline: str, out) -> None:
+def _json_text(obj, newline: str, out: _ChunkWriter) -> None:
     """Append the text of `json.dumps(obj, indent=2, sort_keys=True,
-    default=str)` to out (a list or `_ChunkWriter`), nested at `newline`
-    (a newline and the indent).
+    default=str)` to out, nested at `newline` (a newline and the indent);
+    a `_BasisStack` is written as its `to_json()` list.
 
     The rules are those of json's pure-Python encoder, which json.dumps
     uses whenever an indent is given, but without a generator per
@@ -453,6 +469,8 @@ def _json_text(obj, newline: str, out) -> None:
             sep = "," + inner
             _json_text(item, inner, out)
         out.append(newline + "]")
+    elif isinstance(obj, _BasisStack):
+        _stack_text(obj, newline, out)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -490,14 +508,51 @@ class _ChunkWriter:
         self.pieces.clear()
 
 
+# elements of a basis stack per block of JSON text
+_STACK_BLOCK = 256
+
+
+def _stack_text(bases: _BasisStack, newline: str, out: _ChunkWriter) -> None:
+    """Write the JSON text of bases.to_json() nested at `newline`, one
+    block of `_STACK_BLOCK` elements at a time.
+
+    Every element has the same layout: one row of tokens holds the
+    separators of an element, the same for all, between the text of its
+    entries, looked up from a table of str(v) for v < d.  Each block's
+    tokens are joined once and written at once.
+    """
+    m, k, c = bases.stack.shape
+    item, key, row, entry = (newline + "  " * i for i in range(1, 5))
+    seps = np.full(k * c, "," + entry, dtype=object)
+    seps[::c] = row + "]," + row + "[" + entry
+    seps[0] = "{" + key + f'"ambient": {c},' + key + '"basis": [' + row + "[" + entry
+    tail = row + "]" + key + "]," + key + f'"d": {bases.d}' + item + "}"
+    tokens = np.empty((_STACK_BLOCK, 2 * k * c + 1), dtype=object)
+    tokens[:, :-1:2] = seps
+    tokens[:, -1] = tail + "," + item
+    digits = np.array([str(v) for v in range(bases.d)], dtype=object)
+    out.append("[" + item)
+    for lo in range(0, m, _STACK_BLOCK):
+        block = bases.stack[lo:lo + _STACK_BLOCK].reshape(-1, k * c)
+        part = tokens[:len(block)]
+        part[:, 1::2] = digits[block]
+        if lo + len(block) == m:
+            part[-1, -1] = tail  # no separator after the last element
+        out.append("".join(part.ravel().tolist()))
+        out.flush()
+    out.append(newline + "]")
+
+
 def _write_json(report: ReportBundle, stream) -> None:
     """Write the JSON report to a binary stream, a chunk of text at a time.
 
-    The bytes are those of json.dumps(payload, indent=2, sort_keys=True,
-    default=str) plus a newline, with the wall clock dropped.
+    The bytes are those of json.dumps(report.to_json(), indent=2,
+    sort_keys=True, default=str) plus a newline, with the wall clock
+    dropped.
     """
-    payload = report.to_json()
-    payload["wall_clock"] = None  # determinism: drop timing from the output
+    # the fields as they are, so that a basis stack is written from the
+    # stack; the wall clock is dropped for determinism
+    payload = dict(vars(report), wall_clock=None)
     out = _ChunkWriter(stream)
     _json_text(payload, "\n", out)
     out.append("\n")

@@ -51,6 +51,7 @@ from .phase_space import check_dim, freeze, kron_power_vec, square_side
 
 __all__ = [
     "defect_subspaces",
+    "sigma_stack",
     "stochastic_lagrangians",
     "sigma_count_formula",
     "orthogonal_stochastic_group",
@@ -189,8 +190,9 @@ def _from_defects(N: Subspace, M: Subspace, images, src) -> Subspace:
 
 
 @lru_cache(maxsize=None)
-def stochastic_lagrangians(t: int, d: int) -> tuple[Subspace, ...]:
-    """All of Sigma_{t,t}(d), as canonical subspaces of Z_d^{2t}.
+def sigma_stack(t: int, d: int) -> np.ndarray:
+    """All of Sigma_{t,t}(d) as one read-only (m, t, 2t) stack of canonical
+    bases, in key order, in the integer type np.min_scalar_type(d - 1).
 
     Every T has t spanning rows (dim M^perp/M = t - 2 dim M), so the rows
     of all (N, M, J) stack into one array that is canonicalised at once
@@ -215,9 +217,15 @@ def stochastic_lagrangians(t: int, d: int) -> tuple[Subspace, ...]:
     assert reduced[:, -1].any(axis=1).all()  # every T has dimension t
     # with equal dimensions the key order is the order of the flattened bases
     flat = reduced.reshape(len(reduced), -1)
-    out = _subspaces_from_rref(reduced[np.lexsort(flat.T[::-1])], d)
-    assert len(out) == sigma_count_formula(t, d)
-    return out
+    assert len(flat) == sigma_count_formula(t, d)
+    return freeze(reduced[np.lexsort(flat.T[::-1])])
+
+
+@lru_cache(maxsize=None)
+def stochastic_lagrangians(t: int, d: int) -> tuple[Subspace, ...]:
+    """All of Sigma_{t,t}(d), as canonical subspaces of Z_d^{2t} in key
+    order: one Subspace per basis of `sigma_stack(t, d)`."""
+    return _subspaces_from_rref(sigma_stack(t, d), d)
 
 
 def sigma_count_formula(t: int, d: int) -> int:
@@ -318,28 +326,45 @@ def right_defect(T: Subspace) -> Subspace:
 _SUPPORT_BLOCK = 256
 
 
-def R_support(Ts, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _sizes(Ts, d: int | None) -> tuple[int, int, int, int]:
+    """(m, k, t, d) for m subspaces of dimension k in Z_d^{2t}: Ts is a
+    sequence of Subspace objects (d None) or the (m, k, 2t) stack of
+    their bases over Z_d."""
+    if d is None:
+        return len(Ts), Ts[0].dim, Ts[0].ambient // 2, Ts[0].d
+    m, k, c = np.shape(Ts)
+    return m, k, c // 2, d
+
+
+def R_support(Ts, n: int, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of the nonzeros of every R(T_i), copy-major.
 
-    Returns (rows, cols), each of shape (m, |T|^n), for m subspaces of one
-    dimension in Z_d^{2t} (|T|^n = d^{tn} on Sigma_{t,t}(d)); R(T_i) has a 1
-    at each (rows[i, k], cols[i, k]) and zeros elsewhere.  Nonzero k is the n-tuple of elements of T_i with
-    flat index k in base |T_i| (qudit slot 0 most significant).  Copy c of
-    the row index carries the digits (x^{(0)}_c ... x^{(n-1)}_c) of the
-    chosen elements in base d, so slot j adds flat_index(x, d^n) d^{n-1-j}.
-    The cap guards d^{tn} and the two tables, as a square of 2 m |T|^n
-    entries, before they are allocated.
+    Ts is a sequence of m Subspace objects of one dimension k in Z_d^{2t},
+    or, with d given, the (m, k, 2t) stack of their bases (such as
+    `sigma_stack(t, d)`).  Returns (rows, cols), each of shape
+    (m, d^{kn}) (d^{tn} on Sigma_{t,t}(d)); R(T_i) has a 1 at each
+    (rows[i, k], cols[i, k]) and zeros elsewhere.  Nonzero k is the
+    n-tuple of elements of T_i with flat index k in base |T_i| (qudit
+    slot 0 most significant).  Copy c of the row index carries the digits
+    (x^{(0)}_c ... x^{(n-1)}_c) of the chosen elements in base d, so slot
+    j adds flat_index(x, d^n) d^{n-1-j}.  The cap guards d^{tn} and the
+    two tables, as a square of 2 m |T|^n entries, before they are
+    allocated.
     """
-    t, d, k = Ts[0].ambient // 2, Ts[0].d, Ts[0].dim
+    stacked = d is not None
+    m, k, t, d = _sizes(Ts, d)
     check_dim(d ** (t * n))
-    m, size = len(Ts), d ** (k * n)
+    size = d ** (k * n)
     check_dim(square_side(2 * m * size))
+    # Subspace objects are stacked once, in the narrow type of `sigma_stack`
+    bases = np.asarray(Ts) if stacked else np.array(
+        [T.basis for T in Ts], dtype=np.min_scalar_type(d - 1))
     coeffs = all_vectors(k, d)
     rows = np.empty((m, size), dtype=np.int64)
     cols = np.empty((m, size), dtype=np.int64)
     for lo in range(0, m, _SUPPORT_BLOCK):
-        bases = np.stack([T.basis for T in Ts[lo:lo + _SUPPORT_BLOCK]])
-        elems = np.matmul(coeffs, bases) % d  # (block, |T|, 2t)
+        block = bases[lo:lo + _SUPPORT_BLOCK].astype(np.int64)
+        elems = np.matmul(coeffs, block) % d  # (block, |T|, 2t)
         for out, half in ((rows, elems[:, :, :t]), (cols, elems[:, :, t:])):
             slot = flat_index(half, d**n)  # (block, |T|)
             acc = slot * d ** (n - 1)
@@ -349,17 +374,18 @@ def R_support(Ts, n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def R_sum(Ts, weights, n: int) -> np.ndarray:
+def R_sum(Ts, weights, n: int, d: int | None = None) -> np.ndarray:
     """sum_i w_i R(T_i) as a dense (d^{tn}, d^{tn}) array.
 
-    One weighted `np.bincount` of the flat indices rows * d^{tn} + cols of
-    the support table, duplicates summed; the table has m d^{tn} entries,
-    which the cap guards as a square of as many.
+    Ts is as in `R_support`.  One weighted `np.bincount` of the flat
+    indices rows * d^{tn} + cols of the support table, duplicates summed;
+    the table has m d^{tn} entries, which the cap guards as a square of as
+    many.
     """
-    t, d = Ts[0].ambient // 2, Ts[0].d
-    dim = d ** (t * n)
-    check_dim(square_side(len(Ts) * dim))
-    rows, cols = R_support(Ts, n)
+    m, _, t, modulus = _sizes(Ts, d)
+    dim = modulus ** (t * n)
+    check_dim(square_side(m * dim))
+    rows, cols = R_support(Ts, n, d)
     rows *= dim
     rows += cols  # in place: the flat indices into the dim x dim output
     del cols
@@ -545,9 +571,8 @@ def double_cosets(t: int, d: int) -> tuple[dict, ...]:
     entry records the members plus two invariants that are constant per
     coset.
     """
-    sigma = stochastic_lagrangians(t, d)
-    narrow = np.min_scalar_type(d - 1)
-    bases = np.array([T.basis for T in sigma], dtype=narrow)
+    bases = sigma_stack(t, d)
+    narrow = bases.dtype
     L, R = bases[:, :, :t], bases[:, :, t:]
     images = []
     for O in generating_set(orthogonal_stochastic_group(t, d), d):
@@ -557,7 +582,8 @@ def double_cosets(t: int, d: int) -> tuple[dict, ...]:
     ones = np.ones(2 * t, dtype=np.int64)
     cosets = []
     # O_1(d) is trivial: no generators, and every T is its own coset
-    images = np.array(images, dtype=np.int64).reshape(-1, len(sigma))
+    images = np.array(images, dtype=np.int64).reshape(-1, len(bases))
+    sigma = stochastic_lagrangians(t, d)
     for orbit in orbits(images):
         members = tuple(sigma[i] for i in orbit)
         rep = members[0]

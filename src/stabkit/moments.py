@@ -21,10 +21,10 @@ from .commutant import (
     R_sum,
     R_support,
     css_subspace,
-    diagonal_subspace,
     orthogonal_stochastic_group,
     permutation_matrix,
     r_matrix,
+    sigma_stack,
     stochastic_lagrangians,
     subspace_from_matrix,
 )
@@ -82,8 +82,7 @@ def stab_moment_coefficients(t: int, n: int, d: int) -> np.ndarray:
     Z = d**n
     for k in range(t - 1):
         Z *= d**k + d**n
-    m = len(stochastic_lagrangians(t, d))
-    return np.full(m, 1.0 / Z)
+    return np.full(len(sigma_stack(t, d)), 1.0 / Z)
 
 def haar_moment_coefficients(t: int, n: int, d: int) -> np.ndarray:
     """gamma for the Haar moment: 1/prod_{k}(d^n + k) on permutation T's."""
@@ -97,7 +96,7 @@ def haar_moment_coefficients(t: int, n: int, d: int) -> np.ndarray:
 
 def moment_operator(gamma: np.ndarray, t: int, n: int, d: int) -> np.ndarray:
     """sum_T gamma_T R(T) as an explicit matrix."""
-    return R_sum(stochastic_lagrangians(t, d), gamma, n)
+    return R_sum(sigma_stack(t, d), gamma, n, d)
 
 
 def stab_moment_operator(t: int, n: int, d: int) -> np.ndarray:
@@ -129,10 +128,10 @@ def sigma_classes(t: int, d: int) -> tuple[tuple[int, ...], ...]:
     the permutation subspaces comes first.  The group is generated by the
     swap T -> T^t of the two halves and by a transposition and a t-cycle
     of the copies on the left (conjugating by the swap moves them to the
-    right); each generator permutes the columns of all bases at once.
+    right); each generator permutes the columns of all bases of
+    `sigma_stack(t, d)` at once.
     """
-    Ts = stochastic_lagrangians(t, d)
-    bases = np.array([T.basis for T in Ts], dtype=np.min_scalar_type(d - 1))
+    bases = sigma_stack(t, d)
     right = np.arange(t, 2 * t)
     orders = [np.r_[right, :t], np.r_[np.roll(np.arange(t), 1), right]]
     if t > 1:
@@ -140,8 +139,10 @@ def sigma_classes(t: int, d: int) -> tuple[tuple[int, ...], ...]:
     images = [image_indices(bases, bases[:, :, cols], d) for cols in orders]
     classes = [tuple(orbit.tolist()) for orbit in orbits(images)]
 
-    # the class of the permutation subspaces holds the diagonal T_identity
-    diagonal = Ts.index(diagonal_subspace(t, d))
+    # the class of the permutation subspaces holds the diagonal T_identity,
+    # whose canonical basis is (I | I)
+    eye = np.eye(t, dtype=bases.dtype)
+    (diagonal,) = np.flatnonzero((bases == np.hstack([eye, eye])).all(axis=(1, 2))).tolist()
     first = [c for c in classes if diagonal in c]
     rest = [c for c in classes if c is not first[0]]
     return tuple(first + rest)
@@ -157,7 +158,7 @@ def orbit_moment_vector(psi: np.ndarray, t: int, n: int, d: int) -> np.ndarray:
     These inner products are invariant under the Clifford twirl, so they
     determine the twirled moment operator completely.
     """
-    rows, cols = R_support(stochastic_lagrangians(t, d), n)
+    rows, cols = R_support(sigma_stack(t, d), n, d)
     v = kron_power_vec(np.asarray(psi, dtype=complex), t)
     m = np.array([np.vdot(v[c], v[r]) for r, c in zip(rows, cols)])
     if np.abs(m.imag).max() > 1e-9:

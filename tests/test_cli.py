@@ -6,12 +6,14 @@ import csv
 import io
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabkit import cli
 from stabkit.cli import _COMMANDS, ReportBundle, RunConfig, emit, main, run
 
 
@@ -331,6 +333,39 @@ _SMALL_RUNS = [
 def test_json_report_is_byte_identical_to_json_dumps(cfg):
     rep = run(cfg)
     assert emit(rep, "json") == _emit_oracle(rep)
+
+
+@pytest.mark.parametrize("t,d", [(1, 2), (2, 3), (4, 3), (3, 7), (2, 11), (6, 2)])
+def test_sigma_report_is_byte_identical_to_json_dumps(t, d):
+    rep = run(RunConfig(command="enumerate-sigma", t=t, d=d))
+    assert emit(rep, "json") == _emit_oracle(rep)
+
+
+def test_sigma_report_blocks_that_do_not_divide_sigma(monkeypatch):
+    rep = run(RunConfig(command="enumerate-sigma", t=4, d=3))
+    assert len(rep.to_json()["config"]["sigma"]) == 80
+    monkeypatch.setattr(cli, "_STACK_BLOCK", 7)  # 11 blocks of 7, then 3
+    assert emit(rep, "json") == _emit_oracle(rep)
+
+
+def test_sigma_report_on_stdout_and_in_a_file(capsys, tmp_path):
+    argv = ["enumerate-sigma", "--t", "5", "--d", "2"]
+    code, out = _capture(capsys, argv)
+    assert code == 0 and main(argv + ["--output", str(tmp_path / "sigma.json")]) == 0
+    assert (tmp_path / "sigma.json").read_bytes() == out.encode()
+
+
+def test_sigma_report_is_written_a_block_at_a_time(tmp_path):
+    rep = run(RunConfig(command="enumerate-sigma", t=6, d=2))
+    with open(tmp_path / "sigma.json", "wb") as fh:
+        tracemalloc.start()
+        try:
+            cli._write_json(rep, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "sigma.json").stat().st_size == 6004253
+    assert peak < 2 * 2**20  # the whole text is 6 MB
 
 
 def test_small_runs_cover_every_command():

@@ -13,6 +13,7 @@ product must equal the sparse routes exactly.
 
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,7 @@ from stabkit.commutant import (
     R_support,
     expectation_R,
     orthogonal_stochastic_group,
+    sigma_stack,
     stochastic_lagrangians,
     subspace_from_matrix,
 )
@@ -164,6 +166,18 @@ def test_support_blocks_agree_with_single_T():
     for i in (0, 255, 256, 257, len(sigma) - 1):
         r, c = R_support([sigma[i]], 1)
         assert np.array_equal(rows[i], r[0]) and np.array_equal(cols[i], c[0])
+
+
+def _support_digest(*args):
+    """sha256 of both R_support tables, so that only one pair is held at a time."""
+    rows, cols = R_support(*args)
+    return hashlib.sha256(rows.tobytes() + cols.tobytes()).hexdigest(), rows.shape
+
+
+@pytest.mark.parametrize("t,d,n", [(6, 2, 1), (6, 2, 2), (4, 3, 1)])
+def test_support_of_the_stack_matches_the_subspaces(t, d, n):
+    stack = sigma_stack(t, d)
+    assert _support_digest(stack, n, d) == _support_digest(stochastic_lagrangians(t, d), n)
 
 
 def test_cap_guards_gathers_and_scatters(monkeypatch):

@@ -16,7 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabkit.commutant import defect_subspaces, orthogonal_stochastic_group, stochastic_lagrangians
+from stabkit.commutant import (
+    defect_subspaces,
+    orthogonal_stochastic_group,
+    sigma_stack,
+    stochastic_lagrangians,
+)
 from stabkit.gf import (
     Subspace,
     all_vectors,
@@ -168,6 +173,13 @@ SIGMA_KEYS = {
 def test_stochastic_lagrangian_keys_unchanged(t, d):
     keys = [T._key for T in stochastic_lagrangians(t, d)]
     assert hashlib.sha256(repr(keys).encode()).hexdigest() == SIGMA_KEYS[t, d]
+
+
+@pytest.mark.parametrize("t,d", sorted(SIGMA_KEYS))
+def test_sigma_stack_holds_the_bases_in_key_order(t, d):
+    stack = sigma_stack(t, d)
+    assert stack.dtype == np.min_scalar_type(d - 1)
+    assert np.array_equal(stack, np.stack([T.basis for T in stochastic_lagrangians(t, d)]))
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,7 @@ def test_all_names_resolve(module):
         lambda: stabilizer.all_stabilizer_states(1, 2),
         lambda: commutant.orthogonal_stochastic_group(4, 2)[0],
         lambda: commutant.stochastic_lagrangians(4, 2)[-1].basis,
+        lambda: commutant.sigma_stack(4, 2),
         lambda: clifford.fourier_gate(3),
         lambda: clifford._phase_diagonal(3),
     ],
@@ -35,6 +36,7 @@ def test_all_names_resolve(module):
         "all_stabilizer_states",
         "orthogonal_stochastic_group",
         "stochastic_lagrangians",
+        "sigma_stack",
         "fourier_gate",
         "phase_diagonal",
     ],
