@@ -223,6 +223,7 @@ def conjugate_weyl_check(U: np.ndarray, n: int, d: int):
     Raises ValueError with the failing point if U is not Clifford.
     """
     pts = phase_points(n, d)
+    U = np.asarray(U, dtype=complex)
     Uh = U.conj().T
 
     def conjugate(targets, phases):
@@ -244,23 +245,27 @@ def conjugate_weyl_check(U: np.ndarray, n: int, d: int):
         raise ValueError("conjugation action is not symplectic")
 
     # linearity: each point maps to Gamma x with a unit phase, read off as
-    # tr[W_{Gamma x}^dag U W_x U^dag] / d^n on the support of W_{Gamma x};
-    # the Weyl actions are taken for blocks of points, each block's int64
-    # digit table (n + 6 words per basis state covers it and the outputs)
-    # within _ROW_BLOCK_BYTES
-    cols = np.arange(d**n)
+    # tr[W_{Gamma x}^dag U W_x U^dag] / d^n on the support of W_{Gamma x}.
+    # Only the entries (targets[b], b) of U W_x U^dag are read: entry b is
+    # the row U[targets[b], sources] * phases dotted with conj(U[b]).  The
+    # points are taken in blocks, each within _ROW_BLOCK_BYTES: per point
+    # the d^n x d^n complex rows read and the Weyl actions' int64 digit
+    # tables (n + 6 words per basis state covers them and their outputs)
+    dim = d**n
     phases = np.zeros(len(pts), dtype=complex)
-    step = max(1, _ROW_BLOCK_BYTES // (8 * (n + 6) * d**n))
+    step = max(1, _ROW_BLOCK_BYTES // (16 * dim * dim + 8 * (n + 6) * dim))
     for lo in range(0, len(pts), step):
         block = pts[lo:lo + step]
         sources, source_phases = weyl_action(block, n, d)
         targets, target_phases = weyl_action(block @ Gamma.T, n, d)
-        for i, x in enumerate(block):
-            conj = conjugate(sources[i], source_phases[i])
-            val = np.vdot(target_phases[i], conj[targets[i], cols]) / d**n
-            if abs(abs(val) - 1.0) > _ATOL:
-                raise ValueError(f"conjugation not linear at point {x}")
-            phases[lo + i] = val
+        rows = U[targets[:, :, None], sources[:, None, :]]  # (points, b, c)
+        rows *= source_phases[:, None, :]
+        rows *= Uh.T
+        vals = (target_phases.conj() * rows.sum(axis=2)).sum(axis=1) / dim
+        bad = np.abs(np.abs(vals) - 1.0) > _ATOL
+        if bad.any():
+            raise ValueError(f"conjugation not linear at point {block[np.argmax(bad)]}")
+        phases[lo:lo + len(block)] = vals
     return Gamma, phases
 
 

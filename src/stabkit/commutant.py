@@ -28,6 +28,7 @@ import numpy as np
 
 from .gf import (
     Subspace,
+    _place_values,
     _subspaces_from_rref,
     all_vectors,
     coset_reps,
@@ -322,7 +323,7 @@ def right_defect(T: Subspace) -> Subspace:
 # the operators r(T) and R(T)
 # ---------------------------------------------------------------------------
 
-# T's per block of the (block, |T|, 2t) element tensor in `R_support`
+# T's per block of `R_support`: the odd-d digit table is (2t, block, |T|)
 _SUPPORT_BLOCK = 256
 
 
@@ -336,6 +337,56 @@ def _sizes(Ts, d: int | None) -> tuple[int, int, int, int]:
     return m, k, c // 2, d
 
 
+def _element_slots(block: np.ndarray, t: int, n: int, d: int) -> np.ndarray:
+    """Slot indices of every element (x, y) of each T in a (B, k, 2t) block
+    of bases with entries in [0, d): out[0, b, i] = flat_index(x, d^n) and
+    out[1, b, i] = flat_index(y, d^n) for the element of T_b with
+    coefficients `all_vectors(k, d)[i]`.
+
+    The elements are built by doubling: basis rows k-1 ... 0 in turn
+    become the most significant coefficient c, and the elements made so
+    far are shifted by c times that row.  For d = 2 each half of a row is
+    one int64 word with place values (2^n)^{t-1-c}, which already is its
+    slot index; binary digits never carry, so the shift is an XOR.  For
+    odd d the digits are shifted for c = 1 ... d-1 at once, by one
+    addition and one compare-subtract in an unsigned type that holds
+    2(d - 1) (for x = a + b < 2d, min(x, x - d) wraps below d), and read
+    into slot indices once.
+    """
+    B, k, _ = block.shape
+    halves = block.reshape(B, k, 2, t)
+    place = _place_values(t, d**n)
+    if d == 2:
+        # words[(h, b), i]: half h of row i of T_b
+        words = (halves @ place).transpose(2, 0, 1).reshape(2 * B, k)
+        out = np.empty((2 * B, 2**k), dtype=np.int64)
+        out[:, 0] = 0
+        s = 1
+        for i in range(k - 1, -1, -1):
+            np.bitwise_xor(out[:, :s], words[:, i, None], out=out[:, s:2 * s])
+            s *= 2
+        return out.reshape(2, B, -1)
+    work = np.min_scalar_type(2 * (d - 1))
+    # multiples[(h, c, b), i, e] = (e + 1) times coordinate c of half h of
+    # row i of T_b, mod d
+    digit_rows = halves.transpose(2, 3, 0, 1).reshape(-1, k, 1)
+    multiples = (digit_rows * np.arange(1, d) % d).astype(work)
+    digits = np.empty((2 * t * B, d**k), dtype=work)
+    digits[:, 0] = 0
+    s = 1
+    for i in range(k - 1, -1, -1):
+        shifted = digits[:, s:d * s].reshape(-1, d - 1, s)
+        np.add(digits[:, None, :s], multiples[:, i, :, None], out=shifted)
+        np.minimum(shifted, shifted - work.type(d), out=shifted)
+        s *= d
+    digits = digits.reshape(2, t, B, -1)
+    out = digits[:, 0].astype(np.int64)
+    for c in range(1, t):
+        out *= d**n
+        out += digits[:, c]
+    return out
+
+
 def R_support(Ts, n: int, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of the nonzeros of every R(T_i), copy-major.
 
@@ -345,11 +396,16 @@ def R_support(Ts, n: int, d: int | None = None) -> tuple[np.ndarray, np.ndarray]
     (m, d^{kn}) (d^{tn} on Sigma_{t,t}(d)); R(T_i) has a 1 at each
     (rows[i, k], cols[i, k]) and zeros elsewhere.  Nonzero k is the
     n-tuple of elements of T_i with flat index k in base |T_i| (qudit
-    slot 0 most significant).  Copy c of the row index carries the digits
-    (x^{(0)}_c ... x^{(n-1)}_c) of the chosen elements in base d, so slot
-    j adds flat_index(x, d^n) d^{n-1-j}.  The cap guards d^{tn} and the
-    two tables, as a square of 2 m |T|^n entries, before they are
-    allocated.
+    slot 0 most significant), each element indexed by its coefficients
+    in `all_vectors(k, d)` order.  Copy c of the row index carries the
+    digits (x^{(0)}_c ... x^{(n-1)}_c) of the chosen elements in base d,
+    so slot j adds flat_index(x, d^n) d^{n-1-j}.
+
+    The slot indices of the elements come from `_element_slots`, by
+    doubling over the basis rows with no element tensor, and the n slots
+    are summed as outer sums, the last one written into the table.  The
+    cap guards d^{tn} and the two tables, as a square of 2 m |T|^n
+    entries, before they are allocated.
     """
     stacked = d is not None
     m, k, t, d = _sizes(Ts, d)
@@ -359,18 +415,21 @@ def R_support(Ts, n: int, d: int | None = None) -> tuple[np.ndarray, np.ndarray]
     # Subspace objects are stacked once, in the narrow type of `sigma_stack`
     bases = np.asarray(Ts) if stacked else np.array(
         [T.basis for T in Ts], dtype=np.min_scalar_type(d - 1))
-    coeffs = all_vectors(k, d)
     rows = np.empty((m, size), dtype=np.int64)
     cols = np.empty((m, size), dtype=np.int64)
     for lo in range(0, m, _SUPPORT_BLOCK):
-        block = bases[lo:lo + _SUPPORT_BLOCK].astype(np.int64)
-        elems = np.matmul(coeffs, block) % d  # (block, |T|, 2t)
-        for out, half in ((rows, elems[:, :, :t]), (cols, elems[:, :, t:])):
-            slot = flat_index(half, d**n)  # (block, |T|)
-            acc = slot * d ** (n - 1)
+        block = bases[lo:lo + _SUPPORT_BLOCK] % d
+        B = len(block)
+        for out, slot in zip((rows[lo:lo + B], cols[lo:lo + B]), _element_slots(block, t, n, d)):
+            # the n slots as outer sums acc d + slot, the last written into the table
+            acc = slot
             for j in range(1, n):
-                acc = (acc[:, :, None] + slot[:, None, :] * d ** (n - 1 - j)).reshape(len(slot), -1)
-            out[lo:lo + len(slot)] = acc
+                shape = (B, acc.shape[1], slot.shape[1])
+                parts = out.reshape(shape) if j == n - 1 else np.empty(shape, dtype=np.int64)
+                np.add((acc * d)[:, :, None], slot[:, None, :], out=parts)
+                acc = parts.reshape(B, -1)
+            if n == 1:
+                out[:] = slot
     return rows, cols
 
 
@@ -409,8 +468,12 @@ def R_trace(T: Subspace, n: int) -> int:
     return d ** (n * T.intersect(diagonal_subspace(t, d)).dim)
 
 
-def R_gram(Ts, n: int) -> np.ndarray:
+def R_gram(Ts, n: int, d: int | None = None) -> np.ndarray:
     """G[i, j] = tr[R(T_i)^dag R(T_j)] = |T_i cap T_j|^n.
+
+    Ts holds elements of Sigma_{t,t}(d) as in `R_support`: a sequence of
+    Subspace objects, or with d given the stack of their bases (such as
+    `sigma_stack(t, d)`).
 
     |T_i cap T_j| counts the points of Z_d^{2t} in both T_i and T_j.  Off
     the diagonal only the P points that lie in two or more of the T_i
@@ -420,10 +483,10 @@ def R_gram(Ts, n: int) -> np.ndarray:
     float32 while d^t < 2^24 (float64 above).  The cap guards the m x m
     output and the m x P incidence, each as a square of as many entries.
     """
-    t, d = Ts[0].ambient // 2, Ts[0].d
-    m, size = len(Ts), d**t
+    m, _, t, modulus = _sizes(Ts, d)
+    size = modulus**t
     check_dim(m)
-    rows, cols = R_support(Ts, 1)
+    rows, cols = R_support(Ts, 1, d)
     points = rows * size + cols  # (m, |T|) flat indices in Z_d^{2t}
     del rows, cols
     shared = np.bincount(points.ravel(), minlength=size * size) >= 2
@@ -658,11 +721,11 @@ def is_member_O(matrix: np.ndarray, t: int, d: int) -> bool:
 
 def linear_independence_check(t: int, d: int, n: int) -> int:
     """Numeric rank of the Gram matrix [d^{n dim(T cap T')}] over Sigma."""
-    sigma = stochastic_lagrangians(t, d)
-    G = R_gram(sigma, n)
+    bases = sigma_stack(t, d)
+    G = R_gram(bases, n, d)
     vals = np.linalg.eigvalsh(G)
     rank = int((vals > 1e-8 * vals.max()).sum())
-    if n >= t - 1 and rank != len(sigma):
+    if n >= t - 1 and rank != len(bases):
         raise AssertionError("R(T) should be independent for n >= t - 1")
     return rank
 

@@ -53,14 +53,6 @@ def flat_index(digits, base: int) -> np.ndarray:
     return digits @ _place_values(digits.shape[-1], base)
 
 
-def sum_index(k: int, base: int) -> np.ndarray:
-    """table[i, j] = flat index of (digit row i + digit row j) mod base."""
-    table = np.zeros((base**k, base**k), dtype=np.int64)
-    for col, place in zip(all_vectors(k, base).T, _place_values(k, base)):
-        table += (col[:, None] + col[None, :]) % base * place
-    return table
-
-
 def _rref_rows(rows: list[list[int]], cols: int, d: int) -> tuple[list[list[int]], list[int]]:
     """Reduce rows (Python int lists with entries in [0, d)) in place; see `rref`."""
     pivot_cols: list[int] = []

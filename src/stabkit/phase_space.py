@@ -222,10 +222,12 @@ def _stack_rows(blocks, n: int, d: int) -> np.ndarray:
 def _pure_char_rows(psi: np.ndarray, n: int, d: int):
     """`_char_rows` of B = |psi><psi|: the diagonals psi[b + q] conj(psi[b]).
 
-    The cap is checked here, before any row is made, for the d^n x d^n
-    table the rows make up.
+    The stream holds the state and row blocks of at most _ROW_BLOCK_BYTES,
+    so the cap is checked here, before any row is made, for the d^n
+    entries of the state as a square; callers that stack the rows into
+    the d^n x d^n table check its side themselves (`_pure_char`).
     """
-    check_dim(d**n)
+    check_dim(square_side(d**n))
     psi = np.asarray(psi, dtype=complex)
     scaled = psi.conj() * d ** (-n / 2)
 
@@ -238,7 +240,8 @@ def _pure_char_rows(psi: np.ndarray, n: int, d: int):
 
 
 def _pure_char(psi: np.ndarray, n: int, d: int) -> np.ndarray:
-    """c_psi as a complex flat array."""
+    """c_psi as a complex flat array; the cap guards its d^n x d^n table."""
+    check_dim(d**n)
     return _stack_rows(_pure_char_rows(psi, n, d), n, d)
 
 

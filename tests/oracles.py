@@ -19,17 +19,18 @@ import numpy as np
 import scipy.sparse as sp
 
 from stabkit import phase_space, stabilizer
-from stabkit.clifford import fourier_gate, phase_gate
+from stabkit.clifford import _ATOL, fourier_gate, phase_gate
 from stabkit.commutant import R_support, permutation_matrix
 from stabkit.gf import (
     Subspace,
+    _place_values,
     all_vectors,
     coset_reps,
     echelon_subspaces,
     flat_index,
     form_modulus,
+    gram_symplectic,
     rref_stack,
-    sum_index,
     symplectic_form,
 )
 from stabkit.phase_space import (
@@ -96,6 +97,14 @@ def point_operators(n: int, d: int) -> np.ndarray:
 # phase-space functions through the outer product, sum_index and np.fft
 # ---------------------------------------------------------------------------
 
+def sum_index(k: int, base: int) -> np.ndarray:
+    """table[i, j] = flat index of (digit row i + digit row j) mod base."""
+    table = np.zeros((base**k, base**k), dtype=np.int64)
+    for col, place in zip(all_vectors(k, base).T, _place_values(k, base)):
+        table += (col[:, None] + col[None, :]) % base * place
+    return table
+
+
 def characteristic_function(B: np.ndarray, n: int, d: int) -> np.ndarray:
     """c_B(p, q) = d^{-n/2} tau^{-p.q} sum_b omega^{-p.b} B[b+q, b], flat.
 
@@ -144,6 +153,39 @@ def accept_probability(psi: np.ndarray, s: int, d: int) -> float:
     """(1 + d^{(s-1)n} sum_x p^s) / 2 over the whole p_psi."""
     n = round(math.log(len(psi), d))
     return float(0.5 * (1.0 + d ** ((s - 1) * n) * (char_distribution(psi, n, d) ** s).sum()))
+
+
+# ---------------------------------------------------------------------------
+# the support table of R(T) through the element tensor
+# ---------------------------------------------------------------------------
+
+def R_support_product(Ts, n: int, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """`commutant.R_support` through the (block, |T|, 2t) element tensor.
+
+    The elements of 256 T's at a time are one batched integer product of
+    `all_vectors(k, d)` with their bases, mod d; each half is read into
+    slot indices by `flat_index` in base d^n, and the n slots are summed
+    as outer sums, slot j scaled by d^{n-1-j}.
+    """
+    if d is None:
+        m, k, t, d = len(Ts), Ts[0].dim, Ts[0].ambient // 2, Ts[0].d
+        bases = np.array([T.basis for T in Ts], dtype=np.int64)
+    else:
+        bases = np.asarray(Ts, dtype=np.int64)
+        m, k, t = bases.shape[0], bases.shape[1], bases.shape[2] // 2
+    coeffs = all_vectors(k, d)
+    size = d ** (k * n)
+    rows = np.empty((m, size), dtype=np.int64)
+    cols = np.empty((m, size), dtype=np.int64)
+    for lo in range(0, m, 256):
+        elems = np.matmul(coeffs, bases[lo:lo + 256]) % d  # (block, |T|, 2t)
+        for out, half in ((rows, elems[:, :, :t]), (cols, elems[:, :, t:])):
+            slot = flat_index(half, d**n)  # (block, |T|)
+            acc = slot * d ** (n - 1)
+            for j in range(1, n):
+                acc = (acc[:, :, None] + slot[:, None, :] * d ** (n - 1 - j)).reshape(len(slot), -1)
+            out[lo:lo + len(slot)] = acc
+    return rows, cols
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +324,40 @@ def apply_tensor_power(U: np.ndarray, v: np.ndarray, t: int) -> np.ndarray:
     for axis in range(t):
         w = np.moveaxis(np.tensordot(U, w, axes=([1], [axis])), 0, axis)
     return w.reshape(v.shape)
+
+
+def conjugate_weyl_check(U: np.ndarray, n: int, d: int):
+    """`clifford.conjugate_weyl_check` through whole conjugates: the
+    linearity pass forms U W_x U^dag as a d^n x d^n product for every
+    phase point and reads its entries on the support of W_{Gamma x}.  The
+    Weyl actions and characteristic functions are this module's."""
+    pts = phase_points(n, d)
+    Uh = U.conj().T
+
+    def conjugate(targets, phases):
+        return (U[:, targets] * phases) @ Uh
+
+    images = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    for k, (targets, phases) in enumerate(zip(*weyl_action(np.eye(2 * n, dtype=np.int64), n, d))):
+        mods = np.abs(characteristic_function(conjugate(targets, phases), n, d)) * d ** (-n / 2)
+        top = int(np.argmax(mods))
+        if abs(mods[top] - 1.0) > _ATOL or np.delete(mods, top).max() > _ATOL:
+            raise ValueError(f"not Clifford: no unique Weyl image for basis point {k}")
+        images[:, k] = pts[top]
+    Gamma = images % d
+    J = gram_symplectic(2 * n, d)
+    if ((Gamma.T @ J @ Gamma - J) % d).any():
+        raise ValueError("conjugation action is not symplectic")
+    cols = np.arange(d**n)
+    sources, source_phases = weyl_action(pts, n, d)
+    targets, target_phases = weyl_action(pts @ Gamma.T, n, d)
+    out = np.zeros(len(pts), dtype=complex)
+    for i, x in enumerate(pts):
+        conj = conjugate(sources[i], source_phases[i])
+        out[i] = np.vdot(target_phases[i], conj[targets[i], cols]) / d**n
+        if abs(abs(out[i]) - 1.0) > _ATOL:
+            raise ValueError(f"conjugation not linear at point {x}")
+    return Gamma, out
 
 
 # ---------------------------------------------------------------------------

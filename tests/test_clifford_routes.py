@@ -18,7 +18,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from stabkit.clifford import apply_letter, generator_letters, random_clifford
+from stabkit.clifford import apply_letter, conjugate_weyl_check, generator_letters, random_clifford
 from stabkit.commutant import R_matrix, commutes_with_clifford, right_defect, stochastic_lagrangians
 from stabkit.gf import Subspace
 from stabkit.phase_space import phase_points
@@ -84,6 +84,19 @@ def test_apply_tensor_power_on_a_block_matches_each_column():
     moved = oracles.apply_tensor_power(U, block, 3)
     for k in range(5):
         assert np.abs(moved[:, k] - oracles.apply_tensor_power(U, block[:, k], 3)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3)])
+def test_conjugate_weyl_check_matches_whole_conjugates(n, d):
+    """The linearity pass reads only the entries (targets[b], b) of each
+    conjugate; Gamma and the phases equal those read from the whole
+    d^n x d^n products."""
+    for seed in range(3):
+        _, U = random_clifford(n, d, np.random.default_rng(seed))
+        gamma, phases = conjugate_weyl_check(U, n, d)
+        want_gamma, want_phases = oracles.conjugate_weyl_check(U, n, d)
+        assert np.array_equal(gamma, want_gamma)
+        assert np.abs(phases - want_phases).max() < 1e-12
 
 
 def _residual_per_vector(T, n, d):

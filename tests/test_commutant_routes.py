@@ -6,9 +6,12 @@ and minimal projectors summed one sparse R(T) at a time, the Gram matrix
 from one `Subspace.intersect` per pair, and expectations as R(T) @ v.
 `oracles.R_sum` and `oracles.R_gram` are the sparse routes the library
 took from the support table before it used numpy alone: a COO scatter
-and a sparse incidence product.  The library derives all of these from
-one integer support table, and its dense bincount and shared-point
-product must equal the sparse routes exactly.
+and a sparse incidence product.  `oracles.R_support_product` builds the
+support table itself from the element tensor, one batched integer
+product per block, where the library doubles over the basis rows.  The
+library derives all of these from one integer support table, and its
+dense bincount and shared-point product must equal the sparse routes
+exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stabkit import commutant
 from stabkit.commutant import (
     R_gram,
     R_matrix,
@@ -101,6 +105,7 @@ def test_gram_equals_intersection_loop(t, d, n):
     assert G.dtype == want.dtype and G.shape == want.shape
     assert np.array_equal(G, want)
     assert np.array_equal(G, oracles.R_gram(sigma, n))
+    assert np.array_equal(R_gram(sigma_stack(t, d), n, d), want)
 
 
 @pytest.mark.parametrize("n", [1, 5])
@@ -110,7 +115,9 @@ def test_gram_equals_sparse_product_at_sigma_6_2(n):
     assert np.array_equal(R_gram(sigma, n), oracles.R_gram(sigma, n))
 
 
-@pytest.mark.parametrize("t,n,d", [(2, 1, 2), (3, 1, 3), (4, 1, 2), (4, 2, 2), (6, 1, 2), (2, 2, 3)])
+@pytest.mark.parametrize(
+    "t,n,d", [(2, 1, 2), (3, 1, 3), (4, 1, 2), (4, 2, 2), (6, 1, 2), (2, 2, 3), (3, 1, 5)]
+)
 def test_moment_operators_match_per_T_sum(t, n, d):
     sigma = stochastic_lagrangians(t, d)
     for gamma in (stab_moment_coefficients(t, n, d), haar_moment_coefficients(t, n, d)):
@@ -124,7 +131,7 @@ def test_moment_operators_match_per_T_sum(t, n, d):
     assert np.array_equal(got, oracles.R_sum(Ts, np.ones(len(Ts)), n).toarray() / len(Ts))
 
 
-@pytest.mark.parametrize("t,n,d", [(4, 3, 2), (3, 2, 3), (4, 2, 2), (3, 1, 5)])
+@pytest.mark.parametrize("t,n,d", [(4, 3, 2), (3, 2, 3), (4, 2, 2), (3, 1, 5), (2, 1, 89)])
 def test_gathered_expectations_match_matvec(t, n, d):
     sigma = stochastic_lagrangians(t, d)
     rng = np.random.default_rng([t, n, d])
@@ -178,6 +185,31 @@ def _support_digest(*args):
 def test_support_of_the_stack_matches_the_subspaces(t, d, n):
     stack = sigma_stack(t, d)
     assert _support_digest(stack, n, d) == _support_digest(stochastic_lagrangians(t, d), n)
+
+
+# at most this many T's per comparison, so that the 287 MB tables of
+# Sigma_{6,6}(2) at n = 2 are held a quarter at a time, three pairs at once
+_COMPARE_CHUNK = 1200
+
+
+@pytest.mark.parametrize("block", [256, 7])
+@pytest.mark.parametrize(
+    "t,d,n",
+    [(6, 2, 1), (6, 2, 2), (4, 2, 3), (4, 3, 1), (4, 3, 2), (4, 5, 1), (5, 3, 1), (3, 7, 1), (2, 89, 1)],
+)
+def test_support_doubling_matches_product_route(monkeypatch, t, d, n, block):
+    """Both tables, from the stack and from the Subspace list, bitwise equal
+    to the element-tensor route, also with blocks of 7 T's that end
+    inside a chunk."""
+    monkeypatch.setattr(commutant, "_SUPPORT_BLOCK", block)
+    stack, sigma = sigma_stack(t, d), stochastic_lagrangians(t, d)
+    for lo in range(0, len(stack), _COMPARE_CHUNK):
+        want = oracles.R_support_product(stack[lo:lo + _COMPARE_CHUNK], n, d)
+        for got in (R_support(stack[lo:lo + _COMPARE_CHUNK], n, d),
+                    R_support(sigma[lo:lo + _COMPARE_CHUNK], n)):
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype == np.int64
+                assert np.array_equal(g, w)
 
 
 def test_cap_guards_gathers_and_scatters(monkeypatch):
@@ -241,6 +273,13 @@ def _peak_mb(fn, *args):
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+
+
+def test_support_peak_is_its_tables():
+    """The two tables of Sigma_{6,6}(2) at n = 1 take 4.5 MB; the element
+    tensor route peaked at 9.4 MB, the doubling route at 5.2 MB."""
+    stack = sigma_stack(6, 2)
+    assert _peak_mb(R_support, stack, 1, 2) < 6
 
 
 def test_memory_peaks():

@@ -27,10 +27,11 @@ from stabkit.gf import (
     rref,
     rref_stack,
     solve,
-    sum_index,
     symplectic_form,
 )
 from stabkit.phase_space import ResourceCapError
+
+from oracles import sum_index
 
 primes = st.sampled_from([2, 3, 5])
 

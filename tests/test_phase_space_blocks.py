@@ -177,6 +177,21 @@ def test_library_does_not_use_np_fft():
     assert users == []
 
 
+def test_cap_guards_the_stream_by_its_state(monkeypatch):
+    """The streamed six-copy test holds the state and its row blocks only,
+    so a cap of 64 admits it at n = 8 (256 entries, a square of side 16);
+    the stacked c_psi is a 256 x 256 table and is refused."""
+    psi = _haar(2**8, seed=8)
+    want = oracles.accept_probability(psi, 3, 2)
+    monkeypatch.setenv("STABKIT_DIM_CAP", "64")
+    assert abs(qubit_accept_probability(psi) - want) < 1e-12
+    with pytest.raises(phase_space.ResourceCapError, match="256"):
+        char_distribution(psi, 8, 2)
+    monkeypatch.setenv("STABKIT_DIM_CAP", "15")
+    with pytest.raises(phase_space.ResourceCapError, match="16"):
+        qubit_accept_probability(psi)
+
+
 def test_six_copy_test_at_ten_qubits_streams_and_matches_oracle():
     n = 10
     psi = _haar(2**n, seed=n)
