@@ -197,23 +197,28 @@ def _cmd_moments(cfg: RunConfig, rep: ReportBundle) -> None:
                 measured=float(np.trace(formula).real))
 
 
-def _cmd_design(cfg: RunConfig, rep: ReportBundle) -> None:
-    from .moments import (
-        _DESIGN_ATOL,
-        InfeasibleDesign,
-        find_design_weights,
-        mixture_design_gap,
-        qutrit_fiducial_angle,
-    )
+def _design_fiducials(t: int, n: int, d: int, seed: int | None) -> list[np.ndarray]:
+    """The fiducials of `stabkit design`: the `qutrit_fiducial_angle` state
+    for qutrit 3-designs; |0...0>, the T-state product and six seeded Haar
+    states for qubits at t >= 4; eight seeded Haar states otherwise."""
+    from .moments import qutrit_fiducial_angle
     from .phase_space import kron_power_vec
 
-    rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
-    if cfg.d == 3 and cfg.t == 3:
-        theta = qutrit_fiducial_angle(cfg.n)
-        single = np.array([np.cos(theta), -np.sin(theta), 0.0])
-        fiducials = [kron_power_vec(single, cfg.n)]
-    else:
-        fiducials = [_haar_state(rng, cfg.d**cfg.n) for _ in range(8)]
+    rng = np.random.default_rng(seed if seed is not None else 0)
+    if d == 3 and t == 3:
+        theta = qutrit_fiducial_angle(n)
+        return [kron_power_vec(np.array([np.cos(theta), -np.sin(theta), 0.0]), n)]
+    if d == 2 and t >= 4:
+        t_state = np.array([1.0, np.exp(1j * np.pi / 4)]) / np.sqrt(2)
+        products = [kron_power_vec(single, n) for single in (np.array([1.0, 0.0]), t_state)]
+        return products + [_haar_state(rng, 2**n) for _ in range(6)]
+    return [_haar_state(rng, d**n) for _ in range(8)]
+
+
+def _cmd_design(cfg: RunConfig, rep: ReportBundle) -> None:
+    from .moments import _DESIGN_ATOL, InfeasibleDesign, find_design_weights, mixture_design_gap
+
+    fiducials = _design_fiducials(cfg.t, cfg.n, cfg.d, cfg.seed)
     try:
         weights = find_design_weights(fiducials, cfg.t, cfg.n, cfg.d)
     except InfeasibleDesign as exc:

@@ -404,12 +404,11 @@ def R_support(Ts, n: int, d: int | None = None) -> tuple[np.ndarray, np.ndarray]
     The slot indices of the elements come from `_element_slots`, by
     doubling over the basis rows with no element tensor, and the n slots
     are summed as outer sums, the last one written into the table.  The
-    cap guards d^{tn} and the two tables, as a square of 2 m |T|^n
-    entries, before they are allocated.
+    cap guards the two tables, as a square of 2 m |T|^n entries, before
+    they are allocated; no d^{tn} operator is built.
     """
     stacked = d is not None
     m, k, t, d = _sizes(Ts, d)
-    check_dim(d ** (t * n))
     size = d ** (k * n)
     check_dim(square_side(2 * m * size))
     # Subspace objects are stacked once, in the narrow type of `sigma_stack`
@@ -437,12 +436,13 @@ def R_sum(Ts, weights, n: int, d: int | None = None) -> np.ndarray:
     """sum_i w_i R(T_i) as a dense (d^{tn}, d^{tn}) array.
 
     Ts is as in `R_support`.  One weighted `np.bincount` of the flat
-    indices rows * d^{tn} + cols of the support table, duplicates summed;
-    the table has m d^{tn} entries, which the cap guards as a square of as
-    many.
+    indices rows * d^{tn} + cols of the support table, duplicates summed.
+    The cap guards the output's dimension d^{tn}, and the table's m d^{tn}
+    entries as a square of as many.
     """
     m, _, t, modulus = _sizes(Ts, d)
     dim = modulus ** (t * n)
+    check_dim(dim)
     check_dim(square_side(m * dim))
     rows, cols = R_support(Ts, n, d)
     rows *= dim
@@ -481,11 +481,13 @@ def R_gram(Ts, n: int, d: int | None = None) -> np.ndarray:
     |T_i cap T_j| = (A A^T)_ij; the diagonal is |T| = d^t.  Every partial
     sum of A A^T is an integer at most d^t, so the product is exact in
     float32 while d^t < 2^24 (float64 above).  The cap guards the m x m
-    output and the m x P incidence, each as a square of as many entries.
+    output, the d^{2t} point count (a square of side d^t) and the m x P
+    incidence, each as a square of as many entries.
     """
     m, _, t, modulus = _sizes(Ts, d)
     size = modulus**t
     check_dim(m)
+    check_dim(size)
     rows, cols = R_support(Ts, 1, d)
     points = rows * size + cols  # (m, |T|) flat indices in Z_d^{2t}
     del rows, cols
@@ -744,17 +746,18 @@ def commutes_with_clifford(T: Subspace, n: int, d: int) -> dict:
     half, the y with (x, y) in T form a coset of the right defect, so with
     the support sorted by row every nonzero row of R(T) holds the same
     number k of ones: (R v)[x] is the sum of k gathered rows of v, placed
-    into the nonzero rows only.
+    into the nonzero rows only.  The cap guards d^{tn}, the probes' length.
     """
     from .clifford import _apply_letters, generator_letters
 
     t = T.ambient // 2
+    dim = d ** (t * n)
+    check_dim(dim)
     rows, cols = R_support([T], n)
     order = np.argsort(rows[0], kind="stable")
     rows, cols = rows[0][order], cols[0][order]
     k = int(np.searchsorted(rows, rows[0], side="right"))
     targets, src = rows[::k], cols.reshape(-1, k).T  # src: (k, nonzero rows)
-    dim = d ** (t * n)
 
     def apply_R(V):
         gathered = np.take(V, src, axis=0).sum(axis=0)

@@ -1,47 +1,41 @@
 """Moments of stabilizer states and Haar states, and t-design construction.
 
-All moment operators live in the span of the R(T); where possible they are
-handled as coefficient vectors over Sigma_{t,t}(d), with norms computed
-through the exact Gram matrix tr[R(T)^dag R(T')] = d^{n dim(T cap T')}.
+All moment operators live in the span of the R(T).  Twirled moments are
+constant on the K classes of `sigma_classes`, so designs are computed from
+K moments per state and the K x K `class_gram`, never from the
+|Sigma| x |Sigma| Gram matrix tr[R(T)^dag R(T')] = d^{n dim(T cap T')}.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from .definetti import _nnls, gram
 from .gf import Subspace, image_indices, orbits
-from .phase_space import kron_power_rows, kron_power_vec
+from .phase_space import check_dim, freeze, kron_power_rows, kron_power_vec, square_side
 from .stabilizer import all_stabilizer_states
 from .commutant import (
-    R_gram,
     R_sum,
     R_support,
     css_subspace,
     orthogonal_stochastic_group,
-    permutation_matrix,
     r_matrix,
     sigma_stack,
-    stochastic_lagrangians,
     subspace_from_matrix,
 )
 
 __all__ = [
-    "permutation_subspaces",
     "stab_moment_coefficients",
     "haar_moment_coefficients",
     "moment_operator",
     "stab_moment_operator",
     "empirical_stab_moment",
-    "frobenius_distance",
     "sigma_classes",
+    "class_gram",
     "orbit_moment_vector",
-    "orbit_coefficients",
-    "class_coefficients",
-    "design_gap",
     "find_design_weights",
     "InfeasibleDesign",
     "qutrit_fiducial_angle",
@@ -54,6 +48,8 @@ __all__ = [
 _DESIGN_ATOL = 1e-9
 # width of the bracket at which the fiducial-angle bisection stops
 _ANGLE_XTOL = 1e-13
+# T's per block of `R_support` read by the class Gram
+_CLASS_BLOCK = 8192
 
 
 class InfeasibleDesign(ValueError):
@@ -66,32 +62,26 @@ class InfeasibleDesign(ValueError):
         self.residual = residual
 
 
-def permutation_subspaces(t: int, d: int) -> dict[Subspace, tuple[int, ...]]:
-    """Map T_pi -> pi over all permutations of t copies."""
-    out = {}
-    for perm in itertools.permutations(range(t)):
-        out[subspace_from_matrix(permutation_matrix(perm), d)] = perm
-    return out
-
-
 def stab_moment_coefficients(t: int, n: int, d: int) -> np.ndarray:
     """gamma with E_S[(|S><S|)^{x t}] = sum_T gamma_T R(T); gamma_T = 1/Z.
 
     Z = d^n prod_{k=0}^{t-2} (d^k + d^n).
     """
-    Z = d**n
-    for k in range(t - 1):
-        Z *= d**k + d**n
+    Z = d**n * math.prod(d**k + d**n for k in range(t - 1))
     return np.full(len(sigma_stack(t, d)), 1.0 / Z)
 
+
+def _haar_weight(t: int, n: int, d: int) -> float:
+    """1/prod_{k<t}(d^n + k), the Haar coefficient of every permutation T."""
+    return 1.0 / math.prod(d**n + k for k in range(t))
+
+
 def haar_moment_coefficients(t: int, n: int, d: int) -> np.ndarray:
-    """gamma for the Haar moment: 1/prod_{k}(d^n + k) on permutation T's."""
-    Ts = stochastic_lagrangians(t, d)
-    perms = permutation_subspaces(t, d)
-    c = 1.0
-    for k in range(t):
-        c /= d**n + k
-    return np.array([c if T in perms else 0.0 for T in Ts])
+    """gamma for the Haar moment: `_haar_weight` on the permutation T's,
+    which form the first class of `sigma_classes`, and 0 elsewhere."""
+    gamma = np.zeros(len(sigma_stack(t, d)))
+    gamma[list(sigma_classes(t, d)[0])] = _haar_weight(t, n, d)
+    return gamma
 
 
 def moment_operator(gamma: np.ndarray, t: int, n: int, d: int) -> np.ndarray:
@@ -109,13 +99,6 @@ def empirical_stab_moment(t: int, n: int, d: int) -> np.ndarray:
     return V.T @ V.conj() / len(V)
 
 
-def frobenius_distance(gamma1: np.ndarray, gamma2: np.ndarray, G: np.ndarray) -> float:
-    """|| sum (gamma1 - gamma2)_T R(T) ||_F through the Gram matrix."""
-    diff = np.asarray(gamma1) - np.asarray(gamma2)
-    val = diff @ G @ diff
-    return float(np.sqrt(max(val.real, 0.0)))
-
-
 # ---------------------------------------------------------------------------
 # equivalence classes of Sigma under S_t x S_t and transposition
 # ---------------------------------------------------------------------------
@@ -124,7 +107,7 @@ def frobenius_distance(gamma1: np.ndarray, gamma2: np.ndarray, G: np.ndarray) ->
 def sigma_classes(t: int, d: int) -> tuple[tuple[int, ...], ...]:
     """Partition of Sigma_{t,t}(d) under T ~ pi T pi' and T ~ T^t.
 
-    Returns index tuples into stochastic_lagrangians(t, d); the class of
+    Returns index tuples into sigma_stack(t, d); the class of
     the permutation subspaces comes first.  The group is generated by the
     swap T -> T^t of the two halves and by a transposition and a t-cycle
     of the copies on the left (conjugating by the swap moves them to the
@@ -152,51 +135,59 @@ def sigma_classes(t: int, d: int) -> tuple[tuple[int, ...], ...]:
 # Clifford orbit moments and design construction
 # ---------------------------------------------------------------------------
 
+def _moments(fiducials, bases: np.ndarray, n: int, d: int) -> np.ndarray:
+    """out[f, i] = tr[R(T_i)^dag (|psi_f><psi_f|)^{x t}] for a (m, t, 2t)
+    stack of bases, from one `R_support` table."""
+    t = bases.shape[2] // 2
+    rows, cols = R_support(bases, n, d)
+    out = []
+    for psi in fiducials:
+        v = kron_power_vec(np.asarray(psi, dtype=complex), t)
+        out.append([np.vdot(v[c], v[r]) for r, c in zip(rows, cols)])
+    m = np.array(out)
+    if np.abs(m.imag).max() > 1e-9:
+        raise ValueError("moment inner products came out non-real")
+    return m.real
+
+
 def orbit_moment_vector(psi: np.ndarray, t: int, n: int, d: int) -> np.ndarray:
     """m_T = tr[R(T)^dag (|psi><psi|)^{x t}] over all T, in enumeration order.
 
     These inner products are invariant under the Clifford twirl, so they
     determine the twirled moment operator completely.
     """
-    rows, cols = R_support(sigma_stack(t, d), n, d)
-    v = kron_power_vec(np.asarray(psi, dtype=complex), t)
-    m = np.array([np.vdot(v[c], v[r]) for r, c in zip(rows, cols)])
-    if np.abs(m.imag).max() > 1e-9:
-        raise ValueError("moment inner products came out non-real")
-    return m.real
+    return _moments([psi], sigma_stack(t, d), n, d)[0]
 
 
-def orbit_coefficients(psi: np.ndarray, t: int, n: int, d: int) -> np.ndarray:
-    """gamma with E_U[(U|psi><psi|U^dag)^{x t}] = sum_T gamma_T R(T).
+@lru_cache(maxsize=None)
+def class_gram(t: int, n: int, d: int) -> np.ndarray:
+    """Read-only H[k, l] = sum_{j in class l} |T_k cap T_j|^n as Python
+    ints, for T_k the first member of class k of `sigma_classes`.
 
-    Solves the Gram system tr[R(T)^dag R(T')] gamma = m in the least-squares
-    sense; below n = t - 1 the R(T) are linearly dependent and the returned
-    gamma is the minimum-norm representative.
+    Row k is the Gram matrix tr[R(T_i)^dag R(T_j)] of any T_i in class k
+    summed over each class, so H g is the Gram product of the coefficients
+    g_l on class l.  The points of each T_k are marked in a K x d^{2t}
+    table, which the cap guards; those of the T_j come from
+    `R_support(., 1, d)` (which guards each block of `_CLASS_BLOCK`).
     """
-    G = R_gram(stochastic_lagrangians(t, d), n)
-    m = orbit_moment_vector(psi, t, n, d)
-    gamma, *_ = np.linalg.lstsq(G, m, rcond=None)
-    return gamma
-
-
-def class_coefficients(gamma: np.ndarray, t: int, d: int) -> np.ndarray:
-    """Collapse a coefficient vector that is constant on each class, to 1e-9."""
-    classes = sigma_classes(t, d)
-    out = np.empty(len(classes))
-    for i, cls in enumerate(classes):
-        vals = gamma[list(cls)]
-        if np.ptp(vals) > 1e-9:
-            raise ValueError("coefficients are not constant on a class")
-        out[i] = vals.mean()
-    return out
-
-
-def design_gap(gamma: np.ndarray, t: int, n: int, d: int, G=None) -> float:
-    """Frobenius distance of a commutant operator to the Haar moment."""
-    Ts = stochastic_lagrangians(t, d)
-    if G is None:
-        G = R_gram(Ts, n)
-    return frobenius_distance(gamma, haar_moment_coefficients(t, n, d), G)
+    bases, classes = sigma_stack(t, d), sigma_classes(t, d)
+    K, size = len(classes), d**t
+    check_dim(square_side(K * size * size))
+    label = np.empty(len(bases), dtype=np.int64)
+    label[np.concatenate(classes)] = np.repeat(np.arange(K), [len(c) for c in classes])
+    rows, cols = R_support(bases[[cls[0] for cls in classes]], 1, d)
+    marked = np.zeros((K, size * size), dtype=bool)
+    marked[np.arange(K)[:, None], rows * size + cols] = True
+    # meets[k, l, c]: how many T_j of class l meet T_k in c points
+    meets = np.zeros(K * K * (size + 1), dtype=np.int64)
+    for lo in range(0, len(bases), _CLASS_BLOCK):
+        rows, cols = R_support(bases[lo:lo + _CLASS_BLOCK], 1, d)
+        points, block_label = rows * size + cols, label[lo:lo + len(rows)]
+        for k in range(K):
+            c = np.count_nonzero(marked[k][points], axis=1)
+            meets += np.bincount((k * K + block_label) * (size + 1) + c, minlength=len(meets))
+    powers = np.array([c**n for c in range(size + 1)], dtype=object)
+    return freeze(meets.reshape(K, K, size + 1).astype(object) @ powers)
 
 
 def find_design_weights(fiducials, t: int, n: int, d: int) -> np.ndarray:
@@ -207,20 +198,15 @@ def find_design_weights(fiducials, t: int, n: int, d: int) -> np.ndarray:
     constant on equivalence classes, so one constraint per class beyond the
     permutation class suffices (that one is implied by normalization).  A
     basic feasible solution then has support at most the number of classes.
+    The Haar products are `_haar_weight` times column 0 of the `class_gram`.
     The weights are the basic non-negative least-squares solution of those
     constraints; a residual above `_DESIGN_ATOL` raises `InfeasibleDesign`.
     """
-    Ts = stochastic_lagrangians(t, d)
-    classes = sigma_classes(t, d)
-    reps = [cls[0] for cls in classes]
-    G = R_gram(Ts, n)
-    m_haar = G @ haar_moment_coefficients(t, n, d)
-    moments = np.array(
-        [orbit_moment_vector(psi, t, n, d)[reps] for psi in fiducials]
-    )  # (K, M)
-    K = len(fiducials)
-    A_eq = np.vstack([moments[:, 1:].T, np.ones((1, K))])
-    b_eq = np.concatenate([m_haar[reps][1:], [1.0]])
+    reps = [cls[0] for cls in sigma_classes(t, d)]
+    moments = _moments(fiducials, sigma_stack(t, d)[reps], n, d)  # (fiducials, K)
+    m_haar = _haar_weight(t, n, d) * class_gram(t, n, d)[:, 0].astype(float)
+    A_eq = np.vstack([moments[:, 1:].T, np.ones((1, len(fiducials)))])
+    b_eq = np.concatenate([m_haar[1:], [1.0]])
     p = _nnls(A_eq, b_eq)
     residual = float(np.linalg.norm(A_eq @ p - b_eq))
     if residual > _DESIGN_ATOL:
@@ -230,14 +216,17 @@ def find_design_weights(fiducials, t: int, n: int, d: int) -> np.ndarray:
 
 def mixture_design_gap(fiducials, weights, t: int, n: int, d: int) -> float:
     """Frobenius distance of a weighted twirled-orbit mixture to the Haar
-    moment, computed through moment vectors in the commutant span."""
-    Ts = stochastic_lagrangians(t, d)
-    G = R_gram(Ts, n)
-    m_mix = sum(
-        w * orbit_moment_vector(psi, t, n, d) for w, psi in zip(weights, fiducials)
-    )
-    gamma = np.linalg.lstsq(G, m_mix, rcond=None)[0]
-    return design_gap(gamma, t, n, d, G=G)
+    moment: for m its class moments, H the `class_gram` and g solving
+    H g = m - m_Haar, the square is sum_k |class k| g_k (m - m_Haar)_k.  The
+    least-norm g of `lstsq` keeps a singular H from lifting m's rounding."""
+    classes = sigma_classes(t, d)
+    m = np.asarray(weights, dtype=float) @ _moments(
+        fiducials, sigma_stack(t, d)[[cls[0] for cls in classes]], n, d)
+    H = class_gram(t, n, d).astype(float)
+    dm = m - _haar_weight(t, n, d) * H[:, 0]
+    g = np.linalg.lstsq(H, dm, rcond=None)[0]
+    gap2 = sum(len(cls) * g_k * dm_k for cls, g_k, dm_k in zip(classes, g, dm))
+    return float(np.sqrt(max(gap2, 0.0)))
 
 
 def qutrit_fiducial_angle(n: int) -> float:

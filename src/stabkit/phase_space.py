@@ -301,5 +301,6 @@ def kron_power_rows(vs: np.ndarray, k: int) -> np.ndarray:
 
 
 def kron_power_vec(v: np.ndarray, k: int) -> np.ndarray:
-    """v^{(x) k}, with a hard cap on the dimension."""
-    return kron_power_rows(v, k)[0]
+    """v^{(x) k}; the cap guards its dim^k entries as a square of as many."""
+    check_dim(square_side(np.size(v) ** k))
+    return functools.reduce(np.multiply.outer, [np.ravel(v)] * k, np.ones((), complex)).ravel()

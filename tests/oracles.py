@@ -5,8 +5,10 @@ Clifford gates, projectors, permutation and POVM operators on tensor
 powers, R(T) as scipy sparse matrices, phase-space functions from the
 outer product of a state and np.fft, the Weyl action by einsums and a
 complex exp) where the library gathers, counts with numpy, reads tables
-or uses a closed formula, or enumerates Sigma_{t,t}(d) by another
-construction.  Tests compare the two.
+or uses a closed formula, enumerates Sigma_{t,t}(d) by another
+construction, or computes design quantities over all of Sigma_{t,t}(d)
+through the full Gram matrix where the library works in class space.
+Tests compare the two.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from functools import reduce
 import numpy as np
 import scipy.sparse as sp
 
-from stabkit import phase_space, stabilizer
+from stabkit import commutant, phase_space, stabilizer
 from stabkit.clifford import _ATOL, fourier_gate, phase_gate
-from stabkit.commutant import R_support, permutation_matrix
+from stabkit.commutant import R_support, permutation_matrix, subspace_from_matrix
 from stabkit.gf import (
     Subspace,
     _place_values,
@@ -32,6 +34,14 @@ from stabkit.gf import (
     gram_symplectic,
     rref_stack,
     symplectic_form,
+)
+from stabkit.definetti import _nnls
+from stabkit.moments import (
+    _DESIGN_ATOL,
+    InfeasibleDesign,
+    haar_moment_coefficients,
+    orbit_moment_vector,
+    sigma_classes,
 )
 from stabkit.phase_space import (
     capped_cache,
@@ -525,3 +535,88 @@ def symmetrizer(t: int, subdim: int) -> np.ndarray:
     for perm in itertools.permutations(range(t)):
         acc += permutation_operator(perm, subdim)
     return acc / math.factorial(t)
+
+
+# ---------------------------------------------------------------------------
+# design quantities over all of Sigma_{t,t}(d), through the full Gram matrix
+# ---------------------------------------------------------------------------
+
+def permutation_subspaces(t: int, d: int) -> dict[Subspace, tuple[int, ...]]:
+    """Map T_pi -> pi over all permutations of t copies."""
+    out = {}
+    for perm in itertools.permutations(range(t)):
+        out[subspace_from_matrix(permutation_matrix(perm), d)] = perm
+    return out
+
+
+def frobenius_distance(gamma1: np.ndarray, gamma2: np.ndarray, G: np.ndarray) -> float:
+    """|| sum (gamma1 - gamma2)_T R(T) ||_F through the Gram matrix."""
+    diff = np.asarray(gamma1) - np.asarray(gamma2)
+    val = diff @ G @ diff
+    return float(np.sqrt(max(val.real, 0.0)))
+
+
+def orbit_coefficients(psi: np.ndarray, t: int, n: int, d: int) -> np.ndarray:
+    """gamma with E_U[(U|psi><psi|U^dag)^{x t}] = sum_T gamma_T R(T).
+
+    Solves the Gram system tr[R(T)^dag R(T')] gamma = m in the least-squares
+    sense; below n = t - 1 the R(T) are linearly dependent and the returned
+    gamma is the minimum-norm representative.
+    """
+    G = commutant.R_gram(commutant.stochastic_lagrangians(t, d), n)
+    m = orbit_moment_vector(psi, t, n, d)
+    gamma, *_ = np.linalg.lstsq(G, m, rcond=None)
+    return gamma
+
+
+def class_coefficients(gamma: np.ndarray, t: int, d: int) -> np.ndarray:
+    """Collapse a coefficient vector that is constant on each class, to 1e-9."""
+    classes = sigma_classes(t, d)
+    out = np.empty(len(classes))
+    for i, cls in enumerate(classes):
+        vals = gamma[list(cls)]
+        if np.ptp(vals) > 1e-9:
+            raise ValueError("coefficients are not constant on a class")
+        out[i] = vals.mean()
+    return out
+
+
+def design_gap(gamma: np.ndarray, t: int, n: int, d: int, G=None) -> float:
+    """Frobenius distance of a commutant operator to the Haar moment."""
+    Ts = commutant.stochastic_lagrangians(t, d)
+    if G is None:
+        G = commutant.R_gram(Ts, n)
+    return frobenius_distance(gamma, haar_moment_coefficients(t, n, d), G)
+
+
+def design_constraints(fiducials, t: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The equality constraints A_eq p = b_eq of find_design_weights, from
+    the full Gram matrix and moment vectors read at the class representatives."""
+    reps = [cls[0] for cls in sigma_classes(t, d)]
+    G = commutant.R_gram(commutant.stochastic_lagrangians(t, d), n)
+    m_haar = G @ haar_moment_coefficients(t, n, d)
+    moments = np.array([orbit_moment_vector(psi, t, n, d)[reps] for psi in fiducials])
+    A_eq = np.vstack([moments[:, 1:].T, np.ones((1, len(fiducials)))])
+    return A_eq, np.concatenate([m_haar[reps][1:], [1.0]])
+
+
+def find_design_weights(fiducials, t: int, n: int, d: int) -> np.ndarray:
+    """`moments.find_design_weights` with the Haar products and the
+    fiducial moments read off the full Gram matrix and moment vectors."""
+    A_eq, b_eq = design_constraints(fiducials, t, n, d)
+    p = _nnls(A_eq, b_eq)
+    residual = float(np.linalg.norm(A_eq @ p - b_eq))
+    if residual > _DESIGN_ATOL:
+        raise InfeasibleDesign(residual)
+    return p / p.sum()
+
+
+def mixture_design_gap(fiducials, weights, t: int, n: int, d: int) -> float:
+    """Frobenius distance of a weighted twirled-orbit mixture to the Haar
+    moment, through moment vectors over all of Sigma and the full Gram."""
+    G = commutant.R_gram(commutant.stochastic_lagrangians(t, d), n)
+    m_mix = sum(
+        w * orbit_moment_vector(psi, t, n, d) for w, psi in zip(weights, fiducials)
+    )
+    gamma = np.linalg.lstsq(G, m_mix, rcond=None)[0]
+    return design_gap(gamma, t, n, d, G=G)

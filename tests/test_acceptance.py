@@ -30,7 +30,6 @@ from stabkit.commutant import (
 )
 from stabkit.gf import Subspace
 from stabkit.moments import (
-    design_gap,
     find_design_weights,
     minimal_projector,
     mixture_design_gap,
@@ -58,7 +57,7 @@ from stabkit.definetti import (
     random_span_coefficients,
 )
 
-from oracles import anti_identity_operator
+from oracles import anti_identity_operator, design_gap
 
 
 def _haar_state(dim, rng):

@@ -104,6 +104,20 @@ def test_design_command_qutrit(capsys):
     assert gaps and float(gaps[0]["measured"]) < 1e-8
 
 
+@pytest.mark.parametrize("t,n", [(6, 2), (7, 1), (7, 2)])
+def test_design_command_qubits_in_class_space(capsys, monkeypatch, t, n):
+    # |0...0>, the T-state product and six Haar states give 6- and 7-designs
+    # under the default cap; at (7, 1) the class Gram is singular (rank 3 of
+    # 6), and the gap stays at rounding level, far below the 1e-8 to pass
+    monkeypatch.delenv("STABKIT_DIM_CAP", raising=False)
+    argv = ["design", "--t", str(t), "--n", str(n), "--d", "2", "--seed", "0"]
+    code, out = _capture(capsys, argv)
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert [(r["name"], r["status"]) for r in records] == [("design", "pass")]
+    assert records[0]["measured"] < 1e-12
+
+
 def test_design_command_without_weights_is_one_failed_record(capsys):
     # the eight Haar fiducials of seed 0 admit no qutrit 4-design (linprog
     # agrees, see test_definetti_routes): one failed record, no traceback

@@ -12,7 +12,9 @@ basis indices (or index pairs) under a generating set, and has one
 
 scipy.optimize is the oracle of the numpy solvers: `scipy.optimize.nnls`
 of `_nnls`, `linprog` of the feasibility of `find_design_weights`, and
-`brentq` of the bisection in `qutrit_fiducial_angle`.
+`brentq` of the bisection in `qutrit_fiducial_angle`.  The design
+constraints, weights and gaps over all of Sigma through the full Gram
+matrix (`oracles`) are the oracle of the class-space design route.
 """
 
 from __future__ import annotations
@@ -40,19 +42,19 @@ from stabkit.definetti import (
     stab_power_decompose,
     trace_distance,
 )
-from stabkit.cli import _haar_state
-from stabkit.commutant import R_gram, css_subspace, r_matrix, stochastic_lagrangians
+from stabkit.cli import _design_fiducials, _haar_state
+from stabkit.commutant import css_subspace, r_matrix
 from stabkit.gf import Subspace, all_vectors
 from stabkit.moments import (
     InfeasibleDesign,
     find_design_weights,
-    haar_moment_coefficients,
-    orbit_moment_vector,
+    mixture_design_gap,
     qutrit_fiducial_angle,
-    sigma_classes,
 )
 from stabkit.phase_space import kron_power_rows, kron_power_vec, linear_index_map
 from stabkit.stabilizer import all_stabilizer_states
+
+import oracles
 
 
 # --- oracles ----------------------------------------------------------------
@@ -370,23 +372,14 @@ def test_nnls_matches_scipy_on_the_anti_identity_shape(kind):
     assert abs(f - g) <= 1e-10 * max(g, 1e-6 * (b @ b))
 
 
-def _design_constraints(fiducials, t, n, d):
-    """The equality constraints A_eq p = b_eq of find_design_weights."""
-    reps = [cls[0] for cls in sigma_classes(t, d)]
-    G = R_gram(stochastic_lagrangians(t, d), n)
-    m_haar = G @ haar_moment_coefficients(t, n, d)
-    moments = np.array([orbit_moment_vector(psi, t, n, d)[reps] for psi in fiducials])
-    A_eq = np.vstack([moments[:, 1:].T, np.ones((1, len(fiducials)))])
-    return A_eq, np.concatenate([m_haar[reps][1:], [1.0]])
-
-
 def _fiducial(n):
     theta = qutrit_fiducial_angle(n)
     return kron_power_vec(np.array([np.cos(theta), -np.sin(theta), 0.0]), n)
 
 
 def _haar_fiducials(d, n, seed):
-    """The eight fiducials of `stabkit design` for this seed."""
+    """Eight Haar fiducials for this seed: the set of `stabkit design`
+    except for qutrit 3-designs and for qubits at t >= 4."""
     rng = np.random.default_rng(seed)
     return [_haar_state(rng, d**n) for _ in range(8)]
 
@@ -407,6 +400,8 @@ DESIGN_CASES = {
     "haar-t4-n1-d2": (lambda: _haar_fiducials(2, 1, 0), 4, 1, 2, True),
     "haar-t3-n2-d2": (lambda: _haar_fiducials(2, 2, 0), 3, 2, 2, True),
     "haar-t4-n1-d3": (lambda: _haar_fiducials(3, 1, 0), 4, 1, 3, False),
+    "cli-qubit-t4-n3": (lambda: _design_fiducials(4, 3, 2, 0), 4, 3, 2, True),
+    "cli-qubit-t5-n2": (lambda: _design_fiducials(5, 2, 2, 0), 5, 2, 2, True),
 }
 
 
@@ -414,7 +409,7 @@ DESIGN_CASES = {
 def test_design_feasibility_matches_linprog(case):
     make, t, n, d, feasible = DESIGN_CASES[case]
     fiducials = make()
-    A_eq, b_eq = _design_constraints(fiducials, t, n, d)
+    A_eq, b_eq = oracles.design_constraints(fiducials, t, n, d)
     K = len(fiducials)
     res = linprog(np.zeros(K), A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * K)
     assert res.success == feasible
@@ -428,6 +423,29 @@ def test_design_feasibility_matches_linprog(case):
             find_design_weights(fiducials, t, n, d)
         assert info.value.residual > 1e-9
         assert info.value.residual == pytest.approx(nnls(A_eq, b_eq)[1], rel=1e-8)
+
+
+@pytest.mark.parametrize("case", sorted(DESIGN_CASES))
+def test_class_space_design_matches_full_sigma(case):
+    """Weights, gaps and infeasibility residuals in class space against the
+    same quantities over all of Sigma through the full Gram matrix."""
+    make, t, n, d, feasible = DESIGN_CASES[case]
+    fiducials = make()
+    uniform = np.full(len(fiducials), 1.0 / len(fiducials))
+    weights = [uniform]
+    if feasible:
+        p = find_design_weights(fiducials, t, n, d)
+        assert np.abs(p - oracles.find_design_weights(fiducials, t, n, d)).max() < 1e-12
+        weights.append(p)
+    else:
+        with pytest.raises(InfeasibleDesign) as got:
+            find_design_weights(fiducials, t, n, d)
+        with pytest.raises(InfeasibleDesign) as want:
+            oracles.find_design_weights(fiducials, t, n, d)
+        assert got.value.residual == pytest.approx(want.value.residual, rel=1e-8)
+    for w in weights:
+        gap = mixture_design_gap(fiducials, w, t, n, d)
+        assert abs(gap - oracles.mixture_design_gap(fiducials, w, t, n, d)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

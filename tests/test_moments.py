@@ -9,16 +9,12 @@ import pytest
 
 from stabkit.commutant import R_gram, stochastic_lagrangians
 from stabkit.moments import (
-    class_coefficients,
-    design_gap,
     empirical_stab_moment,
     find_design_weights,
     haar_moment_coefficients,
     minimal_projector,
     mixture_design_gap,
-    orbit_coefficients,
     orbit_moment_vector,
-    permutation_subspaces,
     qutrit_fiducial_angle,
     sigma_classes,
     stab_moment_coefficients,
@@ -28,7 +24,14 @@ from stabkit.moments import (
 from stabkit.phase_space import kron_power_vec
 from stabkit.stabilizer import all_stabilizer_states
 
-from oracles import permutation_operator, symmetrizer
+from oracles import (
+    class_coefficients,
+    design_gap,
+    orbit_coefficients,
+    permutation_operator,
+    permutation_subspaces,
+    symmetrizer,
+)
 
 
 @pytest.mark.parametrize("t,n,d", [(2, 1, 2), (3, 1, 2), (3, 1, 3), (4, 1, 2), (2, 2, 3)])

@@ -15,6 +15,7 @@ members of sup with zeros at the pivot columns of the subspace.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -52,9 +53,11 @@ from stabkit.gf import (
     rref_stack,
     subspaces,
 )
-from stabkit.moments import permutation_subspaces, sigma_classes
+from stabkit.moments import class_gram, sigma_classes, stab_moment_coefficients
 from stabkit.phase_space import DEFAULT_DIM_CAP, ResourceCapError
 from stabkit.stabilizer import lagrangians
+
+import oracles
 
 
 # --- oracles ----------------------------------------------------------------
@@ -160,7 +163,7 @@ def _sigma_classes_bfs(t, d):
             yield index[_right_permute(T, g)]
 
     classes = [tuple(sorted(orbit)) for orbit in _orbits_bfs(range(len(Ts)), neighbours)]
-    first = [c for c in classes if index[next(iter(permutation_subspaces(t, d)))] in c]
+    first = [c for c in classes if index[next(iter(oracles.permutation_subspaces(t, d)))] in c]
     return tuple(first + [c for c in classes if c is not first[0]])
 
 
@@ -405,6 +408,27 @@ def test_gram_of_sigma_7_2_is_refused_by_the_cap(sigma_7_2, monkeypatch):
     monkeypatch.setenv("STABKIT_DIM_CAP", str(DEFAULT_DIM_CAP))
     with pytest.raises(ResourceCapError, match="151470"):
         R_gram(sigma_7_2, 1)
+
+
+@pytest.mark.parametrize("t,n,d", [(4, 3, 2), (4, 2, 3), (5, 1, 2), (3, 2, 3), (2, 1, 5)])
+def test_class_gram_sums_the_full_gram_over_each_class(t, n, d):
+    G = oracles.R_gram(stochastic_lagrangians(t, d), n)
+    classes = sigma_classes(t, d)
+    want = [[int(G[row[0], list(cls)].sum()) for cls in classes] for row in classes]
+    assert class_gram(t, n, d).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "t,n,d,Z", [(4, 3, 2, 8640), (6, 2, 2, 230400), (7, 2, 2, 8294400), (7, 3, 2, 132710400)]
+)
+def test_class_gram_rows_sum_to_the_stabilizer_normaliser(t, n, d, Z, request):
+    """Every row of the Gram matrix sums to Z = d^n prod_{k<t-1} (d^k + d^n),
+    the normaliser of `stab_moment_coefficients`, so every row of H does."""
+    if t == 7:
+        request.getfixturevalue("sigma_7_2")  # its teardown drops the t = 7 caches
+    assert Z == d**n * math.prod(d**k + d**n for k in range(t - 1))
+    assert Z * stab_moment_coefficients(t, n, d)[0] == pytest.approx(1.0, rel=1e-15)
+    assert class_gram(t, n, d).sum(axis=1).tolist() == [Z] * len(sigma_classes(t, d))
 
 
 @pytest.mark.parametrize("t,d", [(6, 2), (5, 3)])
