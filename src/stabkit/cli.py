@@ -112,11 +112,9 @@ def _check_sigma_count(t: int, d: int):
 def _check_commutator(t: int, d: int, n: int):
     """The largest residual of [R(T), U^{x t}] over Sigma_{t,t}(d) and the
     Clifford generators U on n qudits."""
-    from .commutant import commutes_with_clifford, stochastic_lagrangians
+    from .commutant import commutator_residuals, sigma_stack
 
-    worst = max(
-        commutes_with_clifford(T, n, d)["max_norm"] for T in stochastic_lagrangians(t, d)
-    )
+    worst = float(commutator_residuals(sigma_stack(t, d), n, d).max())
     return worst < 1e-9, worst, 1e-9
 
 

@@ -9,18 +9,21 @@ contains the all-ones vector (1, ..., 1).  The operators
 
 span the commutant of the t-th tensor power of the Clifford group.  The
 set Sigma_{t,t}(d) of such T is enumerated constructively: a T is a triple
-(N, M, J) of two defect subspaces and an isometry between their quotients.
+(N, M, J) of two defect subspaces and an isometry between their quotients,
+the isometries of all pairs of one defect dimension extended at once.
 
 Every R(T) quantity comes from one integer table, `R_support`: the flat
 (row, column) indices of the nonzeros of each R(T), and numpy alone.
 Operators and weighted sums are one `np.bincount` of it into a dense
 array, expectations gather amplitudes through it, the Gram matrix is one
 product of the incidence matrix it defines on the points that lie in two
-or more T, and the commutation check applies R(T) as a gather of its rows.
+or more T, and the commutation check applies R(T) as a gather of its rows,
+for a block of T at once.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,7 +51,7 @@ from .gf import (
     rref_stack,
     solve,
 )
-from .phase_space import check_dim, freeze, kron_power_vec, square_side
+from .phase_space import capped_cache, check_dim, freeze, kron_power_vec, square_side
 
 __all__ = [
     "defect_subspaces",
@@ -81,6 +84,7 @@ __all__ = [
     "anti_permutation",
     "is_member_O",
     "linear_independence_check",
+    "commutator_residuals",
     "commutes_with_clifford",
 ]
 
@@ -140,85 +144,118 @@ def _quotient_sources(t: int, d: int, M: Subspace):
     return src, (src * src).sum(axis=1) % D, (src @ src.T) % d, forced
 
 
-def _quotient_isometries(images, sources) -> np.ndarray:
-    """All isometries J : M^perp/M -> N^perp/N with J[1] = [1].
+def _quotient_isometries(images, sources, d: int):
+    """All isometries J : M^perp/M -> N^perp/N with J[1] = [1], for every
+    pair (N, M) of an N from one list of defects and an M from another.
 
-    `images` and `sources` are `_quotient_images(N)` and
-    `_quotient_sources(M)`.  Returns an (isometries, m, t) array: entry
-    [i, j] represents J c_j under isometry i, for the complement basis
-    (c_1, ..., c_m) of M inside M^perp.  The quadratic
-    form q mod D and the dot product mod d both descend to the quotients,
-    so it is enough to match them on representatives.  The dot product is
-    nondegenerate on M^perp/M (the radical of M^perp is M), so images
-    matching every dot are independent in N^perp/N: a rank check would
-    only prune branches that cannot be completed.  Partial isometries are
-    extended by `extend_tuples`, one source vector at a time.
+    `images` and `sources` are lists of `_quotient_images(N)` and
+    `_quotient_sources(M)` over defects of one dimension that agree on
+    whether they hold the all-ones vector, so that every table has the
+    same length and every source basis the same size m.  Returns
+    (which_N, which_M, chosen): isometry i maps the complement basis
+    (c_1, ..., c_m) of M_{which_M[i]} inside its M^perp to the table
+    rows chosen[i] of N_{which_N[i]}, pair after pair (N outer).
+
+    The quadratic form q mod D and the dot product mod d both descend to
+    the quotients, so it is enough to match them on representatives.  The
+    dot product is nondegenerate on M^perp/M (the radical of M^perp is M),
+    so images matching every dot are independent in N^perp/N: a rank
+    check would only prune branches that cannot be completed.  The
+    partial isometries of every pair are extended at once by
+    `extend_tuples`, one source vector at a time, each frontier row
+    carrying its pair: N's dot table gives the values, M's source dots
+    the wanted dots, and the q-values of both the slot masks.
     """
-    table, table_q, table_dots, hits_ones = images
-    src, src_q, src_dots, forced = sources
-    last = len(table) - 1
-    if forced:
+    narrow = np.min_scalar_type(form_modulus(d) - 1)
+    table_q = np.stack([image[1] for image in images]).astype(narrow)
+    table_dots = np.stack([image[2] for image in images]).astype(narrow)
+    src_q = np.stack([source[1] for source in sources]).astype(narrow)
+    src_dots = np.stack([source[2] for source in sources]).astype(narrow)
+    which_N, which_M = np.divmod(np.arange(len(images) * len(sources)), len(sources))
+    last = table_q.shape[1] - 1
+    if sources[0][3]:
         # J[1] = [1]: the image of the first source vector (the all-ones
         # vector itself) must represent the class of 1 in N^perp/N
-        chosen = np.full((int(hits_ones), 1), last)
+        hits_ones = np.array([image[3] for image in images], dtype=bool)
+        pairs = np.flatnonzero(hits_ones[which_N])
+        chosen = np.full((len(pairs), 1), last)
     else:
-        chosen = np.zeros((1, 0))
-    slot_ok = (table_q == src_q[:, None]) & (np.arange(len(table)) < last)
-    return table[extend_tuples(chosen, table_dots, src_dots, slot_ok)]
+        pairs = np.arange(len(which_N))
+        chosen = np.zeros((len(pairs), 0))
+    slot_ok = table_q[which_N][:, None, :] == src_q[which_M][:, :, None]
+    slot_ok[:, :, last] = False
+    chosen, pair = extend_tuples(chosen, table_dots[which_N], src_dots[which_M], slot_ok, pairs)
+    return which_N[pair], which_M[pair], chosen
 
 
-def _defect_rows(N: Subspace, M: Subspace, images, src) -> np.ndarray:
-    """Spanning rows of span({(x_i, c_i)} U {(n, 0) : n in N} U {(0, m) : m in M}).
+def _defect_rows(out, images, src, N_basis, M_basis) -> None:
+    """Write the spanning rows of span({(x_i, c_i)} U {(n, 0) : n in N} U
+    {(0, m) : m in M}) of a stack of T into `out`.
 
-    images has shape (count, m, t): one choice of the x_i per T.  Returns
-    the (count, m + dim N + dim M, 2t) stack of their spanning sets.
+    out has shape (count, m + dim N + dim M, 2t) and any integer type
+    that holds [0, d); images (the x_i) and src (the c_i) broadcast to
+    (count, m, t), N_basis and M_basis to (count, dim N, t) and
+    (count, dim M, t).
     """
-    t = N.ambient
-    count, m = images.shape[:2]
-    rows = np.zeros((count, m + N.dim + M.dim, 2 * t), dtype=np.int64)
-    rows[:, :m, :t] = images
-    rows[:, :m, t:] = src
-    rows[:, m:m + N.dim, :t] = N.basis
-    rows[:, m + N.dim:, t:] = M.basis
-    return rows
+    m, k, t = np.shape(images)[-2], np.shape(N_basis)[-2], out.shape[2] // 2
+    out[:, :m, :t] = images
+    out[:, :m, t:] = src
+    out[:, m:m + k, :t] = N_basis
+    out[:, m:m + k, t:] = 0
+    out[:, m + k:, :t] = 0
+    out[:, m + k:, t:] = M_basis
 
 
 def _from_defects(N: Subspace, M: Subspace, images, src) -> Subspace:
     """span({(x_i, c_i)} U {(n, 0) : n in N} U {(0, m) : m in M}) in Z_d^{2t}."""
     t = N.ambient
-    rows = _defect_rows(N, M, np.reshape(images, (1, -1, t)), np.reshape(src, (-1, t)))
+    images, src = np.reshape(images, (-1, t)), np.reshape(src, (-1, t))
+    rows = np.empty((1, len(images) + N.dim + M.dim, 2 * t), dtype=np.int64)
+    _defect_rows(rows, images, src, N.basis, M.basis)
     return Subspace(rows[0], N.d, 2 * t)
 
 
-@lru_cache(maxsize=None)
+@capped_cache(lambda t, d: square_side(sigma_count_formula(t, d) * t * 2 * t), maxsize=None)
 def sigma_stack(t: int, d: int) -> np.ndarray:
     """All of Sigma_{t,t}(d) as one read-only (m, t, 2t) stack of canonical
     bases, in key order, in the integer type np.min_scalar_type(d - 1).
 
     Every T has t spanning rows (dim M^perp/M = t - 2 dim M), so the rows
-    of all (N, M, J) stack into one array that is canonicalised at once
-    and ordered by the canonical key with one lexsort.
+    of all (N, M, J) are written into one array of the narrow type, which
+    is canonicalised at once and ordered by the canonical key with one
+    lexsort.  The isometries come from one `_quotient_isometries` call per
+    defect dimension and ones-class.  The cap guards the stack's
+    m t 2t entries, m = `sigma_count_formula(t, d)`, as a square of as
+    many, before anything is built, and before a cached stack is
+    returned.
     """
     ones = np.ones(t, dtype=np.int64)
     narrow = np.min_scalar_type(d - 1)
-    blocks = []
+    rows = np.empty((sigma_count_formula(t, d), t, 2 * t), dtype=narrow)
+    filled = 0
     for k in range(t // 2 + 1):
         defects = defect_subspaces(t, d, k)
-        # quotient data depends on one defect only: compute it once per defect
-        has_ones = [N.contains(ones) for N in defects]
-        images = [_quotient_images(t, d, N) for N in defects]
-        sources = [_quotient_sources(t, d, M) for M in defects]
-        for N, N_ones, image in zip(defects, has_ones, images):
-            for M, M_ones, source in zip(defects, has_ones, sources):
-                if N_ones != M_ones:
-                    continue
-                rows = _defect_rows(N, M, _quotient_isometries(image, source), source[0])
-                blocks.append(rows.astype(narrow))
-    reduced = rref_stack(np.concatenate(blocks), d)
+        has_ones = np.array([N.contains(ones) for N in defects], dtype=bool)
+        for members in (np.flatnonzero(has_ones), np.flatnonzero(~has_ones)):
+            if not len(members):
+                continue
+            # quotient data depends on one defect only: computed once per defect
+            group = [defects[i] for i in members]
+            images = [_quotient_images(t, d, N) for N in group]
+            sources = [_quotient_sources(t, d, M) for M in group]
+            which_N, which_M, chosen = _quotient_isometries(images, sources, d)
+            tables = np.stack([image[0] for image in images]).astype(narrow)
+            src = np.stack([source[0] for source in sources]).astype(narrow)
+            bases = np.stack([N.basis for N in group]).astype(narrow)
+            _defect_rows(rows[filled:filled + len(chosen)], tables[which_N[:, None], chosen],
+                         src[which_M], bases[which_N], bases[which_M])
+            filled += len(chosen)
+    assert filled == len(rows)
+    reduced = rref_stack(rows, d)
+    del rows
     assert reduced[:, -1].any(axis=1).all()  # every T has dimension t
     # with equal dimensions the key order is the order of the flattened bases
     flat = reduced.reshape(len(reduced), -1)
-    assert len(flat) == sigma_count_formula(t, d)
     return freeze(reduced[np.lexsort(flat.T[::-1])])
 
 
@@ -732,49 +769,105 @@ def linear_independence_check(t: int, d: int, n: int) -> int:
     return rank
 
 
-def commutes_with_clifford(T: Subspace, n: int, d: int) -> dict:
-    """Residuals of [R(T), U^{x t}] over the Clifford generators U.
+# bytes per block of T in `commutator_residuals`: per T, the three columns
+# R v of the moved block and their images under one generator letter; a
+# block's support tables, gathers and letter temporaries take a small
+# multiple of it
+_COMMUTATOR_BLOCK_BYTES = 2**20
 
-    Matrix-free, at every n: three seeded unit probes v, drawn once, and
-    their images R v are moved by U^{x t} for each generator letter, the
-    same letter on qudit c n + i of every copy c applied as one word by
-    `clifford._apply_letters` (the t copies of a P or CADD letter form one
-    monomial run, so one row scatter), and the residual is
-    max |R U^{x t} v - U^{x t} R v|.
 
-    R(T) acts as a gather.  For x in the projection of T to its first
-    half, the y with (x, y) in T form a coset of the right defect, so with
-    the support sorted by row every nonzero row of R(T) holds the same
-    number k of ones: (R v)[x] is the sum of k gathered rows of v, placed
-    into the nonzero rows only.  The cap guards d^{tn}, the probes' length.
-    """
-    from .clifford import _apply_letters, generator_letters
-
-    t = T.ambient // 2
-    dim = d ** (t * n)
-    check_dim(dim)
-    rows, cols = R_support([T], n)
-    order = np.argsort(rows[0], kind="stable")
-    rows, cols = rows[0][order], cols[0][order]
-    k = int(np.searchsorted(rows, rows[0], side="right"))
-    targets, src = rows[::k], cols.reshape(-1, k).T  # src: (k, nonzero rows)
-
-    def apply_R(V):
-        gathered = np.take(V, src, axis=0).sum(axis=0)
-        if len(targets) == dim:
-            return gathered
-        out = np.zeros_like(V)
-        out[targets] = gathered
-        return out
-
-    # three probes v, then R v: one pass of U^{x t} over all six per letter
+@lru_cache(maxsize=16)
+def _probes(dim: int) -> np.ndarray:
+    """The three unit probes of `commutator_residuals` on C^dim, drawn
+    with `default_rng(0)`, as a read-only (dim, 3) array."""
     rng = np.random.default_rng(0)
     probes = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
     probes /= np.linalg.norm(probes, axis=0)
-    block = np.hstack([probes, apply_R(probes)])
-    worst = 0.0
-    for kind, *qudits in generator_letters(n):
-        copies = [(kind, *[c * n + i for i in qudits]) for c in range(t)]
-        moved = _apply_letters(copies, block, t * n, d)
-        worst = max(worst, float(np.abs(apply_R(moved[:, :3]) - moved[:, 3:]).max()))
-    return {"t": t, "n": n, "d": d, "max_norm": worst, "passed": worst < 1e-9}
+    return freeze(probes)
+
+
+def _gather_groups(rows: np.ndarray, cols: np.ndarray):
+    """R(T_b) for each T_b of a block as gathers, from its `R_support` tables.
+
+    For x in the projection of T to its first half, the y with (x, y) in
+    T form a coset of the right defect, so with its support sorted by row
+    every nonzero row of R(T) holds the same number k of ones: (R v)[x] is
+    the sum of k gathered rows of v.  The T of one k are gathered at once.
+    Returns (members, targets, src) for each k: the nonzero rows
+    targets[b] of R(T_b), b in members, and the (B, k, nonzero rows) rows
+    src[b] of v they sum.
+    """
+    order = np.argsort(rows, axis=1, kind="stable")
+    each = np.arange(len(rows))[:, None]
+    rows, cols = rows[each, order], cols[each, order]
+    ks = (rows == rows[:, :1]).sum(axis=1)
+    groups = []
+    for k in sorted(set(ks.tolist())):
+        members = np.flatnonzero(ks == k)
+        src = cols[members].reshape(len(members), -1, k).transpose(0, 2, 1)
+        groups.append((members, rows[members, ::k], src))
+    return groups
+
+
+def _gather(V: np.ndarray, targets: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """The (dim, B, 3) stack of R(T_b) V for a (dim, 3) block V and one
+    group of `_gather_groups`."""
+    gathered = V[src].sum(axis=1)  # (B, nonzero rows, 3)
+    if targets.shape[1] == len(V):
+        return gathered.transpose(1, 0, 2)
+    out = np.zeros((len(V), *gathered.shape[::2]), dtype=V.dtype)
+    out[targets, np.arange(len(targets))[:, None]] = gathered
+    return out
+
+
+def commutator_residuals(Ts, n: int, d: int | None = None) -> np.ndarray:
+    """max |R(T) U^{x t} v - U^{x t} R(T) v| for every T, over the Clifford
+    generators U on n qudits and three seeded unit probes v.
+
+    Ts is as in `R_support`: a sequence of Subspace objects, or with d
+    given the (m, k, 2t) stack of their bases (such as `sigma_stack(t, d)`).
+    Matrix-free, at every n: the probes are drawn once per dimension,
+    with `default_rng(0)` (`_probes`).  The T are taken in blocks within
+    _COMMUTATOR_BLOCK_BYTES; for a block, the support tables give R(T_b)
+    as gathers (`_gather_groups`), and the block [v | R_1 v | ... | R_B v],
+    its R_b v ordered by gather group, is moved once per generator letter:
+    the same letter on qudit c n + i of every copy c is applied as one
+    word by `clifford._apply_letters` (the t copies of a P or CADD letter
+    form one monomial run, so one row scatter).  The cap guards d^{tn},
+    the probes' length.
+    """
+    from .clifford import _apply_letters, generator_letters
+
+    m, _, t, modulus = _sizes(Ts, d)
+    dim = modulus ** (t * n)
+    check_dim(dim)
+    probes = _probes(dim)
+    words = [[(kind, *[c * n + i for i in qudits]) for c in range(t)]
+             for kind, *qudits in generator_letters(n)]
+    worst = np.empty(m)
+    step = max(1, _COMMUTATOR_BLOCK_BYTES // (2 * 3 * 16 * dim))
+    for lo in range(0, m, step):
+        groups = _gather_groups(*R_support(Ts[lo:lo + step], n, d))
+        B = min(step, m - lo)
+        block = np.empty((dim, 1 + B, 3), dtype=complex)
+        block[:, 0] = probes
+        # the T of group g take the columns 1 + spans[g] ... spans[g + 1]
+        spans = [0, *itertools.accumulate(len(members) for members, _, _ in groups)]
+        for (_, targets, src), a, b in zip(groups, spans, spans[1:]):
+            block[:, 1 + a:1 + b] = _gather(probes, targets, src)
+        residuals = np.empty((len(words), B))
+        for word, residual in zip(words, residuals):
+            moved = _apply_letters(word, block.reshape(dim, -1), t * n, modulus).reshape(block.shape)
+            for (_, targets, src), a, b in zip(groups, spans, spans[1:]):
+                lhs = _gather(moved[:, 0], targets, src)
+                residual[a:b] = np.abs(lhs - moved[:, 1 + a:1 + b]).max(axis=(0, 2))
+        members = np.concatenate([members for members, _, _ in groups])
+        worst[lo + members] = residuals.max(axis=0)
+    return worst
+
+
+def commutes_with_clifford(T: Subspace, n: int, d: int) -> dict:
+    """Residuals of [R(T), U^{x t}] over the Clifford generators U: the
+    one-T case of `commutator_residuals`."""
+    worst = float(commutator_residuals([T], n)[0])
+    return {"t": T.ambient // 2, "n": n, "d": d, "max_norm": worst, "passed": worst < 1e-9}

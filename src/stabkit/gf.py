@@ -509,27 +509,37 @@ def is_q_isotropic(basis, d: int) -> bool:
 _FRONTIER_BLOCK = 4096
 
 
-def extend_tuples(chosen, values, want, slot_ok) -> np.ndarray:
+def extend_tuples(chosen, values, want, slot_ok, group=None):
     """Every extension of the rows of `chosen` to len(slot_ok) entries.
 
     Entry i of a row is an index c with slot_ok[i, c] and
-    values[row[l], c] == want[i, l] for every earlier entry l.  The rows
-    are extended breadth-first, one entry at a time, for a block of the
-    frontier at once.  Returns an (rows, len(slot_ok)) index array listing
-    the extensions of each row of `chosen` in turn, in lexicographic order.
+    values[row[l], c] == want[i, l] for every earlier entry l.  With
+    `group`, the group of each row of `chosen`, the rows of group g read
+    tables of their own: values, want and slot_ok are then stacks with a
+    leading group axis, read at values[g], want[g] and slot_ok[g], and
+    entries are counted along slot_ok.shape[1].  The rows are extended
+    breadth-first, one entry at a time, for a block of the frontier at
+    once.  Returns an (rows, entries) index array listing the extensions
+    of each row of `chosen` in turn, in lexicographic order, and with
+    `group` the group of each row as well.
     """
+    grouped = group is not None
     chosen = np.asarray(chosen, dtype=np.int64)
-    for i in range(chosen.shape[1], len(slot_ok)):
-        pieces = [np.empty((0, i + 1), dtype=np.int64)]
+    if not grouped:
+        values, want, slot_ok = values[None], want[None], slot_ok[None]
+        group = np.zeros(len(chosen), dtype=np.int64)
+    for i in range(chosen.shape[1], slot_ok.shape[1]):
+        pieces, owners = [np.empty((0, i + 1), dtype=np.int64)], [group[:0]]
         for lo in range(0, len(chosen), _FRONTIER_BLOCK):
-            block = chosen[lo:lo + _FRONTIER_BLOCK]
-            ok = np.repeat(slot_ok[i][None], len(block), axis=0)
+            block, g = chosen[lo:lo + _FRONTIER_BLOCK], group[lo:lo + _FRONTIER_BLOCK]
+            ok = slot_ok[g, i]
             for l in range(i):
-                ok &= values[block[:, l]] == want[i, l]
+                ok &= values[g, block[:, l]] == want[g, i, l][:, None]
             parent, entry = np.nonzero(ok)
             pieces.append(np.concatenate([block[parent], entry[:, None]], axis=1))
-        chosen = np.concatenate(pieces)
-    return chosen
+            owners.append(g[parent])
+        chosen, group = np.concatenate(pieces), np.concatenate(owners)
+    return (chosen, group) if grouped else chosen
 
 
 def echelon_subspaces(gram: np.ndarray, d: int, k: int, admissible) -> tuple[Subspace, ...]:

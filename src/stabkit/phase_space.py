@@ -61,7 +61,7 @@ def square_side(entries: int) -> int:
     return math.isqrt(entries - 1) + 1 if entries else 0
 
 
-def capped_cache(dim, maxsize: int = 16):
+def capped_cache(dim, maxsize: int | None = 16):
     """lru_cache that runs check_dim(dim(*args)) before every lookup.
 
     A cached result is returned only while the cap allows it.  The wrapper

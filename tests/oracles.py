@@ -8,6 +8,9 @@ complex exp) where the library gathers, counts with numpy, reads tables
 or uses a closed formula, enumerates Sigma_{t,t}(d) by another
 construction, or computes design quantities over all of Sigma_{t,t}(d)
 through the full Gram matrix where the library works in class space.
+Where the library works on whole stacks at once, the earlier one-at-a-time
+routes are kept: the quotient isometries of Sigma_{t,t}(d) extended pair by
+pair, and the Clifford commutator moved and gathered one T at a time.
 Tests compare the two.
 """
 
@@ -29,6 +32,7 @@ from stabkit.gf import (
     all_vectors,
     coset_reps,
     echelon_subspaces,
+    extend_tuples,
     flat_index,
     form_modulus,
     gram_symplectic,
@@ -259,6 +263,44 @@ def stochastic_lagrangians(t: int, d: int) -> tuple[Subspace, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Sigma_{t,t}(d) pair by pair
+# ---------------------------------------------------------------------------
+
+def sigma_stack_per_pair(t: int, d: int) -> np.ndarray:
+    """`commutant.sigma_stack` with the quotient isometries of each (N, M)
+    pair extended by their own `extend_tuples` call, one group, and the
+    spanning rows built in int64 per pair."""
+    ones = np.ones(t, dtype=np.int64)
+    blocks = []
+    for k in range(t // 2 + 1):
+        defects = commutant.defect_subspaces(t, d, k)
+        has_ones = [N.contains(ones) for N in defects]
+        images = [commutant._quotient_images(t, d, N) for N in defects]
+        sources = [commutant._quotient_sources(t, d, M) for M in defects]
+        for N, N_ones, (table, table_q, table_dots, hits_ones) in zip(defects, has_ones, images):
+            for M, M_ones, (src, src_q, src_dots, forced) in zip(defects, has_ones, sources):
+                if N_ones != M_ones:
+                    continue
+                last = len(table) - 1
+                if forced:
+                    chosen = np.full((int(hits_ones), 1), last)
+                else:
+                    chosen = np.zeros((1, 0))
+                slot_ok = (table_q == src_q[:, None]) & (np.arange(len(table)) < last)
+                isometries = table[extend_tuples(chosen, table_dots, src_dots, slot_ok)]
+                m = len(src)
+                rows = np.zeros((len(isometries), m + N.dim + M.dim, 2 * t), dtype=np.int64)
+                rows[:, :m, :t] = isometries
+                rows[:, :m, t:] = src
+                rows[:, m:m + N.dim, :t] = N.basis
+                rows[:, m + N.dim:, t:] = M.basis
+                blocks.append(rows.astype(np.min_scalar_type(d - 1)))
+    reduced = rref_stack(np.concatenate(blocks), d)
+    flat = reduced.reshape(len(reduced), -1)
+    return reduced[np.lexsort(flat.T[::-1])]
+
+
+# ---------------------------------------------------------------------------
 # Clifford gates embedded as dense matrices
 # ---------------------------------------------------------------------------
 
@@ -334,6 +376,38 @@ def apply_tensor_power(U: np.ndarray, v: np.ndarray, t: int) -> np.ndarray:
     for axis in range(t):
         w = np.moveaxis(np.tensordot(U, w, axes=([1], [axis])), 0, axis)
     return w.reshape(v.shape)
+
+
+def commutator_residual(T: Subspace, n: int, d: int) -> float:
+    """`commutant.commutator_residuals` for one T: its support sorted by
+    row, R(T) applied by one gather of k rows per nonzero row, and the
+    block [v | R v] of the three `default_rng(0)` probes moved once per
+    generator letter."""
+    from stabkit.clifford import _apply_letters, generator_letters
+
+    t = T.ambient // 2
+    dim = d ** (t * n)
+    rows, cols = R_support([T], n)
+    order = np.argsort(rows[0], kind="stable")
+    rows, cols = rows[0][order], cols[0][order]
+    k = int(np.searchsorted(rows, rows[0], side="right"))
+    targets, src = rows[::k], cols.reshape(-1, k).T  # src: (k, nonzero rows)
+
+    def apply_R(V):
+        out = np.zeros_like(V)
+        out[targets] = np.take(V, src, axis=0).sum(axis=0)
+        return out
+
+    rng = np.random.default_rng(0)
+    probes = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    probes /= np.linalg.norm(probes, axis=0)
+    block = np.hstack([probes, apply_R(probes)])
+    worst = 0.0
+    for kind, *qudits in generator_letters(n):
+        copies = [(kind, *[c * n + i for i in qudits]) for c in range(t)]
+        moved = _apply_letters(copies, block, t * n, d)
+        worst = max(worst, float(np.abs(apply_R(moved[:, :3]) - moved[:, 3:]).max()))
+    return worst
 
 
 def conjugate_weyl_check(U: np.ndarray, n: int, d: int):

@@ -319,6 +319,16 @@ def test_candidate_table_cap_is_one_failed_record(capsys, monkeypatch):
     assert "exceeds cap 8192" in records[0]["measured"]
 
 
+def test_sigma_size_cap_is_one_failed_record(capsys, monkeypatch):
+    # Sigma_{8,8}(2) has 9845550 elements: its stack is refused before it is built
+    monkeypatch.delenv("STABKIT_DIM_CAP", raising=False)
+    code, out = _capture(capsys, ["enumerate-sigma", "--t", "8", "--d", "2"])
+    assert code == 1
+    records = json.loads(out)["records"]
+    assert [r["check_id"] for r in records] == ["resource-cap"]
+    assert "dimension 35500 exceeds cap 8192" in records[0]["measured"]
+
+
 def _emit_oracle(rep: ReportBundle) -> bytes:
     payload = rep.to_json()
     payload["wall_clock"] = None

@@ -8,18 +8,29 @@ row scatter per run of monomial letters.  The
 commutant residual, which applies the t copies of each generator letter
 on the tn qudits as one word, is checked against the earlier route, which applied the dense
 U^{x t} to each probe vector and to its image under R(T), a scipy sparse
-matrix, separately, and against the dense commutator at n = 1.
+matrix, separately, and against the dense commutator at n = 1.  The
+residuals of a whole stack, moved as one block per letter and gathered per
+row multiplicity, are checked against the one-T route.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
 
 from stabkit.clifford import apply_letter, conjugate_weyl_check, generator_letters, random_clifford
-from stabkit.commutant import R_matrix, commutes_with_clifford, right_defect, stochastic_lagrangians
+from stabkit import commutant
+from stabkit.commutant import (
+    R_matrix,
+    commutator_residuals,
+    commutes_with_clifford,
+    right_defect,
+    sigma_stack,
+    stochastic_lagrangians,
+)
 from stabkit.gf import Subspace
 from stabkit.phase_space import phase_points
 
@@ -166,3 +177,54 @@ def test_matrix_free_negative_control(n):
     assert not rep["passed"]
     assert rep["max_norm"] > 1e-3
     assert abs(rep["max_norm"] - _residual_per_vector(NOT_COMMUTANT, n, 2)) < 1e-12
+
+
+def _stack_matches_one_T_route(t, d, n):
+    got = commutator_residuals(sigma_stack(t, d), n, d)
+    sigma = stochastic_lagrangians(t, d)
+    want = np.array([oracles.commutator_residual(T, n, d) for T in sigma])
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-15
+    assert got.max() < 1e-9
+    # the Subspace objects give the stack's residuals
+    assert np.array_equal(commutator_residuals(sigma, n), got)
+
+
+@pytest.mark.parametrize("t,d,n", [(3, 3, 1), (4, 2, 1), (4, 2, 2), (4, 3, 1), (5, 2, 1)])
+def test_stack_residuals_match_one_T_route(t, d, n):
+    _stack_matches_one_T_route(t, d, n)
+
+
+@pytest.mark.parametrize("per_block", [1, 7])
+def test_stack_residuals_in_small_blocks(monkeypatch, per_block):
+    # the 270 T of Sigma_{5,5}(2) at n = 1 (d^{tn} = 32) one by one, and in
+    # blocks of 7, which do not divide 270: the last block holds 4
+    monkeypatch.setattr(commutant, "_COMMUTATOR_BLOCK_BYTES", per_block * 2 * 3 * 16 * 32)
+    _stack_matches_one_T_route(5, 2, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_negative_control_inside_a_stack(n):
+    """NOT_COMMUTANT among elements of Sigma_{3,3}(2): only its residual is large."""
+    Ts = list(stochastic_lagrangians(3, 2))
+    Ts.insert(3, NOT_COMMUTANT)
+    got = commutator_residuals(Ts, n)
+    assert got[3] > 1e-3
+    assert abs(got[3] - _residual_per_vector(NOT_COMMUTANT, n, 2)) < 1e-12
+    assert np.delete(got, 3).max() < 1e-9
+
+
+def test_stack_commutator_memory_stays_within_its_block_budget():
+    """The 4590 T of Sigma_{6,6}(2) at n = 1 take 27 blocks; a block's
+    tables, gathers and moved columns stay within a small multiple of the
+    budget."""
+    stack = sigma_stack(6, 2)
+    commutator_residuals(stack[:1], 1, 2)
+    tracemalloc.start()
+    try:
+        got = commutator_residuals(stack, 1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.max() < 1e-9
+    assert peak < 4 * commutant._COMMUTATOR_BLOCK_BYTES

@@ -10,6 +10,7 @@ subspace once from its RREF pattern and filters candidate rows with numpy.
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from stabkit.gf import (
     rref,
     rref_stack,
 )
+from stabkit.phase_space import ResourceCapError
 from stabkit.stabilizer import lagrangians
 
 import oracles
@@ -180,6 +182,40 @@ def test_sigma_stack_holds_the_bases_in_key_order(t, d):
     stack = sigma_stack(t, d)
     assert stack.dtype == np.min_scalar_type(d - 1)
     assert np.array_equal(stack, np.stack([T.basis for T in stochastic_lagrangians(t, d)]))
+
+
+@pytest.mark.parametrize(
+    "t,d", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3), (5, 3),
+            (4, 5), (3, 7), (2, 11)]
+)
+def test_sigma_stack_matches_pair_by_pair_isometries(t, d):
+    """One isometry extension per defect dimension and ones-class gives
+    the stack of one extension per (N, M) pair, bit for bit."""
+    stack, want = sigma_stack(t, d), oracles.sigma_stack_per_pair(t, d)
+    assert stack.dtype == want.dtype
+    assert np.array_equal(stack, want)
+
+
+def test_cap_guards_sigma_before_allocation(monkeypatch):
+    """Sigma_{8,8}(2) would be a 9845550 x 8 x 16 stack, a square of side
+    35500: refused before any defect is enumerated."""
+    monkeypatch.delenv("STABKIT_DIM_CAP", raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="35500"):
+            sigma_stack(8, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    # a cached stack is returned only while the cap allows it: the 30 x 4 x 8
+    # stack of Sigma_{4,4}(2) is a square of side 31
+    stack = sigma_stack(4, 2)
+    monkeypatch.setenv("STABKIT_DIM_CAP", "30")
+    with pytest.raises(ResourceCapError, match="31"):
+        sigma_stack(4, 2)
+    monkeypatch.setenv("STABKIT_DIM_CAP", "31")
+    assert sigma_stack(4, 2) is stack
 
 
 @pytest.mark.parametrize(
