@@ -32,7 +32,9 @@ import numpy as np
 from .gf import (
     Subspace,
     _place_values,
+    _reduce,
     _subspaces_from_rref,
+    _trailing_span,
     all_vectors,
     coset_reps,
     dot,
@@ -47,7 +49,6 @@ from .gf import (
     orbits,
     quadratic_q,
     quotient_basis,
-    rref,
     rref_stack,
     solve,
 )
@@ -554,8 +555,8 @@ def expectation_R(T: Subspace, psi: np.ndarray, n: int) -> complex:
 # semigroup structure
 # ---------------------------------------------------------------------------
 
-def _compose_rref(T1: Subspace, T2: Subspace) -> tuple[np.ndarray, list[int]]:
-    """RREF of the rows (y, x, 0) for (x, y) in the basis of T1 and
+def _compose_rref(T1: Subspace, T2: Subspace) -> tuple[list, list[int]]:
+    """`_reduce` of the rows (y, x, 0) for (x, y) in the basis of T1 and
     (-u, 0, z) for (u, z) in the basis of T2, with column blocks (y | x | z).
 
     A combination of these rows has y block zero iff the y parts of its T1
@@ -565,13 +566,13 @@ def _compose_rref(T1: Subspace, T2: Subspace) -> tuple[np.ndarray, list[int]]:
     dim T1 + dim T2 by the dimension of the overlap of T1's right defect
     with T2's left defect.
     """
-    t, d = T1.ambient // 2, T1.d
+    t = T1.ambient // 2
     rows = np.zeros((T1.dim + T2.dim, 3 * t), dtype=np.int64)
     rows[:T1.dim, :t] = T1.basis[:, t:]
     rows[:T1.dim, t:2 * t] = T1.basis[:, :t]
-    rows[T1.dim:, :t] = -T2.basis[:, :t]
+    rows[T1.dim:, :t] = -T2.basis[:, :t]  # `_reduce` takes the rows mod d
     rows[T1.dim:, 2 * t:] = T2.basis[:, t:]
-    return rref(rows, d)
+    return _reduce(rows, T1.d)
 
 
 def compose(T1: Subspace, T2: Subspace) -> tuple[Subspace, int]:
@@ -579,12 +580,12 @@ def compose(T1: Subspace, T2: Subspace) -> tuple[Subspace, int]:
 
     T1 o T2 = {(x, z) : exists y with (x, y) in T1, (y, z) in T2} and
     k = dim of the overlap of T1's right defect with T2's left defect;
-    both come from one elimination (`_compose_rref`).
+    both come from one elimination (`_compose_rref`), whose rows with no
+    pivot in the y block are already the canonical basis of T1 o T2.
     """
     t = T1.ambient // 2
-    reduced, pivots = _compose_rref(T1, T2)
-    product = reduced[[p >= t for p in pivots], t:]
-    return Subspace(product, T1.d, 2 * t), T1.dim + T2.dim - len(pivots)
+    rows, pivots = _compose_rref(T1, T2)
+    return _trailing_span(rows, pivots, 3 * t, t, T1.d), T1.dim + T2.dim - len(pivots)
 
 
 def compose_constant(T1: Subspace, T2: Subspace) -> int:

@@ -11,18 +11,15 @@ significant digit first (`all_vectors`, `flat_index`).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
 
 
+@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, int(n**0.5) + 1):
-        if n % p == 0:
-            return False
-    return True
+    return n >= 2 and all(n % p for p in range(2, int(n**0.5) + 1))
 
 
 def form_modulus(d: int) -> int:
@@ -70,11 +67,13 @@ def _rref_rows(rows: list[list[int]], cols: int, d: int) -> tuple[list[list[int]
             inv = pow(prow[c], -1, d)
             prow = [x * inv % d for x in prow]
         rows[r] = prow
+        # the pivot row is zero left of c, so each update starts at c
+        tail = prow[c:]
         for i in range(n):
             f = rows[i][c]
             if f and i != r:
                 g = d - f
-                rows[i] = [(x + g * y) % d for x, y in zip(rows[i], prow)]
+                rows[i][c:] = [(x + g * y) % d for x, y in zip(rows[i][c:], tail)]
         pivot_cols.append(c)
         r += 1
         if r == n:
@@ -87,9 +86,10 @@ _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @lru_cache(maxsize=128)
-def _bit_places(cols: int) -> np.ndarray:
-    """2^(cols-1-j) for column j < cols < 64: the place value of each column in a word."""
-    return 1 << np.arange(cols - 1, -1, -1, dtype=np.int64)
+def _bit_columns(cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bit cols-1-j of each column j < cols < 64 in a word, and its place value."""
+    shifts = np.arange(cols - 1, -1, -1, dtype=np.int64)
+    return shifts, 1 << shifts
 
 
 @lru_cache(maxsize=4096)
@@ -98,20 +98,21 @@ def _bit_row(word: int, cols: int) -> tuple[int, ...]:
     return tuple(format(word, f"0{cols}b").encode().translate(_BIT_DIGITS))
 
 
-def _rref_bits(a: np.ndarray) -> tuple[list[tuple[int, ...]], list[int]]:
-    """`_rref_rows` for d = 2 on a 2-D array with entries in [0, 2).
+def _rref_bits(a: np.ndarray) -> tuple[list[int], list[int]]:
+    """`_rref_rows` for d = 2 on a 2-D int64 array, entries taken mod 2.
 
     Each row is packed into one Python int, column 0 the most significant
     bit, so integer order is key order and a row's pivot column is
     cols - bit_length.  A row is reduced by the basis rows in decreasing
     order, each XORed in iff that lowers the row (iff the row holds the
     basis row's leading bit), and kept if anything is left; then each
-    pivot is cleared from the rows above it.  Returns the digit tuples of
-    the reduced rows and their pivot columns.
+    pivot is cleared from the rows above it.  Returns the reduced rows,
+    packed, in decreasing order, and their pivot columns.
     """
     cols = a.shape[1]
+    a = a & 1  # equals a % 2 for every int64
     if cols < 64:
-        words = (a @ _bit_places(cols)).tolist()
+        words = (a @ _bit_columns(cols)[1]).tolist()
     else:
         words = [int("".join(map(str, row)), 2) for row in a.tolist()]
     basis: list[int] = []  # distinct leading bits, in decreasing order
@@ -127,15 +128,16 @@ def _rref_bits(a: np.ndarray) -> tuple[list[tuple[int, ...]], list[int]]:
         for j in range(i):
             if basis[j] ^ b < basis[j]:
                 basis[j] ^= b
-    return [_bit_row(b, cols) for b in basis], [cols - b.bit_length() for b in basis]
+    return basis, [cols - b.bit_length() for b in basis]
 
 
 def _reduce(a: np.ndarray, d: int) -> tuple[list, list[int]]:
-    """The rows and pivot columns of the canonical RREF of a 2-D array with
-    entries in [0, d): packed XOR rows for d = 2, Python int lists otherwise."""
+    """The rows and pivot columns of the canonical RREF of a 2-D int64
+    array, entries taken mod d: rows packed into ints by `_rref_bits` for
+    d = 2, Python int lists otherwise."""
     if d == 2:
         return _rref_bits(a)
-    return _rref_rows(a.tolist(), a.shape[1], d)
+    return _rref_rows((a % d).tolist(), a.shape[1], d)
 
 
 def rref(matrix, d: int) -> tuple[np.ndarray, list[int]]:
@@ -144,39 +146,28 @@ def rref(matrix, d: int) -> tuple[np.ndarray, list[int]]:
     Returns (R, pivot_cols) where R has zero rows removed, each pivot is 1,
     and pivot columns are cleared above and below.
     """
-    a = np.atleast_2d(np.array(matrix, dtype=np.int64)) % d
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return a.reshape(0, a.shape[1] if a.ndim == 2 else 0), []
-    rows, pivot_cols = _reduce(a, d)
-    return np.array(rows, dtype=np.int64).reshape(len(rows), a.shape[1]), pivot_cols
+    a = np.atleast_2d(np.array(matrix, dtype=np.int64))
+    reduced = Subspace.__new__(Subspace)._from_rref(*_reduce(a, d), d, a.shape[1])
+    return np.array(reduced.basis), list(reduced.pivots)
 
 
 def nullspace(matrix, d: int) -> np.ndarray:
     """Basis (rows) of {x : M x = 0 mod d}."""
-    a = np.atleast_2d(np.asarray(matrix, dtype=np.int64)) % d
-    rows, cols = a.shape
-    r, pivots = rref(a, d)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for i, p in enumerate(pivots):
-            basis[k, p] = (-r[i, f]) % d
+    r, pivots = rref(matrix, d)
+    free = [c for c in range(r.shape[1]) if c not in pivots]
+    basis = np.eye(r.shape[1], dtype=np.int64)[free]
+    basis[:, pivots] = -r[:, free].T % d
     return basis
 
 
 def solve(matrix, rhs, d: int) -> np.ndarray | None:
     """One solution x of M x = rhs mod d, or None if inconsistent."""
-    a = np.atleast_2d(np.asarray(matrix, dtype=np.int64)) % d
-    b = asvec(rhs, d)
-    aug = np.hstack([a, b.reshape(-1, 1)])
-    r, pivots = rref(aug, d)
-    cols = a.shape[1]
-    if cols in pivots:
+    a = np.atleast_2d(np.asarray(matrix, dtype=np.int64))
+    r, pivots = rref(np.hstack([a, asvec(rhs, d).reshape(-1, 1)]), d)
+    if a.shape[1] in pivots:
         return None
-    x = np.zeros(cols, dtype=np.int64)
-    for i, p in enumerate(pivots):
-        x[p] = r[i, cols]
+    x = np.zeros(a.shape[1], dtype=np.int64)
+    x[pivots] = r[:, -1]
     return x
 
 
@@ -193,28 +184,28 @@ class Subspace:
     def __init__(self, basis_rows, d: int, ambient: int | None = None):
         if not is_prime(d):
             raise ValueError(f"d={d} is not prime")
-        rows = np.asarray(basis_rows, dtype=np.int64)
+        rows = np.atleast_2d(np.asarray(basis_rows, dtype=np.int64))
         if rows.size == 0:
             if ambient is None:
                 raise ValueError("ambient dimension required for the zero subspace")
             rows = rows.reshape(0, ambient)
-        rows = np.atleast_2d(rows) % d
         if ambient is not None and rows.shape[1] != ambient:
             raise ValueError("ambient dimension mismatch")
-        self.d = d
-        self.ambient = int(rows.shape[1])
-        reduced, pivots = _reduce(rows, d)
-        self.pivots = tuple(pivots)
-        self.basis = np.array(reduced, dtype=np.int64).reshape(len(reduced), self.ambient)
-        self.basis.setflags(write=False)
-        self._key = (d, self.ambient, tuple(map(tuple, reduced)))
+        self._from_rref(*_reduce(rows, d), d, rows.shape[1])
 
-    @classmethod
-    def _from_rref(cls, basis: np.ndarray, pivots: tuple, key: tuple) -> "Subspace":
-        """Wrap a read-only canonical basis without reducing it again."""
-        self = object.__new__(cls)
-        self.d, self.ambient = key[0], key[1]
-        self.basis, self.pivots, self._key = basis, pivots, key
+    def _from_rref(self, rows, pivots, d: int, ambient: int, basis=None) -> "Subspace":
+        """Fill this Subspace from the rows and pivots of a canonical RREF
+        and return it: rows as `_reduce` gives them, or the key's digit
+        tuples with `basis` their read-only int64 array."""
+        if basis is None:
+            if d == 2 and ambient < 64:
+                basis = np.array(rows, dtype=np.int64)[:, None] >> _bit_columns(ambient)[0] & 1
+            rows = [_bit_row(w, ambient) for w in rows] if d == 2 else list(map(tuple, rows))
+            if basis is None:
+                basis = np.array(rows, dtype=np.int64).reshape(len(rows), ambient)
+            basis.setflags(write=False)
+        self.d, self.ambient, self.basis, self.pivots = d, ambient, basis, tuple(pivots)
+        self._key = (d, ambient, tuple(rows))
         return self
 
     @classmethod
@@ -258,13 +249,11 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient, self.d)
-        stacked = np.vstack([self.basis, other.basis])
-        # coefficient vectors (u, v) with u A + v B = 0 give u A in A cap B
-        coeff = nullspace(stacked.T, self.d)
-        vecs = (coeff[:, : self.dim] @ self.basis) % self.d
-        return Subspace(vecs, self.d, self.ambient)
+        # Zassenhaus: with B' = B - B[:, piv_A] A, a combination c of the rows
+        # [B' | B' - B] vanishes on the left iff c B lies in A; its right half is -c B
+        shift = -(other.basis[:, list(self.pivots)] @ self.basis)
+        rows, pivots = _reduce(np.hstack([other.basis + shift, shift]), self.d)
+        return _trailing_span(rows, pivots, 2 * self.ambient, self.ambient, self.d)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -284,6 +273,16 @@ class Subspace:
 
     def to_json(self) -> dict:
         return {"d": self.d, "ambient": self.ambient, "basis": self.basis.tolist()}
+
+
+def _trailing_span(rows, pivots: list[int], cols: int, start: int, d: int) -> Subspace:
+    """The span of the reduced rows (as `_reduce` gives them, of `cols` columns)
+    with pivot at least `start`, cut to the columns from `start` on: they are
+    its canonical RREF, zero before `start`, so packed d = 2 rows stay as they are."""
+    k = bisect_left(pivots, start)
+    cut = rows[k:] if d == 2 else [row[start:] for row in rows[k:]]
+    piv = [p - start for p in pivots[k:]]
+    return Subspace.__new__(Subspace)._from_rref(cut, piv, d, cols - start)
 
 
 # matrices per block of the batched reduction in `rref_stack`
@@ -343,8 +342,8 @@ def _rref_block(a: np.ndarray, d: int) -> None:
 
 
 def _rref_words(a: np.ndarray, c: int) -> None:
-    """`_rref_block` for d = 2 on an (m, r) stack of rows packed into
-    unsigned words, column 0 the most significant of c bits, in place.
+    """`_rref_block` for d = 2 on an (m, r) stack of rows of c columns
+    packed into unsigned words, column 0 the most significant bit, in place.
 
     After the columns left of col are done, a row that is no pivot row is
     zero left of col, so the rows whose leading bit is col are exactly the
@@ -358,7 +357,7 @@ def _rref_words(a: np.ndarray, c: int) -> None:
     matrix = np.arange(len(a))
     one = a.dtype.type(1)
     for col in range(c):
-        high = a >> a.dtype.type(c - 1 - col)
+        high = a >> a.dtype.type(8 * a.itemsize - 1 - col)
         lead = high == one
         src = lead.argmax(axis=1)
         # zero where a matrix has no pivot in this column: XOR does nothing
@@ -374,9 +373,9 @@ def rref_stack(stack, d: int) -> np.ndarray:
     Returns an (m, r, c) array: the rows of rref(stack[i], d), then zero
     rows, in the integer type of the stack (widened if it cannot hold
     every residue).  Blocks of matrices are reduced at once: for d = 2
-    with at most 64 columns each row is packed into one unsigned word and
-    reduced by XOR (`_rref_words`), otherwise the digits are swept in a
-    narrow integer type (`_rref_block`).
+    with at most 64 columns each row is packed into one unsigned word
+    (`np.packbits`), reduced by XOR (`_rref_words`) and unpacked, otherwise
+    the digits are swept in a narrow integer type (`_rref_block`).
     """
     if (d - 1) ** 2 + d >= 2**63:
         raise ValueError(f"d={d} is too large for int64 row operations")
@@ -385,20 +384,19 @@ def rref_stack(stack, d: int) -> np.ndarray:
     # products of two residues must fit the working type
     work = np.int16 if (d - 1) ** 2 + d < 2**15 else np.int64
     packed = d == 2 and c <= _WORD_COLUMNS
-    if packed:
-        word = np.min_scalar_type(2**c - 1)
-        shifts = np.arange(c - 1, -1, -1).astype(word)
-        places = np.uint64(1) << shifts.astype(np.uint64)
+    # packbits fills the bytes of a big-endian word from its most significant bit
+    big = np.dtype(f">u{np.min_scalar_type(2**c - 1).itemsize}")
     out = np.empty(stack.shape, dtype=np.result_type(stack.dtype, np.min_scalar_type(d - 1)))
     for lo in range(0, len(stack), _RREF_BLOCK):
-        a = np.asarray(stack[lo:lo + _RREF_BLOCK], dtype=np.int64)
-        a = a - a // d * d
+        a = stack[lo:lo + _RREF_BLOCK]
         if packed:
-            words = (a.astype(np.uint64) @ places).astype(word)
+            digits = np.packbits((a & 1).astype(np.uint8, copy=False), axis=-1)
+            digits = np.pad(digits, [(0, 0), (0, 0), (0, big.itemsize - digits.shape[-1])])
+            words = digits.view(big)[..., 0].astype(big.newbyteorder("="))
             _rref_words(words, c)
-            a = words[:, :, None] >> shifts & word.type(1)
+            a = np.unpackbits(words.astype(big)[..., None].view(np.uint8), axis=-1, count=c)
         else:
-            a = a.astype(work)
+            a = (np.asarray(a, dtype=np.int64) % d).astype(work)
             _rref_block(a, d)
         out[lo:lo + len(a)] = a
     return out
@@ -439,7 +437,8 @@ def _subspaces_from_rref(reduced, d: int) -> tuple[Subspace, ...]:
             for mat, rows, k, piv in zip(block, block.tolist(), ranks, pivots):
                 rows = tuple([shared.setdefault(row, row) for row in map(tuple, rows[:k])])
                 piv = tuple(piv[:k])
-                out.append(Subspace._from_rref(mat[:k], shared.setdefault(piv, piv), (d, c, rows)))
+                piv = shared.setdefault(piv, piv)
+                out.append(Subspace.__new__(Subspace)._from_rref(rows, piv, d, c, mat[:k]))
     finally:
         if collecting:
             gc.enable()

@@ -11,6 +11,9 @@ through the full Gram matrix where the library works in class space.
 Where the library works on whole stacks at once, the earlier one-at-a-time
 routes are kept: the quotient isometries of Sigma_{t,t}(d) extended pair by
 pair, and the Clifford commutator moved and gathered one T at a time.
+Where the library reads a subspace straight from one elimination, the
+earlier routes that reduce twice are kept: the intersection through a
+nullspace and the semigroup product reduced again from its rows.
 Tests compare the two.
 """
 
@@ -36,6 +39,8 @@ from stabkit.gf import (
     flat_index,
     form_modulus,
     gram_symplectic,
+    nullspace,
+    rref,
     rref_stack,
     symplectic_form,
 )
@@ -298,6 +303,40 @@ def sigma_stack_per_pair(t: int, d: int) -> np.ndarray:
     reduced = rref_stack(np.concatenate(blocks), d)
     flat = reduced.reshape(len(reduced), -1)
     return reduced[np.lexsort(flat.T[::-1])]
+
+
+# ---------------------------------------------------------------------------
+# Subspace results reduced twice
+# ---------------------------------------------------------------------------
+
+def subspace_bits(S: Subspace) -> tuple:
+    """Everything a Subspace stores, to compare two routes bit for bit."""
+    return (S.d, S.ambient, S._key, S.pivots, S.basis.dtype, S.basis.shape,
+            S.basis.flags.writeable, S.basis.tobytes())
+
+
+def intersect_nullspace(A: Subspace, B: Subspace) -> Subspace:
+    """A cap B from the coefficient vectors (u, v) with u A + v B = 0, a
+    nullspace of the transposed stack [A; B]; u A is reduced again."""
+    A._check_compatible(B)
+    if A.dim == 0 or B.dim == 0:
+        return Subspace.zero(A.ambient, A.d)
+    coeff = nullspace(np.vstack([A.basis, B.basis]).T, A.d)
+    return Subspace((coeff[:, :A.dim] @ A.basis) % A.d, A.d, A.ambient)
+
+
+def compose_rereduce(T1: Subspace, T2: Subspace) -> tuple[Subspace, int]:
+    """`commutant.compose` with the product rows cut from `rref` of the
+    (y | x | z) rows and reduced again by `Subspace`."""
+    t, d = T1.ambient // 2, T1.d
+    rows = np.zeros((T1.dim + T2.dim, 3 * t), dtype=np.int64)
+    rows[:T1.dim, :t] = T1.basis[:, t:]
+    rows[:T1.dim, t:2 * t] = T1.basis[:, :t]
+    rows[T1.dim:, :t] = -T2.basis[:, :t]
+    rows[T1.dim:, 2 * t:] = T2.basis[:, t:]
+    reduced, pivots = rref(rows, d)
+    product = reduced[[p >= t for p in pivots], t:]
+    return Subspace(product, d, 2 * t), T1.dim + T2.dim - len(pivots)
 
 
 # ---------------------------------------------------------------------------

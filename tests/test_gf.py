@@ -31,7 +31,7 @@ from stabkit.gf import (
 )
 from stabkit.phase_space import ResourceCapError
 
-from oracles import sum_index
+from oracles import intersect_nullspace, subspace_bits, sum_index
 
 primes = st.sampled_from([2, 3, 5])
 
@@ -303,3 +303,82 @@ def test_packed_routes_match_list_route(cols):
             R, piv = rref(mat, 2)
             assert R.dtype == np.int64 and np.array_equal(R, basis) and tuple(piv) == pivots
 
+
+@pytest.mark.parametrize("cols", [1, 12, 63, 64, 65])
+def test_constructor_packing_matches_list_route(cols):
+    """`Subspace` packs d = 2 rows by `rows & 1`, which equals `rows % 2`
+    for every int64, and below 64 columns unpacks the reduced words by one
+    shift-and-mask.  Against the list route on the extremes of int64, with
+    the input also given as nested lists and, for one row, as a vector."""
+    rng = np.random.default_rng(cols)
+    info = np.iinfo(np.int64)
+    extremes = np.array([info.min, info.min + 1, info.max, info.max - 1, -1, -2, 2, 3])
+    for r in (1, 2, 5, 9):
+        mat = rng.choice(extremes, size=(r, cols))
+        basis, pivots, key = _list_route(mat)
+        inputs = [mat, mat.tolist()] + ([mat[0], mat[0].tolist()] if r == 1 else [])
+        for given in inputs:
+            got = Subspace(given, 2)
+            assert got.basis.dtype == np.int64 and not got.basis.flags.writeable
+            assert np.array_equal(got.basis, basis) and got.basis.shape == basis.shape
+            assert got.pivots == pivots and got._key == key
+
+
+def test_cached_prime_check_and_constructor_errors():
+    """The primality of d is cached: a non-prime d is still refused after a
+    prime d was seen, by `Subspace` and by `subspaces`.  An ambient
+    mismatch and a zero subspace without `ambient` raise as before."""
+    eye = np.eye(2, dtype=np.int64)
+    for d in (2, 4, 3, 9, 2, 4, 7, 1, 0, -3, 2, 6):
+        if d in (2, 3, 7):
+            assert gf.is_prime(d) and Subspace(eye, d).dim == 2
+        else:
+            assert not gf.is_prime(d)
+            with pytest.raises(ValueError, match="not prime"):
+                Subspace(eye, d)
+            with pytest.raises(ValueError, match="not prime"):
+                gf.subspaces(eye[None], d)
+    assert [n for n in range(30) if gf.is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    for d in (2, 3):
+        with pytest.raises(ValueError, match="ambient dimension mismatch"):
+            Subspace(np.eye(3, dtype=np.int64), d, 4)
+        for empty in ([], np.zeros((0, 4), dtype=np.int64)):
+            with pytest.raises(ValueError, match="ambient dimension required"):
+                Subspace(empty, d)
+            assert Subspace(empty, d, 4) == Subspace.zero(4, d)
+
+
+def _intersect_pairs(d, cols, rng):
+    """Zero, full and disjoint pairs, a subspace with itself and with a
+    subspace of it, then random pairs that share a random part, all built
+    from entries outside [0, d)."""
+    eye = np.eye(cols, dtype=np.int64)
+    zero, full = Subspace.zero(cols, d), Subspace.full(cols, d)
+    left, right = Subspace(eye[:cols // 2], d, cols), Subspace(eye[cols // 2:] - d, d, cols)
+    yield from [(zero, zero), (zero, full), (full, zero), (full, full), (left, right),
+                (right, left), (left, full), (full, right), (right, zero)]
+    lift = 3 * d
+    for _ in range(40):
+        k, ra, rb = rng.integers(0, min(cols, 4) + 1, size=3)
+        shared = rng.integers(-lift, lift, size=(k, cols))
+        a = np.vstack([rng.integers(-lift, lift, size=(k, k)) @ shared,
+                       rng.integers(-lift, lift, size=(ra, cols))])
+        b = np.vstack([rng.integers(-lift, lift, size=(k, k)) @ shared,
+                       rng.integers(-lift, lift, size=(rb, cols))])
+        A, B = Subspace(a, d, cols), Subspace(b, d, cols)
+        yield from [(A, B), (A, A), (A, Subspace(A.basis[::2], d, cols))]
+
+
+@pytest.mark.parametrize("d,cols", [(2, 1), (2, 6), (2, 31), (2, 32), (2, 63), (2, 64), (2, 65),
+                                    (3, 1), (3, 7), (5, 6), (7, 5)])
+def test_intersect_matches_nullspace_route(d, cols):
+    """`Subspace.intersect` reads A cap B from one elimination of
+    [B' | B' - B], B' = B cleared at A's pivots; the oracle solves for the
+    coefficients through a nullspace and reduces again.  Key, pivots,
+    basis, dtype and read-only flag agree bit for bit, on both sides of
+    the 64-column switch of the d = 2 packing for the doubled rows (32
+    columns) and for the result (64 columns)."""
+    for A, B in _intersect_pairs(d, cols, np.random.default_rng([d, cols])):
+        got = A.intersect(B)
+        assert subspace_bits(got) == subspace_bits(intersect_nullspace(A, B))
+        assert got.dim + (A + B).dim == A.dim + B.dim

@@ -374,6 +374,23 @@ def test_compose_matches_nullspaces(t, d, pairs):
         assert compose_constant(T1, T2) == want[1]
 
 
+@pytest.mark.parametrize("t,d", [(3, 3), (4, 2)])
+def test_compose_and_intersect_match_two_reduction_routes(t, d):
+    """`compose` reads T1 o T2 from the rows of the one elimination in
+    `_compose_rref` and `intersect` reads T1 cap T2 from one elimination;
+    the oracles reduce each result a second time.  On all pairs, every
+    stored field agrees bit for bit and so does the constant k."""
+    sigma = stochastic_lagrangians(t, d)
+    for T1 in sigma:
+        for T2 in sigma:
+            got, k = compose(T1, T2)
+            want, want_k = oracles.compose_rereduce(T1, T2)
+            assert oracles.subspace_bits(got) == oracles.subspace_bits(want)
+            assert k == want_k == compose_constant(T1, T2)
+            meet = oracles.intersect_nullspace(T1, T2)
+            assert oracles.subspace_bits(T1.intersect(T2)) == oracles.subspace_bits(meet)
+
+
 # --- the frontier: t = 7 qubits and the O_t(d) double cosets at (6, 2), (5, 3) ---------
 
 @pytest.fixture(scope="module")
