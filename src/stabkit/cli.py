@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import sys
 import time
@@ -36,20 +37,25 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class _BasisStack:
-    """Canonical bases of subspaces of Z_d^c as one (m, k, c) integer stack.
+class _IntStack:
+    """An (m, k, c) stack of integers in [0, d) that a report lists element
+    by element: as `Subspace.to_json` dicts of canonical bases when
+    `bases`, as plain k x c matrices otherwise.
 
-    In a report it stands for the list of the subspaces' `to_json` dicts:
     `to_json` gives that list, and `_write_json` writes its text from the
     stack a block of elements at a time.
     """
 
     stack: np.ndarray
     d: int
+    bases: bool = True
 
-    def to_json(self) -> list[dict]:
+    def to_json(self) -> list:
+        matrices = self.stack.tolist()
+        if not self.bases:
+            return matrices
         c = self.stack.shape[2]
-        return [{"ambient": c, "basis": basis, "d": self.d} for basis in self.stack.tolist()]
+        return [{"ambient": c, "basis": basis, "d": self.d} for basis in matrices]
 
 
 @dataclass
@@ -77,9 +83,9 @@ class ReportBundle:
         return all(r["status"] in ("pass", "skip") for r in self.records)
 
     def to_json(self) -> dict:
-        """The fields as plain data: a basis stack in the config becomes its
-        list of dicts."""
-        config = {k: v.to_json() if isinstance(v, _BasisStack) else v
+        """The fields as plain data: an integer stack in the config becomes
+        its list."""
+        config = {k: v.to_json() if isinstance(v, _IntStack) else v
                   for k, v in self.config.items()}
         return dict(vars(self), config=config)
 
@@ -157,7 +163,7 @@ def _cmd_enumerate_sigma(cfg: RunConfig, rep: ReportBundle) -> None:
     ok, count, want = _check_sigma_count(cfg.t, cfg.d)
     rep.add("sigma-count", "count-identity", _status(ok), measured=count, bound=want)
     if cfg.emit_mode == "json":
-        rep.config["sigma"] = _BasisStack(sigma_stack(cfg.t, cfg.d), cfg.d)
+        rep.config["sigma"] = _IntStack(sigma_stack(cfg.t, cfg.d), cfg.d)
 
 
 def _cmd_enumerate_o(cfg: RunConfig, rep: ReportBundle) -> None:
@@ -166,7 +172,7 @@ def _cmd_enumerate_o(cfg: RunConfig, rep: ReportBundle) -> None:
     group = orthogonal_stochastic_group(cfg.t, cfg.d)
     rep.add("o-count", "group-enumeration", "pass", measured=len(group))
     if cfg.emit_mode == "json":
-        rep.config["group"] = [O.tolist() for O in group]
+        rep.config["group"] = _IntStack(np.stack(group), cfg.d, bases=False)
 
 
 def _cmd_verify_commutant(cfg: RunConfig, rep: ReportBundle) -> None:
@@ -362,6 +368,8 @@ def _invalid_argument(cfg: RunConfig) -> str | None:
     for name in ("t", "n", "s"):
         if getattr(cfg, name) < 1:
             return f"{name}={getattr(cfg, name)} is below 1"
+    if cfg.seed is not None and cfg.seed < 0:
+        return f"seed={cfg.seed} is below 0"
     if cfg.command == "test" and cfg.protocol == "qudit" and cfg.s % cfg.d == 0:
         return f"s={cfg.s} is not invertible mod d={cfg.d}"
     if cfg.command == "test" and cfg.protocol == "mc" and cfg.shots < 1:
@@ -406,160 +414,76 @@ def run(cfg: RunConfig) -> ReportBundle:
     return rep
 
 
-_escape = json.encoder.encode_basestring_ascii
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == float("-inf"):
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _key_text(key) -> str:
-    """A dict key as json writes it, before quoting."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _json_text(obj, newline: str, out: _ChunkWriter) -> None:
-    """Append the text of `json.dumps(obj, indent=2, sort_keys=True,
-    default=str)` to out, nested at `newline` (a newline and the indent);
-    a `_BasisStack` is written as its `to_json()` list.
-
-    The rules are those of json's pure-Python encoder, which json.dumps
-    uses whenever an indent is given, but without a generator per
-    container: a list or tuple of plain ints (no bool, no subclass),
-    almost every byte of a basis report, is written by one join.
-    """
-    if isinstance(obj, str):
-        out.append(_escape(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out.append(_float_text(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        if list(map(type, obj)).count(int) == len(obj):
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]")
-            return
-        sep = "[" + inner
-        for item in obj:
-            out.append(sep)
-            sep = "," + inner
-            _json_text(item, inner, out)
-        out.append(newline + "]")
-    elif isinstance(obj, _BasisStack):
-        _stack_text(obj, newline, out)
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            out.append(sep + _escape(_key_text(key)) + ": ")
-            sep = "," + inner
-            _json_text(value, inner, out)
-        out.append(newline + "}")
-    else:
-        out.append(_escape(str(obj)))
-
-
-# pieces of JSON text joined, encoded and written at a time
-_CHUNK = 4096
-
-
-class _ChunkWriter:
-    """A sink for `_json_text`: every `_CHUNK` pieces are joined, encoded
-    and written to a binary stream, so the whole text is never held."""
-
-    def __init__(self, stream):
-        self.stream = stream
-        self.pieces: list[str] = []
-
-    def append(self, piece: str) -> None:
-        self.pieces.append(piece)
-        if len(self.pieces) >= _CHUNK:
-            self.flush()
-
-    def flush(self) -> None:
-        self.stream.write("".join(self.pieces).encode())
-        self.pieces.clear()
-
-
-# elements of a basis stack per block of JSON text
+# elements of an integer stack per block of JSON text
 _STACK_BLOCK = 256
 
 
-def _stack_text(bases: _BasisStack, newline: str, out: _ChunkWriter) -> None:
-    """Write the JSON text of bases.to_json() nested at `newline`, one
-    block of `_STACK_BLOCK` elements at a time.
+def _stack_text(ints: _IntStack, newline: str, stream) -> None:
+    """Write the JSON text of ints.to_json() nested at `newline` to a
+    binary stream, one block of `_STACK_BLOCK` elements at a time.
 
     Every element has the same layout: one row of tokens holds the
     separators of an element, the same for all, between the text of its
     entries, looked up from a table of str(v) for v < d.  Each block's
     tokens are joined once and written at once.
     """
-    m, k, c = bases.stack.shape
-    item, key, row, entry = (newline + "  " * i for i in range(1, 5))
+    m, k, c = ints.stack.shape
+    item, key = newline + "  ", newline + "    "
+    matrix = key if ints.bases else item  # where the matrix's brackets stand
+    row, entry = matrix + "  ", matrix + "    "
+    head, tail = "", row + "]" + matrix + "]"
+    if ints.bases:
+        head = "{" + key + f'"ambient": {c},' + key + '"basis": '
+        tail += "," + key + f'"d": {ints.d}' + item + "}"
     seps = np.full(k * c, "," + entry, dtype=object)
     seps[::c] = row + "]," + row + "[" + entry
-    seps[0] = "{" + key + f'"ambient": {c},' + key + '"basis": [' + row + "[" + entry
-    tail = row + "]" + key + "]," + key + f'"d": {bases.d}' + item + "}"
+    seps[0] = head + "[" + row + "[" + entry
     tokens = np.empty((_STACK_BLOCK, 2 * k * c + 1), dtype=object)
     tokens[:, :-1:2] = seps
     tokens[:, -1] = tail + "," + item
-    digits = np.array([str(v) for v in range(bases.d)], dtype=object)
-    out.append("[" + item)
+    digits = np.array([str(v) for v in range(ints.d)], dtype=object)
+    stream.write(("[" + item).encode())
     for lo in range(0, m, _STACK_BLOCK):
-        block = bases.stack[lo:lo + _STACK_BLOCK].reshape(-1, k * c)
+        block = ints.stack[lo:lo + _STACK_BLOCK].reshape(-1, k * c)
         part = tokens[:len(block)]
         part[:, 1::2] = digits[block]
         if lo + len(block) == m:
             part[-1, -1] = tail  # no separator after the last element
-        out.append("".join(part.ravel().tolist()))
-        out.flush()
-    out.append(newline + "]")
+        stream.write("".join(part.ravel().tolist()).encode())
+    stream.write((newline + "]").encode())
 
 
 def _write_json(report: ReportBundle, stream) -> None:
-    """Write the JSON report to a binary stream, a chunk of text at a time.
+    """Write the JSON report to a binary stream.
 
     The bytes are those of json.dumps(report.to_json(), indent=2,
     sort_keys=True, default=str) plus a newline, with the wall clock
-    dropped.
+    dropped.  json.dumps writes the report with a marker string in place
+    of each integer stack, one that no string of the report equals, and
+    `_stack_text` writes the stack there, so its text is never held whole.
     """
-    # the fields as they are, so that a basis stack is written from the
-    # stack; the wall clock is dropped for determinism
+    stacks, marker = [], ""
+
+    def default(obj):
+        if isinstance(obj, _IntStack):
+            stacks.append(obj)
+            return marker
+        return str(obj)
+
+    # the wall clock is dropped for determinism
     payload = dict(vars(report), wall_clock=None)
-    out = _ChunkWriter(stream)
-    _json_text(payload, "\n", out)
-    out.append("\n")
-    out.flush()
+    for n in itertools.count():
+        marker = f"\ue000stack {n}\ue000"
+        stacks.clear()
+        text = json.dumps(payload, indent=2, sort_keys=True, default=default) + "\n"
+        parts = text.split(json.dumps(marker))
+        if len(parts) == len(stacks) + 1:  # else a string of the report is the marker
+            break
+    stream.write(parts[0].encode())
+    for ints, before, after in zip(stacks, parts, parts[1:]):
+        line = before[before.rfind("\n") + 1:]
+        _stack_text(ints, "\n" + " " * (len(line) - len(line.lstrip(" "))), stream)
+        stream.write(after.encode())
 
 
 def emit(report: ReportBundle, fmt: str = "json") -> bytes:

@@ -275,7 +275,7 @@ def sigma_count_formula(t: int, d: int) -> int:
     return n
 
 
-@lru_cache(maxsize=None)
+@capped_cache(lambda t, d: square_side(d**t * t), maxsize=None)  # the (d^t, t) column table
 def orthogonal_stochastic_group(t: int, d: int) -> tuple[np.ndarray, ...]:
     """O_t(d): t x t matrices over Z_d, orthogonal, stochastic, q-preserving.
 
@@ -339,12 +339,14 @@ def diagonal_subspace(t: int, d: int) -> Subspace:
 
 
 def _defect(T: Subspace, side: int) -> Subspace:
-    """{x : (x, 0) in T} for side 0, {y : (0, y) in T} for side 1."""
+    """{x : (x, 0) in T} for side 0, {y : (0, y) in T} for side 1.
+
+    One elimination of T's basis with the other half's columns first: the
+    reduced rows with no pivot there span the defect, in the half's columns.
+    """
     t = T.ambient // 2
-    axis = np.zeros((t, 2 * t), dtype=np.int64)
-    axis[:, side * t:(side + 1) * t] = np.eye(t, dtype=np.int64)
-    inter = T.intersect(Subspace(axis, T.d))
-    return Subspace(inter.basis[:, side * t:(side + 1) * t], T.d, t)
+    rows, pivots = _reduce(np.roll(T.basis, (1 - side) * t, axis=1), T.d)
+    return _trailing_span(rows, pivots, 2 * t, t, T.d)
 
 
 def left_defect(T: Subspace) -> Subspace:

@@ -237,22 +237,24 @@ class Subspace:
         """All d^dim member vectors, ordered by coefficient tuple."""
         return (all_vectors(self.dim, self.d) @ self.basis) % self.d
 
+    def _clear(self, rows: np.ndarray) -> np.ndarray:
+        """rows - rows[:, pivots] @ basis mod d: each row less the combination
+        of this basis that matches it at the pivot columns, so zero there,
+        and zero everywhere iff the row lies in this space."""
+        return (rows - rows[:, list(self.pivots)] @ self.basis) % self.d
+
     def contains(self, v) -> bool:
-        w = asvec(v, self.d)
-        for row, p in zip(self.basis, self.pivots):
-            if w[p]:
-                w = (w - w[p] * row) % self.d
-        return not w.any()
+        return not self._clear(asvec(v, self.d)[None]).any()
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis)
+        return not self._clear(other.basis).any()
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         # Zassenhaus: with B' = B - B[:, piv_A] A, a combination c of the rows
         # [B' | B' - B] vanishes on the left iff c B lies in A; its right half is -c B
-        shift = -(other.basis[:, list(self.pivots)] @ self.basis)
-        rows, pivots = _reduce(np.hstack([other.basis + shift, shift]), self.d)
+        cleared = self._clear(other.basis)
+        rows, pivots = _reduce(np.hstack([cleared, cleared - other.basis]), self.d)
         return _trailing_span(rows, pivots, 2 * self.ambient, self.ambient, self.d)
 
     def __add__(self, other: "Subspace") -> "Subspace":
@@ -554,15 +556,16 @@ def echelon_subspaces(gram: np.ndarray, d: int, k: int, admissible) -> tuple[Sub
     before it, so every partial tuple can still be completed to a basis
     pattern.  The candidates are in lexicographic order, so one lexsort of
     the index tuples, read in increasing pivot order, puts the subspaces
-    in key order.  The digit rows are scanned in blocks, and the running
-    candidate count, the side of the square orthogonality table, is
-    guarded by the dimension cap.
+    in key order.  The digit rows are scanned in blocks; the dimension cap
+    guards the scan, d^ambient rows taken as a square table, and the
+    running candidate count, the side of the square orthogonality table.
     """
-    from .phase_space import check_dim  # phase_space imports gf
+    from .phase_space import check_dim, square_side  # phase_space imports gf
 
     if not is_prime(d):
         raise ValueError(f"d={d} is not prime")
     ambient = gram.shape[0]
+    check_dim(square_side(d**ambient))
     place = _place_values(ambient, d)
     narrow = np.min_scalar_type(d - 1)
     cand, lead, count = [], [], 0
@@ -614,8 +617,7 @@ def coset_reps(sup: Subspace, sub: Subspace) -> np.ndarray:
     """
     if not sup.contains_space(sub):
         raise ValueError("sub is not contained in sup")
-    cleared = sup.basis - sup.basis[:, list(sub.pivots)] @ sub.basis
-    return Subspace(cleared, sup.d, sup.ambient).vectors()
+    return Subspace(sub._clear(sup.basis), sup.d, sup.ambient).vectors()
 
 
 def image_indices(reference, images, d: int) -> np.ndarray:

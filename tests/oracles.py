@@ -13,7 +13,8 @@ routes are kept: the quotient isometries of Sigma_{t,t}(d) extended pair by
 pair, and the Clifford commutator moved and gathered one T at a time.
 Where the library reads a subspace straight from one elimination, the
 earlier routes that reduce twice are kept: the intersection through a
-nullspace and the semigroup product reduced again from its rows.
+nullspace, the semigroup product reduced again from its rows and the
+defects through an intersection with a coordinate axis.
 Tests compare the two.
 """
 
@@ -337,6 +338,16 @@ def compose_rereduce(T1: Subspace, T2: Subspace) -> tuple[Subspace, int]:
     reduced, pivots = rref(rows, d)
     product = reduced[[p >= t for p in pivots], t:]
     return Subspace(product, d, 2 * t), T1.dim + T2.dim - len(pivots)
+
+
+def defect_two_reductions(T: Subspace, side: int) -> Subspace:
+    """`commutant._defect` through T cap the coordinate axis of the side,
+    cut to the side's columns and reduced again by `Subspace`."""
+    t = T.ambient // 2
+    axis = np.zeros((t, 2 * t), dtype=np.int64)
+    axis[:, side * t:(side + 1) * t] = np.eye(t, dtype=np.int64)
+    inter = T.intersect(Subspace(axis, T.d))
+    return Subspace(inter.basis[:, side * t:(side + 1) * t], T.d, t)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,14 @@ def test_cap_hit_is_one_failed_record(capsys, monkeypatch, argv):
         (["definetti", "--variant", "exp", "--t", "2", "--s", "3"], "s=3"),
         (["test", "--protocol", "three-copy", "--d", "3"], "d=3"),
         (["hudson", "--seed", "1"], "d=2"),
+        (["test", "--protocol", "qubit6", "--n", "1", "--seed", "-1"], "seed=-1 is below 0"),
+        (["test", "--protocol", "mc", "--seed", "-2"], "seed=-2 is below 0"),
+        (["hudson", "--d", "3", "--seed", "-5"], "seed=-5 is below 0"),
+        (["design", "--t", "3", "--n", "1", "--d", "3", "--seed", "-1"], "seed=-1 is below 0"),
+        (["definetti", "--variant", "exp", "--t", "4", "--s", "2", "--seed", "-1"],
+         "seed=-1 is below 0"),
+        (["definetti", "--variant", "anti", "--t", "6", "--s", "6", "--seed", "-3"],
+         "seed=-3 is below 0"),
     ],
 )
 def test_invalid_sizes_are_one_failed_record(capsys, argv, value):
@@ -329,6 +337,26 @@ def test_sigma_size_cap_is_one_failed_record(capsys, monkeypatch):
     assert "dimension 35500 exceeds cap 8192" in records[0]["measured"]
 
 
+@pytest.mark.parametrize(
+    "argv,dim",
+    [
+        (["enumerate-sigma", "--t", "2", "--d", "65537"], 65537),  # a scan of 65537^2 rows
+        (["enumerate-sigma", "--t", "3", "--d", "65537"], 16777601),
+        (["enumerate-o", "--t", "2", "--d", "65537"], 92684),  # the (65537^2, 2) column table
+    ],
+)
+def test_wide_digit_tables_are_one_failed_record(capsys, monkeypatch, argv, dim):
+    # the digit rows are refused before they are scanned or built
+    monkeypatch.delenv("STABKIT_DIM_CAP", raising=False)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in err
+    records = json.loads(out)["records"]
+    assert [r["check_id"] for r in records] == ["resource-cap"]
+    assert f"dimension {dim} exceeds cap 8192" in records[0]["measured"]
+
+
 def _emit_oracle(rep: ReportBundle) -> bytes:
     payload = rep.to_json()
     payload["wall_clock"] = None
@@ -359,16 +387,32 @@ def test_json_report_is_byte_identical_to_json_dumps(cfg):
     assert emit(rep, "json") == _emit_oracle(rep)
 
 
-@pytest.mark.parametrize("t,d", [(1, 2), (2, 3), (4, 3), (3, 7), (2, 11), (6, 2)])
-def test_sigma_report_is_byte_identical_to_json_dumps(t, d):
-    rep = run(RunConfig(command="enumerate-sigma", t=t, d=d))
+@pytest.mark.parametrize(
+    "command,t,d",
+    [pytest.param("enumerate-sigma", t, d, id=f"{t}-{d}")
+     for t, d in [(1, 2), (2, 3), (4, 3), (3, 7), (2, 11), (6, 2)]]
+    + [pytest.param("enumerate-o", t, d, id=f"o-{t}-{d}")
+       for t, d in [(1, 2), (1, 3), (2, 3), (4, 3), (3, 5), (6, 2)]],
+)
+def test_sigma_report_is_byte_identical_to_json_dumps(command, t, d):
+    rep = run(RunConfig(command=command, t=t, d=d))
     assert emit(rep, "json") == _emit_oracle(rep)
 
 
 def test_sigma_report_blocks_that_do_not_divide_sigma(monkeypatch):
-    rep = run(RunConfig(command="enumerate-sigma", t=4, d=3))
-    assert len(rep.to_json()["config"]["sigma"]) == 80
-    monkeypatch.setattr(cli, "_STACK_BLOCK", 7)  # 11 blocks of 7, then 3
+    # Sigma_{4,4}(3): 11 blocks of 7, then 3; O_4(3): 6 blocks of 7, then 6
+    monkeypatch.setattr(cli, "_STACK_BLOCK", 7)
+    for command, key, size in [("enumerate-sigma", "sigma", 80), ("enumerate-o", "group", 48)]:
+        rep = run(RunConfig(command=command, t=4, d=3))
+        assert len(rep.to_json()["config"][key]) == size
+        assert emit(rep, "json") == _emit_oracle(rep)
+
+
+def test_report_holding_a_stack_marker_string():
+    # json.dumps writes a marker in place of the stack: a report string
+    # equal to a marker must come out as itself, and the stack where it stands
+    rep = run(RunConfig(command="enumerate-o", t=3, d=5))
+    rep.config["note"] = ["\ue000stack 0\ue000", "\ue000stack 1\ue000"]
     assert emit(rep, "json") == _emit_oracle(rep)
 
 

@@ -391,6 +391,18 @@ def test_compose_and_intersect_match_two_reduction_routes(t, d):
             assert oracles.subspace_bits(T1.intersect(T2)) == oracles.subspace_bits(meet)
 
 
+@pytest.mark.parametrize("t,d", [(4, 3), (5, 2), (3, 5), (6, 2)])
+def test_defects_match_two_reduction_route(t, d):
+    """`left_defect` and `right_defect` read the defect from one
+    elimination of T's basis with the other half's columns first; the
+    oracle intersects T with the coordinate axis and reduces the cut basis
+    again.  On every T, every stored field agrees bit for bit."""
+    for T in stochastic_lagrangians(t, d):
+        for side, defect in enumerate((left_defect, right_defect)):
+            want = oracles.defect_two_reductions(T, side)
+            assert oracles.subspace_bits(defect(T)) == oracles.subspace_bits(want)
+
+
 # --- the frontier: t = 7 qubits and the O_t(d) double cosets at (6, 2), (5, 3) ---------
 
 @pytest.fixture(scope="module")
