@@ -544,7 +544,14 @@ def extend_tuples(chosen, values, want, slot_ok, group=None):
 
 
 def echelon_subspaces(gram: np.ndarray, d: int, k: int, admissible) -> tuple[Subspace, ...]:
-    """All k-dim subspaces with an admissible, pairwise `gram`-orthogonal basis.
+    """`echelon_stack` as Subspace objects, in the same order."""
+    return _subspaces_from_rref(echelon_stack(gram, d, k, admissible), d)
+
+
+def echelon_stack(gram: np.ndarray, d: int, k: int, admissible) -> np.ndarray:
+    """All k-dim subspaces with an admissible, pairwise `gram`-orthogonal basis,
+    as a read-only (m, k, ambient) stack of their canonical bases in key
+    order, in the integer type np.min_scalar_type(d - 1).
 
     admissible(vectors) returns a boolean mask over rows of vectors.  The
     rows of each subspace's canonical RREF basis must be admissible and
@@ -591,7 +598,8 @@ def echelon_subspaces(gram: np.ndarray, d: int, k: int, admissible) -> tuple[Sub
     wide = stack.astype(np.int64)
     assert admissible(wide.reshape(-1, ambient)).all()
     assert not ((wide @ gram @ wide.transpose(0, 2, 1)) % d * ~np.eye(k, dtype=bool)).any()
-    return _subspaces_from_rref(stack, d)
+    stack.setflags(write=False)
+    return stack
 
 
 # --- cosets and orbits ---------------------------------------------------

@@ -9,7 +9,11 @@ Every Weyl expansion comes from the rows of a characteristic function and
 diagonal B[b + q, b] times a phase; for a pure state that diagonal is a
 gather psi[b + q] conj(psi[b]), so no outer product is formed, and rows
 come in blocks of bounded size (`_char_rows`), so a sum over c_psi can be
-taken block by block.  Every transform is one digit-block DFT
+taken block by block.  The (shift, phase) index tables of a row block
+depend only on (n, d): where all d^n rows fit one block, d^{2n} 16 B <=
+_ROW_BLOCK_BYTES (up to 8 qubits, 5 qutrits or 3 ququints), they are
+built once per size and kept read-only in a small cache; larger states
+build them block by block on every call.  Every transform is one digit-block DFT
 (`_digit_dft`): GEMMs against the DFT matrix of a few digits at a time.
 `weyl_action` is the one home of the Weyl formula: W_x as a permutation of
 basis states times phases, which callers gather through.  Nothing here
@@ -189,25 +193,46 @@ def _digit_sum(tables: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_tables(qs: np.ndarray, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(shift, phase) for the rows q in qs (digit rows, shape (m, n)).
+
+    shift[i, b] is the flat index of b + q_i and phase[i, p] is
+    tau^{-(d^2 + 1) p.q_i}; the exponent is taken mod 2d by the lookup.
+    """
+    digit = np.arange(d)
+    place = (d ** np.arange(n - 1, -1, -1, dtype=np.int64))[:, None, None]
+    tau_powers = np.exp(-1j * np.pi * np.arange(2 * d) / d)
+    qs = qs.T[:, :, None]
+    return (_digit_sum((qs + digit) % d * place),
+            np.take(tau_powers, _digit_sum((d * d + 1) * qs * digit), mode="wrap"))
+
+
+@functools.lru_cache(maxsize=8)
+def _one_block_tables(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_row_tables` of all d^n rows, read-only; only for sizes whose rows
+    fit one block, so an entry holds at most 1.5 _ROW_BLOCK_BYTES."""
+    return tuple(freeze(t) for t in _row_tables(_digit_table(n, d), n, d))
+
+
 def _char_rows(diagonals, n: int, d: int):
     """Yield (q0, rows) with rows[i, p] = c(p, q0 + i), over blocks of q.
 
     diagonals(shift) returns d^{-n/2} B[shift[i, b], b] for the q-shifted
     index shift[i, b] = flat index of b + q_i.  Row q of c_B is a DFT over
     b of that diagonal times tau^{-p.q}, tau = e^{i pi (d^2+1)/d}.  Each
-    block holds at most _ROW_BLOCK_BYTES of rows (at least one row).
+    block holds at most _ROW_BLOCK_BYTES of rows (at least one row); the
+    tables of a single block are cached (see the module docstring).
     """
     dim = d**n
     step = max(1, _ROW_BLOCK_BYTES // (16 * dim))
-    digit = np.arange(d)
-    place = (d ** np.arange(n - 1, -1, -1, dtype=np.int64))[:, None, None]
-    # tau^{-k}; the exponent (d^2 + 1) p.q is taken mod 2d by the lookup
-    tau_powers = np.exp(-1j * np.pi * np.arange(2 * d) / d)
-    qdigits = all_vectors(n, d)
-    for q0 in range(0, dim, step):
-        qs = qdigits[q0 : q0 + step].T[:, :, None]
-        rows = _digit_dft(diagonals(_digit_sum((qs + digit) % d * place)), n, d)
-        rows *= np.take(tau_powers, _digit_sum((d * d + 1) * qs * digit), mode="wrap")
+    if step >= dim:
+        blocks = [(0, _one_block_tables(n, d))]
+    else:
+        qdigits = _digit_table(n, d)
+        blocks = ((q0, _row_tables(qdigits[q0 : q0 + step], n, d)) for q0 in range(0, dim, step))
+    for q0, (shift, phase) in blocks:
+        rows = _digit_dft(diagonals(shift), n, d)
+        rows *= phase
         yield q0, rows
 
 
@@ -286,7 +311,12 @@ def char_distribution(psi: np.ndarray, n: int, d: int) -> np.ndarray:
 
 def wigner_state(psi: np.ndarray, n: int, d: int) -> np.ndarray:
     """w_psi(x) = d^{-n} <psi|A_x|psi> = d^{-3n/2} Re (F c_psi)(x)."""
-    return symplectic_fourier(_pure_char(_unit_state(psi), n, d), n, d).real * d ** (-1.5 * n)
+    return _char_wigner(_pure_char(_unit_state(psi), n, d), n, d)
+
+
+def _char_wigner(c: np.ndarray, n: int, d: int) -> np.ndarray:
+    """w_psi from c_psi: d^{-3n/2} Re (F c_psi)."""
+    return symplectic_fourier(c, n, d).real * d ** (-1.5 * n)
 
 
 def kron_power_rows(vs: np.ndarray, k: int) -> np.ndarray:

@@ -5,8 +5,9 @@ characteristic distribution p_psi (or the Wigner function w_psi); no dense
 POVM element on tensor powers of the state is built.  Weyl expectations
 are gathers (the rows of c_psi, `weyl_action`), never dense Weyl
 matrices.  Each protocol call transforms its state once: p_psi, the qubit
-<psi|W_x|psi> and the Bell convolution come from one c_psi, and moment
-sums over p_psi are taken block by block of rows.
+<psi|W_x|psi>, the Bell convolution and the stabilizer fidelities
+(`stabilizer._max_fidelity`) come from one c_psi, and moment sums over
+p_psi are taken block by block of rows.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .phase_space import (
+    _char_wigner,
     _digit_dft,
     _pure_char,
     _pure_char_rows,
@@ -28,6 +30,7 @@ from .phase_space import (
     wigner_state,
 )
 from .gf import symplectic_form
+from .stabilizer import _max_fidelity
 
 __all__ = [
     "ProtocolReport",
@@ -127,6 +130,11 @@ def qubit_accept_probability(psi: np.ndarray) -> float:
     return qudit_accept_probability(psi, 3, 2)
 
 
+def _six_copy_accept(p: np.ndarray, n: int) -> float:
+    """(1 + 2^{2n} sum_x p^3) / 2 from the whole p_psi."""
+    return float(0.5 * (1.0 + 4**n * (p**3).sum()))
+
+
 def simulate_algorithm1(psi: np.ndarray, shots: int, seed: int) -> ProtocolReport:
     """Monte-Carlo of the six-copy qubit test.
 
@@ -148,7 +156,7 @@ def simulate_algorithm1(psi: np.ndarray, shots: int, seed: int) -> ProtocolRepor
     u = rng.random((shots, 2))
     accepted = int(((u[:, 0] < p_plus) == (u[:, 1] < p_plus)).sum())
     p_emp = accepted / shots
-    p_true = float(0.5 * (1.0 + 4**n * (p**3).sum()))
+    p_true = _six_copy_accept(p, n)
     sigma = math.sqrt(max(p_true * (1 - p_true), 1e-12) / shots)
     return ProtocolReport(
         protocol="qubit6-mc",
@@ -236,12 +244,18 @@ def uncertainty_points(psi: np.ndarray, x, y, z, n: int, d: int) -> dict:
 # negativity and the robust Hudson theorem
 # ---------------------------------------------------------------------------
 
-def _odd_wigner(psi: np.ndarray, d: int) -> tuple[int, np.ndarray]:
-    """(n, w_psi), refusing even d."""
+def _odd_char(psi: np.ndarray, d: int) -> tuple[int, np.ndarray]:
+    """(n, c_psi), refusing even d."""
     if d % 2 == 0:
         raise ValueError("Wigner quantities need odd d")
     n = _infer_n(psi, d)
-    return n, wigner_state(psi, n, d)
+    return n, _pure_char(_unit_state(psi), n, d)
+
+
+def _odd_wigner(psi: np.ndarray, d: int) -> tuple[int, np.ndarray]:
+    """(n, w_psi), refusing even d."""
+    n, c = _odd_char(psi, d)
+    return n, _char_wigner(c, n, d)
 
 
 def _sum_negativity(w: np.ndarray) -> float:
@@ -270,13 +284,13 @@ def mana(psi: np.ndarray, d: int) -> float:
 def robust_hudson_check(psi: np.ndarray, d: int) -> ProtocolReport:
     """1 - max_S |<S|psi>|^2 <= 9 d^2 sn(psi), plus the Hoelder chain.
 
-    The negativity, the Wigner norm and the Hoelder sum share one w_psi.
+    The negativity, the Wigner norm and the Hoelder sum share one w_psi;
+    it and the largest stabilizer fidelity come from one c_psi.
     """
-    from .stabilizer import max_stabilizer_overlap
-
-    n, w = _odd_wigner(psi, d)
+    n, c = _odd_char(psi, d)
+    w = _char_wigner(c, n, d)
     sn = _sum_negativity(w)
-    _, overlap = max_stabilizer_overlap(psi, n, d)
+    _, overlap = _max_fidelity(c, n, d)
     bound = 9 * d * d * sn
     q = d**n * w**2
     holder_ok = (q**2).sum() >= 1.0 / (d**n * np.abs(w).sum() ** 2) - 1e-12
@@ -313,13 +327,13 @@ def choi_state(U: np.ndarray) -> np.ndarray:
 
 
 def clifford_test(U: np.ndarray) -> ProtocolReport:
-    """Six-copy stabilizer test applied to the Choi state of U (qubits)."""
-    psi = choi_state(U)
-    n = _infer_n(psi, 2)
-    p = qubit_accept_probability(psi)
-    from .stabilizer import max_stabilizer_overlap
+    """Six-copy stabilizer test applied to the Choi state of U (qubits).
 
-    _, overlap = max_stabilizer_overlap(psi, n, 2)
+    p_accept and the largest stabilizer fidelity come from one c_psi.
+    """
+    n, c = _qubit_char(choi_state(U))
+    p = _six_copy_accept(np.abs(c) ** 2, n)
+    _, overlap = _max_fidelity(c, n, 2)
     return ProtocolReport(
         protocol="clifford-test",
         n=n,

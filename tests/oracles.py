@@ -15,6 +15,9 @@ Where the library reads a subspace straight from one elimination, the
 earlier routes that reduce twice are kept: the intersection through a
 nullspace, the semigroup product reduced again from its rows and the
 defects through an intersection with a coordinate axis.
+Where the library reads stabilizer fidelities from c_psi, the overlaps
+with the enumerated state list are kept, and where it caches the row
+tables of c_psi, the route that builds them block by block on every call.
 Tests compare the two.
 """
 
@@ -151,6 +154,43 @@ def pure_characteristic_function(psi: np.ndarray, n: int, d: int) -> np.ndarray:
     """c_psi from the d^n x d^n outer product |psi><psi|."""
     psi = np.asarray(psi, dtype=complex)
     return characteristic_function(np.outer(psi, psi.conj()), n, d)
+
+
+def char_rows_streaming(diagonals, n: int, d: int):
+    """`phase_space._char_rows` with the (shift, phase) tables of every row
+    block built on every call, none cached."""
+    dim = d**n
+    step = max(1, phase_space._ROW_BLOCK_BYTES // (16 * dim))
+    digit = np.arange(d)
+    place = (d ** np.arange(n - 1, -1, -1, dtype=np.int64))[:, None, None]
+    tau_powers = np.exp(-1j * np.pi * np.arange(2 * d) / d)
+    qdigits = all_vectors(n, d)
+    for q0 in range(0, dim, step):
+        qs = qdigits[q0 : q0 + step].T[:, :, None]
+        shift = phase_space._digit_sum((qs + digit) % d * place)
+        rows = phase_space._digit_dft(diagonals(shift), n, d)
+        rows *= np.take(tau_powers, phase_space._digit_sum((d * d + 1) * qs * digit), mode="wrap")
+        yield q0, rows
+
+
+def pure_char_streaming(psi: np.ndarray, n: int, d: int) -> np.ndarray:
+    """c_psi from the diagonals psi[b + q] conj(psi[b]) of `char_rows_streaming`."""
+    psi = np.asarray(psi, dtype=complex)
+    scaled = psi.conj() * d ** (-n / 2)
+
+    def diagonals(shift):
+        diag = psi[shift]
+        diag *= scaled
+        return diag
+
+    return phase_space._stack_rows(char_rows_streaming(diagonals, n, d), n, d)
+
+
+def characteristic_function_streaming(B: np.ndarray, n: int, d: int) -> np.ndarray:
+    """c_B from the q-shifted diagonals of B through `char_rows_streaming`."""
+    B = np.asarray(B, dtype=complex) * d ** (-n / 2)
+    cols = np.arange(d**n)
+    return phase_space._stack_rows(char_rows_streaming(lambda shift: B[shift, cols], n, d), n, d)
 
 
 def char_distribution(psi: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -562,6 +602,12 @@ def measurement_channel(M: Subspace, rho: np.ndarray, n: int, d: int) -> np.ndar
         w = weyl(x, n, d)
         out += w @ rho @ w.conj().T
     return out / M.size
+
+
+def state_list_overlaps(psi: np.ndarray, n: int, d: int) -> np.ndarray:
+    """|<S|psi>|^2 for every S of `stabilizer.all_stabilizer_states`, in its order."""
+    states = stabilizer.all_stabilizer_states(n, d)
+    return np.abs(states.conj() @ np.asarray(psi, dtype=complex)) ** 2
 
 
 def sample_stabilizer(n: int, d: int, rng: np.random.Generator) -> np.ndarray:

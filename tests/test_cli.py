@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabkit import cli
+from stabkit import cli, stabilizer
 from stabkit.cli import _COMMANDS, ReportBundle, RunConfig, emit, main, run
 
 
@@ -318,13 +318,37 @@ def test_double_cosets_at_t1(capsys):
 
 
 def test_candidate_table_cap_is_one_failed_record(capsys, monkeypatch):
-    # the defects of Sigma_{9,9}(7) need all 7^9 digit rows of length 9
+    # the Lagrangians of two qubits: the scan of 2^4 digit rows (a side of 4)
+    # and the 15 bases of 2 x 4 entries (a side of 11) pass a cap of 12, the
+    # running count of 15 candidate rows does not; the fidelity tables are
+    # dropped from their cache so that the scan runs
+    monkeypatch.setenv("STABKIT_DIM_CAP", "12")
+    stabilizer._fidelity_tables.cache_clear()
+    code, out = _capture(capsys, ["test", "--protocol", "qubit6", "--n", "2", "--seed", "0"])
+    assert code == 1
+    records = json.loads(out)["records"]
+    assert [r["check_id"] for r in records] == ["resource-cap"]
+    assert records[0]["measured"] == "requested operator dimension 15 exceeds cap 12"
+
+
+def test_sigma_size_cap_refuses_sigma_9_9_7(capsys, monkeypatch):
+    # the stack of Sigma_{9,9}(7) is refused before any defect scan
     monkeypatch.delenv("STABKIT_DIM_CAP", raising=False)
     code, out = _capture(capsys, ["enumerate-sigma", "--t", "9", "--d", "7"])
     assert code == 1
     records = json.loads(out)["records"]
     assert [r["check_id"] for r in records] == ["resource-cap"]
-    assert "exceeds cap 8192" in records[0]["measured"]
+    assert "dimension 13205827278828 exceeds cap 8192" in records[0]["measured"]
+
+
+def test_six_copy_soundness_at_five_qubits(capsys, monkeypatch):
+    # the state list (a side of 8807) is refused; the fidelity tables (1557)
+    # and the 75735 Lagrangians (1946) are not
+    monkeypatch.delenv("STABKIT_DIM_CAP", raising=False)
+    code, out = _capture(capsys, ["test", "--protocol", "qubit6", "--n", "5", "--seed", "1"])
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert [(r["check_id"], r["status"]) for r in records] == [("soundness-bound", "pass")]
 
 
 def test_sigma_size_cap_is_one_failed_record(capsys, monkeypatch):

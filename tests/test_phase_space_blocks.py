@@ -143,6 +143,34 @@ def test_budget_below_one_row_gives_one_row_a_block(monkeypatch):
     assert abs(qubit_accept_probability(psi) - oracles.accept_probability(psi, 3, 2)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "n,d,rows",
+    # one block, its tables cached: (8, 2) is the largest qubit size that fits
+    [(1, 2, None), (3, 2, None), (6, 2, None), (8, 2, None), (2, 3, None), (5, 3, None),
+     (2, 5, None), (3, 5, None), (2, 7, None)]
+    # several blocks, tables built on every call: by size, then by a smaller budget
+    + [(9, 2, None), (6, 3, None), (4, 5, None), (3, 2, 3), (2, 3, 4), (2, 5, 1)],
+)
+def test_row_tables_match_the_streaming_route_bit_for_bit(monkeypatch, n, d, rows):
+    if rows is not None:
+        monkeypatch.setattr(phase_space, "_ROW_BLOCK_BYTES", rows * 16 * d**n)
+    one_block = 16 * d ** (2 * n) <= phase_space._ROW_BLOCK_BYTES
+    psi = _haar(d**n, seed=100 + n + d)
+    want = oracles.pure_char_streaming(psi, n, d)
+    for _ in range(2):  # the second call reads the cached tables
+        assert np.array_equal(_pure_char(psi, n, d), want)
+    if d**n <= 125:
+        B = np.random.default_rng(n * d).normal(size=(d**n, d**n)) + 1j
+        want = oracles.characteristic_function_streaming(B, n, d)
+        assert np.array_equal(characteristic_function(B, n, d), want)
+    cached = phase_space._one_block_tables.cache_info()
+    assert cached.maxsize <= 8
+    if one_block:
+        shift, phase = phase_space._one_block_tables(n, d)
+        assert shift.shape == phase.shape == (d**n, d**n)
+        assert not shift.flags.writeable and not phase.flags.writeable
+
+
 def test_pure_state_protocols_never_read_sum_index_or_outer(monkeypatch):
     _, U = random_clifford(2, 2, np.random.default_rng(0))
 

@@ -268,6 +268,15 @@ def test_robust_hudson_sweep():
         assert robust_hudson_check(_haar_state(3, rng), 3).passed
 
 
+def test_robust_hudson_at_four_qutrits(monkeypatch):
+    # the state list (a side of 24548) is refused here; the fidelity tables
+    # of the 91840 Lagrangians (a side of 2728) are not
+    monkeypatch.delenv("STABKIT_DIM_CAP", raising=False)
+    rep = robust_hudson_check(_haar_state(81, np.random.default_rng(4)), 3)
+    assert rep.n == 4 and rep.passed and rep.details["holder_ok"]
+    assert 0.0 < rep.max_overlap < 1.0
+
+
 def test_max_mixed_state_check():
     rng = np.random.default_rng(37)
     for d in (2, 3):
