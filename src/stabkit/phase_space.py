@@ -13,8 +13,8 @@ taken block by block.  The (shift, phase) index tables of a row block
 depend only on (n, d): where all d^n rows fit one block, d^{2n} 16 B <=
 _ROW_BLOCK_BYTES (up to 8 qubits, 5 qutrits or 3 ququints), they are
 built once per size and kept read-only in a small cache; larger states
-build them block by block on every call.  Every transform is one digit-block DFT
-(`_digit_dft`): GEMMs against the DFT matrix of a few digits at a time.
+build them block by block on every call.  Every transform is one
+digit-block DFT (`_digit_dft`): GEMMs against the DFT matrix of a few digits at a time.
 `weyl_action` is the one home of the Weyl formula: W_x as a permutation of
 basis states times phases, which callers gather through.  Nothing here
 builds a Weyl matrix or stacks operators.

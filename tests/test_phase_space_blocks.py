@@ -163,8 +163,7 @@ def test_row_tables_match_the_streaming_route_bit_for_bit(monkeypatch, n, d, row
         B = np.random.default_rng(n * d).normal(size=(d**n, d**n)) + 1j
         want = oracles.characteristic_function_streaming(B, n, d)
         assert np.array_equal(characteristic_function(B, n, d), want)
-    cached = phase_space._one_block_tables.cache_info()
-    assert cached.maxsize <= 8
+    assert phase_space._one_block_tables.cache_info().maxsize <= 8
     if one_block:
         shift, phase = phase_space._one_block_tables(n, d)
         assert shift.shape == phase.shape == (d**n, d**n)
