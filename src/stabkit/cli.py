@@ -39,8 +39,8 @@ class RunConfig:
 @dataclass(frozen=True)
 class _IntStack:
     """An (m, k, c) stack of integers in [0, d) that a report lists element
-    by element: as `Subspace.to_json` dicts of canonical bases when
-    `bases`, as plain k x c matrices otherwise.
+    by element: as {"ambient", "basis", "d"} dicts of canonical bases
+    when `bases`, as plain k x c matrices otherwise.
 
     `to_json` gives that list, and `_write_json` writes its text from the
     stack a block of elements at a time.

@@ -17,13 +17,12 @@ Every R(T) quantity comes from one integer table, `R_support`: the flat
 Operators and weighted sums are one `np.bincount` of it into a dense
 array, expectations gather amplitudes through it, the Gram matrix is one
 product of the incidence matrix it defines on the points that lie in two
-or more T, and the commutation check applies R(T) as a gather of its rows,
-for a block of T at once.
+or more T, and the commutation check applies R(T) to its probes by one
+weighted `np.bincount` as well, for a block of T at once.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -216,7 +215,12 @@ def _from_defects(N: Subspace, M: Subspace, images, src) -> Subspace:
     return Subspace(rows[0], N.d, 2 * t)
 
 
-@capped_cache(lambda t, d: square_side(sigma_count_formula(t, d) * t * 2 * t), maxsize=None)
+def _sigma_side(t: int, d: int) -> int:
+    """Side of a square with as many entries as the (m, t, 2t) stack of Sigma_{t,t}(d)."""
+    return square_side(sigma_count_formula(t, d) * t * 2 * t)
+
+
+@capped_cache(_sigma_side, maxsize=None)
 def sigma_stack(t: int, d: int) -> np.ndarray:
     """All of Sigma_{t,t}(d) as one read-only (m, t, 2t) stack of canonical
     bases, in key order, in the integer type np.min_scalar_type(d - 1).
@@ -260,10 +264,11 @@ def sigma_stack(t: int, d: int) -> np.ndarray:
     return freeze(reduced[np.lexsort(flat.T[::-1])])
 
 
-@lru_cache(maxsize=None)
+@capped_cache(_sigma_side, maxsize=None)
 def stochastic_lagrangians(t: int, d: int) -> tuple[Subspace, ...]:
     """All of Sigma_{t,t}(d), as canonical subspaces of Z_d^{2t} in key
-    order: one Subspace per basis of `sigma_stack(t, d)`."""
+    order: one Subspace per basis of `sigma_stack(t, d)`, under the same
+    cap, also when cached."""
     return _subspaces_from_rref(sigma_stack(t, d), d)
 
 
@@ -774,8 +779,8 @@ def linear_independence_check(t: int, d: int, n: int) -> int:
 
 # bytes per block of T in `commutator_residuals`: per T, the three columns
 # R v of the moved block and their images under one generator letter; a
-# block's support tables, gathers and letter temporaries take a small
-# multiple of it
+# block's support table, bincount slots and weights and letter temporaries
+# take a small multiple of it
 _COMMUTATOR_BLOCK_BYTES = 2**20
 
 
@@ -789,40 +794,6 @@ def _probes(dim: int) -> np.ndarray:
     return freeze(probes)
 
 
-def _gather_groups(rows: np.ndarray, cols: np.ndarray):
-    """R(T_b) for each T_b of a block as gathers, from its `R_support` tables.
-
-    For x in the projection of T to its first half, the y with (x, y) in
-    T form a coset of the right defect, so with its support sorted by row
-    every nonzero row of R(T) holds the same number k of ones: (R v)[x] is
-    the sum of k gathered rows of v.  The T of one k are gathered at once.
-    Returns (members, targets, src) for each k: the nonzero rows
-    targets[b] of R(T_b), b in members, and the (B, k, nonzero rows) rows
-    src[b] of v they sum.
-    """
-    order = np.argsort(rows, axis=1, kind="stable")
-    each = np.arange(len(rows))[:, None]
-    rows, cols = rows[each, order], cols[each, order]
-    ks = (rows == rows[:, :1]).sum(axis=1)
-    groups = []
-    for k in sorted(set(ks.tolist())):
-        members = np.flatnonzero(ks == k)
-        src = cols[members].reshape(len(members), -1, k).transpose(0, 2, 1)
-        groups.append((members, rows[members, ::k], src))
-    return groups
-
-
-def _gather(V: np.ndarray, targets: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """The (dim, B, 3) stack of R(T_b) V for a (dim, 3) block V and one
-    group of `_gather_groups`."""
-    gathered = V[src].sum(axis=1)  # (B, nonzero rows, 3)
-    if targets.shape[1] == len(V):
-        return gathered.transpose(1, 0, 2)
-    out = np.zeros((len(V), *gathered.shape[::2]), dtype=V.dtype)
-    out[targets, np.arange(len(targets))[:, None]] = gathered
-    return out
-
-
 def commutator_residuals(Ts, n: int, d: int | None = None) -> np.ndarray:
     """max |R(T) U^{x t} v - U^{x t} R(T) v| for every T, over the Clifford
     generators U on n qudits and three seeded unit probes v.
@@ -831,13 +802,15 @@ def commutator_residuals(Ts, n: int, d: int | None = None) -> np.ndarray:
     given the (m, k, 2t) stack of their bases (such as `sigma_stack(t, d)`).
     Matrix-free, at every n: the probes are drawn once per dimension,
     with `default_rng(0)` (`_probes`).  The T are taken in blocks within
-    _COMMUTATOR_BLOCK_BYTES; for a block, the support tables give R(T_b)
-    as gathers (`_gather_groups`), and the block [v | R_1 v | ... | R_B v],
-    its R_b v ordered by gather group, is moved once per generator letter:
-    the same letter on qudit c n + i of every copy c is applied as one
-    word by `clifford._apply_letters` (the t copies of a P or CADD letter
-    form one monomial run, so one row scatter).  The cap guards d^{tn},
-    the probes' length.
+    _COMMUTATOR_BLOCK_BYTES; for a block, R(T_b) V is one weighted
+    `np.bincount` of its support tables, as in `R_sum`: the (dim, B, 3)
+    complex result seen as floats, float j of row x for T_b is slot
+    (x B + b) 6 + j, and the weights are the floats of the rows of V the
+    columns name.  The block [v | R_1 v | ... | R_B v] is moved once per
+    generator letter: the same letter on qudit c n + i of every copy c is
+    applied as one word by `clifford._apply_letters` (the t copies of a P
+    or CADD letter form one monomial run, so one row scatter).  The cap
+    guards d^{tn}, the probes' length.
     """
     from .clifford import _apply_letters, generator_letters
 
@@ -847,25 +820,25 @@ def commutator_residuals(Ts, n: int, d: int | None = None) -> np.ndarray:
     probes = _probes(dim)
     words = [[(kind, *[c * n + i for i in qudits]) for c in range(t)]
              for kind, *qudits in generator_letters(n)]
-    worst = np.empty(m)
+    worst = np.zeros(m)
     step = max(1, _COMMUTATOR_BLOCK_BYTES // (2 * 3 * 16 * dim))
     for lo in range(0, m, step):
-        groups = _gather_groups(*R_support(Ts[lo:lo + step], n, d))
-        B = min(step, m - lo)
+        rows, cols = R_support(Ts[lo:lo + step], n, d)
+        B = len(rows)
+        slots = ((rows * B + np.arange(B)[:, None])[:, :, None] * 6 + np.arange(6)).ravel()
+        del rows
+
+        def apply_R(V):  # the (dim, B, 3) stack of R(T_b) V for a (dim, 3) block V
+            w = np.take(V.view(float), cols, axis=0).ravel()
+            return np.bincount(slots, weights=w, minlength=dim * B * 6).view(complex).reshape(dim, B, 3)
+
         block = np.empty((dim, 1 + B, 3), dtype=complex)
         block[:, 0] = probes
-        # the T of group g take the columns 1 + spans[g] ... spans[g + 1]
-        spans = [0, *itertools.accumulate(len(members) for members, _, _ in groups)]
-        for (_, targets, src), a, b in zip(groups, spans, spans[1:]):
-            block[:, 1 + a:1 + b] = _gather(probes, targets, src)
-        residuals = np.empty((len(words), B))
-        for word, residual in zip(words, residuals):
+        block[:, 1:] = apply_R(probes)
+        for word in words:
             moved = _apply_letters(word, block.reshape(dim, -1), t * n, modulus).reshape(block.shape)
-            for (_, targets, src), a, b in zip(groups, spans, spans[1:]):
-                lhs = _gather(moved[:, 0], targets, src)
-                residual[a:b] = np.abs(lhs - moved[:, 1 + a:1 + b]).max(axis=(0, 2))
-        members = np.concatenate([members for members, _, _ in groups])
-        worst[lo + members] = residuals.max(axis=0)
+            residual = np.abs(apply_R(moved[:, 0]) - moved[:, 1:]).max(axis=(0, 2))
+            np.maximum(worst[lo:lo + B], residual, out=worst[lo:lo + B])
     return worst
 
 

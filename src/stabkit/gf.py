@@ -273,9 +273,6 @@ class Subspace:
         if self.ambient != other.ambient or self.d != other.d:
             raise ValueError("subspaces live in different ambient spaces")
 
-    def to_json(self) -> dict:
-        return {"d": self.d, "ambient": self.ambient, "basis": self.basis.tolist()}
-
 
 def _trailing_span(rows, pivots: list[int], cols: int, start: int, d: int) -> Subspace:
     """The span of the reduced rows (as `_reduce` gives them, of `cols` columns)
@@ -508,6 +505,8 @@ def is_q_isotropic(basis, d: int) -> bool:
 # partial tuples per block of `extend_tuples`, and digit rows per block of
 # the candidate scan in `echelon_subspaces`
 _FRONTIER_BLOCK = 4096
+# candidate rows per block of the orthogonality table in `echelon_stack`
+_FOLLOWS_BLOCK = 256
 
 
 def extend_tuples(chosen, values, want, slot_ok, group=None):
@@ -565,7 +564,8 @@ def echelon_stack(gram: np.ndarray, d: int, k: int, admissible) -> np.ndarray:
     the index tuples, read in increasing pivot order, puts the subspaces
     in key order.  The digit rows are scanned in blocks; the dimension cap
     guards the scan, d^ambient rows taken as a square table, and the
-    running candidate count, the side of the square orthogonality table.
+    running candidate count, the side of the square boolean orthogonality
+    table, which is filled `_FOLLOWS_BLOCK` rows at a time.
     """
     from .phase_space import check_dim, square_side  # phase_space imports gf
 
@@ -585,9 +585,12 @@ def echelon_stack(gram: np.ndarray, d: int, k: int, admissible) -> np.ndarray:
         count += len(cand[-1])
         check_dim(count)
     cand, lead = np.concatenate(cand), np.concatenate(lead)
-    # follows[a, b]: row b may be chosen after row a
-    follows = (cand @ gram @ cand.T) % d == 0
-    follows &= (lead[None, :] < lead[:, None]) & (cand.T[lead] == 0)
+    # follows[a, b]: row b may be chosen after row a, in blocks of rows a
+    follows = np.empty((count, count), dtype=bool)
+    right = gram @ cand.T
+    for lo in range(0, count, _FOLLOWS_BLOCK):
+        a = slice(lo, lo + _FOLLOWS_BLOCK)
+        follows[a] = ((cand[a] @ right) % d == 0) & (lead < lead[a, None]) & (cand.T[lead[a]] == 0)
     slot_ok = lead[None, :] >= k - 1 - np.arange(k)[:, None]
     rows = extend_tuples(np.zeros((1, 0)), follows, np.ones((k, k), dtype=bool), slot_ok)[:, ::-1]
     if k:  # lexsort needs a key; the zero subspace is one tuple

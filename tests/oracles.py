@@ -469,10 +469,11 @@ def apply_tensor_power(U: np.ndarray, v: np.ndarray, t: int) -> np.ndarray:
 
 
 def commutator_residual(T: Subspace, n: int, d: int) -> float:
-    """`commutant.commutator_residuals` for one T: its support sorted by
-    row, R(T) applied by one gather of k rows per nonzero row, and the
-    block [v | R v] of the three `default_rng(0)` probes moved once per
-    generator letter."""
+    """`commutant.commutator_residuals` for one T by the gather route: its
+    support sorted by row, R(T) applied by one gather of k rows per nonzero
+    row (the library applies it by one weighted bincount), and the block
+    [v | R v] of the three `default_rng(0)` probes moved once per generator
+    letter."""
     from stabkit.clifford import _apply_letters, generator_letters
 
     t = T.ambient // 2

@@ -214,15 +214,17 @@ def test_negative_control_inside_a_stack(n):
     assert np.delete(got, 3).max() < 1e-9
 
 
-def test_stack_commutator_memory_stays_within_its_block_budget():
-    """The 4590 T of Sigma_{6,6}(2) at n = 1 take 27 blocks; a block's
-    tables, gathers and moved columns stay within a small multiple of the
-    budget."""
-    stack = sigma_stack(6, 2)
-    commutator_residuals(stack[:1], 1, 2)
+@pytest.mark.parametrize("t, n", [(6, 1), (5, 2)])
+def test_stack_commutator_memory_stays_within_its_block_budget(t, n):
+    """The 4590 T of Sigma_{6,6}(2) at n = 1 take 27 blocks of 170, the
+    270 T of Sigma_{5,5}(2) at n = 2 take 27 blocks of 10; a block's
+    support table, bincount slots and weights and moved columns stay
+    within a small multiple of the budget."""
+    stack = sigma_stack(t, 2)
+    commutator_residuals(stack[:1], n, 2)
     tracemalloc.start()
     try:
-        got = commutator_residuals(stack, 1, 2)
+        got = commutator_residuals(stack, n, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,22 @@ def test_echelon_subspaces_cap_guards_both_tables(monkeypatch):
     assert set(seen) == {8} and sum(seen) < 81
     monkeypatch.setenv("STABKIT_DIM_CAP", "40")
     assert len(echelon_subspaces(*args)) == (3 + 1) * (9 + 1)
+
+
+def test_echelon_orthogonality_table_is_built_in_row_blocks():
+    """The Lagrangians of Z_3^8 have 3280 candidate rows; the boolean
+    3280 x 3280 table of which row may follow which is built a block of
+    rows at a time, so no int64 table of that side (86 MB) is made and the
+    scan peaks under 100 MB."""
+    args = gram_symplectic(8, 3), 3, 4, lambda vecs: np.ones(len(vecs), dtype=bool)
+    tracemalloc.start()
+    try:
+        stack = gf.echelon_stack(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(stack) == (3 + 1) * (9 + 1) * (27 + 1) * (81 + 1)
+    assert peak < 100e6
 
 def _extend_brute(chosen, values, want, slot_ok):
     """Every completion of each row of chosen, by itertools.product over all tails."""

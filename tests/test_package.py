@@ -53,8 +53,9 @@ def test_cached_arrays_are_read_only(get):
     "fn, args",
     [
         (stabilizer.all_stabilizer_states, (3, 2)),
+        (commutant.stochastic_lagrangians, (4, 2)),
     ],
-    ids=["all_stabilizer_states"],
+    ids=["all_stabilizer_states", "stochastic_lagrangians"],
 )
 def test_cap_guards_warm_cache(fn, args, monkeypatch):
     fn(*args)
